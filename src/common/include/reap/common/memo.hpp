@@ -9,6 +9,7 @@
 // owning model instance.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -52,6 +53,15 @@ class DirectMappedMemo {
     keys_[slot] = key + 1;
     values_[slot] = value;
   }
+
+  // Forgets every entry and keeps the allocation, so a cleared memo costs
+  // no page faults. Only the key column is zeroed: a value is never read
+  // unless its key matches.
+  void clear() { std::fill(keys_.begin(), keys_.end(), std::uint64_t{0}); }
+
+  // Address of the key column (null until the first insert); lets tests
+  // check that clear() keeps the storage.
+  const void* storage() const { return keys_.data(); }
 
  private:
   static std::size_t slot_of(std::uint64_t key) {

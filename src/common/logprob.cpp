@@ -9,7 +9,15 @@ namespace reap::common {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// std::lgamma writes the global `signgam`, a data race when models are
+// built on several threads at once; the reentrant form returns the sign
+// through an out-parameter and computes the same value.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
 }
+}  // namespace
 
 double log_sum_exp(double la, double lb) {
   if (la == kNegInf) return lb;
@@ -32,8 +40,7 @@ double log_binomial_coeff(std::uint64_t n, std::uint64_t k) {
   if (k == 0 || k == n) return 0.0;
   const double dn = static_cast<double>(n);
   const double dk = static_cast<double>(k);
-  return std::lgamma(dn + 1.0) - std::lgamma(dk + 1.0) -
-         std::lgamma(dn - dk + 1.0);
+  return log_gamma(dn + 1.0) - log_gamma(dk + 1.0) - log_gamma(dn - dk + 1.0);
 }
 
 double log_binomial_pmf(std::uint64_t n, std::uint64_t k, double p) {

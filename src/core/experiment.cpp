@@ -1,6 +1,9 @@
 #include "reap/core/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "reap/common/assert.hpp"
 #include "reap/core/policy_impl.hpp"
@@ -64,61 +67,137 @@ nvsim::CacheGeometry l2_geometry(const ExperimentConfig& cfg) {
   return geom;
 }
 
+// A MemoryHierarchy's shape: everything its constructor sizes or fixes.
+// The L2 hit latency is left out; every experiment sets its own.
+bool same_shape(const sim::CacheConfig& a, const sim::CacheConfig& b) {
+  return a.name == b.name && a.capacity_bytes == b.capacity_bytes &&
+         a.ways == b.ways && a.block_bytes == b.block_bytes &&
+         a.replacement == b.replacement;
+}
+
+bool same_shape(const sim::HierarchyConfig& a, const sim::HierarchyConfig& b) {
+  return same_shape(a.l1i, b.l1i) && same_shape(a.l1d, b.l1d) &&
+         same_shape(a.l2, b.l2) && a.mem_cycles == b.mem_cycles;
+}
+
+// Binomial models by exact (p_rd, t, line bits). A model is a pure function
+// of that key -- its memo only caches values it would compute -- so the
+// points of one device point and code share a model and pay its
+// lgamma-heavy construction once. The least recently used model leaves
+// first, which keeps a device sweep to kCapacity models.
+class ModelTable {
+ public:
+  const reliability::UncorrectableModel& get(double p_rd, unsigned t,
+                                             std::uint64_t line_bits) {
+    const auto it =
+        std::find_if(entries_.begin(), entries_.end(), [&](const Entry& e) {
+          return e.p_rd == p_rd && e.t == t && e.line_bits == line_bits;
+        });
+    if (it != entries_.end()) {
+      std::rotate(it, it + 1, entries_.end());
+    } else {
+      auto model = std::make_unique<reliability::UncorrectableModel>(
+          p_rd, t, line_bits);
+      if (entries_.size() == kCapacity) entries_.erase(entries_.begin());
+      entries_.push_back({p_rd, t, line_bits, std::move(model)});
+    }
+    return *entries_.back().model;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 8;
+  struct Entry {
+    double p_rd;
+    unsigned t;
+    std::uint64_t line_bits;
+    std::unique_ptr<reliability::UncorrectableModel> model;
+  };
+  std::vector<Entry> entries_;  // least recently used first
+};
+
 // Everything an experiment wires together except the policy object, shared
 // by the static- and virtual-dispatch drivers so the two runs differ only
-// in how the policy is invoked.
+// in how the policy is invoked. reset() wires the rig for a config; a rig
+// may be reset any number of times, and rebuilds only what the new
+// config's shape changes (the line code, the hierarchy) while resetting
+// the rest in place -- the ~1.5 MB of cache columns and memos a fresh rig
+// would have to fault in cost more than a short experiment simulates.
 struct ExperimentRig {
   std::unique_ptr<ecc::Code> line_code;
-  double p_rd;
-  double p_wf;
-  nvsim::CacheModel circuit;
-  reliability::UncorrectableModel model;
+  double p_rd = 0.0;
+  double p_wf = 0.0;
+  std::optional<nvsim::CacheModel> circuit;
+  ModelTable models;
   reliability::FailureLedger ledger;
   PolicyContext ctx;
-  sim::MemoryHierarchy hier;
-  trace::DataValueModel values;
+  std::optional<sim::MemoryHierarchy> hier;
+  std::optional<trace::DataValueModel> values;
   // The op stream: the config's own generator by default, or an external
   // source (e.g. a trace::ReplayTraceSource over a materialized arena) —
   // which must yield the byte-identical sequence the generator would.
-  std::unique_ptr<trace::WorkloadTraceSource> own_source;
-  trace::TraceSource& source;
-  sim::TraceCpu cpu;
-  std::uint32_t hit_cycles;
+  std::optional<trace::WorkloadTraceSource> own_source;
+  std::optional<sim::TraceCpu> cpu;
+  std::uint32_t hit_cycles = 0;
 
-  explicit ExperimentRig(const ExperimentConfig& cfg,
-                         trace::TraceSource* external = nullptr)
-      : line_code(make_line_code(cfg.hierarchy.l2.block_bytes * 8, cfg.ecc_t)),
-        p_rd(mtj::read_disturb_probability(cfg.mtj)),
-        p_wf(mtj::write_failure_probability(cfg.mtj)),
-        circuit(l2_geometry(cfg), cfg.tech, *line_code, &cfg.mtj),
-        model(p_rd, cfg.ecc_t, cfg.hierarchy.l2.block_bytes * 8),
-        hier(cfg.hierarchy, cfg.seed),
-        values(cfg.workload.values, cfg.hierarchy.l2.block_bytes * 8,
-               cfg.workload.seed ^ 0xABCD),
-        own_source(external ? nullptr
-                            : std::make_unique<trace::WorkloadTraceSource>(
-                                  cfg.workload)),
-        source(external ? *external : *own_source),
-        cpu(source, hier, cfg.clock_ghz),
-        hit_cycles(l2_hit_cycles_for(cfg.policy, circuit.timing(),
-                                     cfg.clock_ghz)) {
-    ctx.model = &model;
+  void reset(const ExperimentConfig& cfg,
+             trace::TraceSource* external = nullptr) {
+    const std::uint64_t line_bits = cfg.hierarchy.l2.block_bytes * 8;
+    if (!line_code || line_code->data_bits() != line_bits ||
+        line_code->correctable_bits() != cfg.ecc_t) {
+      circuit.reset();  // refers to the old code
+      line_code = make_line_code(line_bits, cfg.ecc_t);
+    }
+    p_rd = mtj::read_disturb_probability(cfg.mtj);
+    p_wf = mtj::write_failure_probability(cfg.mtj);
+    circuit.emplace(l2_geometry(cfg), cfg.tech, *line_code, &cfg.mtj);
+
+    ledger.reset();
+    ctx.model = &models.get(p_rd, cfg.ecc_t, line_bits);
     ctx.ledger = &ledger;
     ctx.ways = cfg.hierarchy.l2.ways;
     ctx.write_fail_per_cell = p_wf;
     ctx.codeword_bits = line_code->codeword_bits();
     ctx.check_on_dirty_eviction = cfg.check_on_dirty_eviction;
     ctx.scrub_every = cfg.scrub_every;
-    hier.set_l2_hit_cycles(hit_cycles);
-    hier.set_l2_ones_provider(sim::OnesProvider(values));
+
+    if (hier && same_shape(hier->config(), cfg.hierarchy)) {
+      hier->reset(cfg.seed);
+    } else {
+      cpu.reset();  // refers to the old hierarchy
+      hier.emplace(cfg.hierarchy, cfg.seed);
+    }
+    const std::uint64_t value_seed = cfg.workload.seed ^ 0xABCD;
+    if (values)
+      values->reseat(cfg.workload.values, line_bits, value_seed);
+    else
+      values.emplace(cfg.workload.values, line_bits, value_seed);
+
+    if (!external) own_source.emplace(cfg.workload);
+    trace::TraceSource& source = external ? *external : *own_source;
+    if (cpu)
+      cpu->rebind(source, cfg.clock_ghz);
+    else
+      cpu.emplace(source, *hier, cfg.clock_ghz);
+
+    hit_cycles =
+        l2_hit_cycles_for(cfg.policy, circuit->timing(), cfg.clock_ghz);
+    hier->set_l2_hit_cycles(hit_cycles);
+    hier->set_l2_ones_provider(sim::OnesProvider(*values));
   }
 
   void reset_accounting() {
-    hier.reset_stats();
+    hier->reset_stats();
     ledger.reset();
-    cpu.reset_counters();
+    cpu->reset_counters();
   }
 };
+
+// The rig run_experiment, run_experiment_basic and run_experiment_replay
+// reset for each config on this thread.
+ExperimentRig& thread_rig() {
+  thread_local ExperimentRig rig;
+  return rig;
+}
 
 // Collects the result after the run; `policy` only needs events().
 template <class Policy>
@@ -127,19 +206,19 @@ ExperimentResult collect(const ExperimentConfig& cfg, const ExperimentRig& rig,
   ExperimentResult r;
   r.workload = cfg.workload.name;
   r.policy = cfg.policy;
-  r.instructions = rig.cpu.instructions();
-  r.cycles = rig.cpu.cycles();
-  r.ipc = rig.cpu.ipc();
-  r.sim_seconds = rig.cpu.seconds();
+  r.instructions = rig.cpu->instructions();
+  r.cycles = rig.cpu->cycles();
+  r.ipc = rig.cpu->ipc();
+  r.sim_seconds = rig.cpu->seconds();
   r.l2_hit_cycles = rig.hit_cycles;
-  r.hier = rig.hier.stats();
+  r.hier = rig.hier->stats();
   r.mttf = reliability::compute_mttf(rig.ledger.total_failure_prob(),
-                                     rig.cpu.seconds());
+                                     rig.cpu->seconds());
   r.checks = rig.ledger.checks();
   r.max_concealed = rig.ledger.max_concealed();
   r.concealed = rig.ledger.histogram();
   r.events = policy.events();
-  r.energy = compute_energy(r.events, rig.circuit.energies());
+  r.energy = compute_energy(r.events, rig.circuit->energies());
   r.p_rd = rig.p_rd;
   return r;
 }
@@ -163,16 +242,16 @@ ExperimentResult run_static(const ExperimentConfig& cfg, ExperimentRig& rig,
     // Warmup: populate caches, then reset all accounting.
     if (cfg.warmup_instructions > 0) {
       if (vectorized)
-        rig.cpu.run_vectorized(cfg.warmup_instructions, policy);
+        rig.cpu->run_vectorized(cfg.warmup_instructions, policy);
       else
-        rig.cpu.run(cfg.warmup_instructions, policy);
+        rig.cpu->run(cfg.warmup_instructions, policy);
       rig.reset_accounting();
       policy.reset_events();
     }
     if (vectorized)
-      rig.cpu.run_vectorized(cfg.instructions, policy);
+      rig.cpu->run_vectorized(cfg.instructions, policy);
     else
-      rig.cpu.run(cfg.instructions, policy);
+      rig.cpu->run(cfg.instructions, policy);
     return collect(cfg, rig, policy);
   });
 }
@@ -181,34 +260,38 @@ ExperimentResult run_static(const ExperimentConfig& cfg, ExperimentRig& rig,
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   check_config(cfg);
-  ExperimentRig rig(cfg);
+  ExperimentRig& rig = thread_rig();
+  rig.reset(cfg);
   return run_static(cfg, rig);
 }
 
 ExperimentResult run_experiment_basic(const ExperimentConfig& cfg) {
   check_config(cfg);
-  ExperimentRig rig(cfg);
+  ExperimentRig& rig = thread_rig();
+  rig.reset(cfg);
   return run_static(cfg, rig, /*vectorized=*/false);
 }
 
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source) {
   check_config(cfg);
-  ExperimentRig rig(cfg, &source);
+  ExperimentRig& rig = thread_rig();
+  rig.reset(cfg, &source);
   return run_static(cfg, rig);
 }
 
 ExperimentResult run_experiment_virtual(const ExperimentConfig& cfg) {
   check_config(cfg);
-  ExperimentRig rig(cfg);
+  ExperimentRig rig;  // always fresh: the reference reused rigs must match
+  rig.reset(cfg);
   const auto policy = ReadPathPolicy::make(cfg.policy, rig.ctx);
-  rig.hier.set_l2_hooks(policy.get());
+  rig.hier->set_l2_hooks(policy.get());
   if (cfg.warmup_instructions > 0) {
-    rig.cpu.run(cfg.warmup_instructions);
+    rig.cpu->run(cfg.warmup_instructions);
     rig.reset_accounting();
     policy->reset_events();
   }
-  rig.cpu.run(cfg.instructions);
+  rig.cpu->run(cfg.instructions);
   return collect(cfg, rig, *policy);
 }
 

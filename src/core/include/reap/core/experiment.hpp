@@ -72,6 +72,12 @@ struct ExperimentResult {
 // (TraceCpu::run_vectorized): batch address pre-decode, software prefetch
 // of upcoming set columns, SIMD set scans where the build enables them
 // (REAP_SIMD) -- all byte-identical to the unvectorized loop below.
+//
+// run_experiment, run_experiment_basic and run_experiment_replay keep one
+// experiment rig (caches, memos, models) per thread and reset it for each
+// config instead of allocating a new one; the result depends on the
+// config alone, never on what ran before on the thread (pinned by
+// tests/core/test_rig_reuse.cpp).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 // The same static-dispatch engine driven by the plain batched loop
@@ -93,7 +99,8 @@ ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source);
 
 // Reference implementation driving the same wiring through the runtime
-// interfaces (per-op virtual TraceSource::next, virtual L2PolicyHooks).
+// interfaces (per-op virtual TraceSource::next, virtual L2PolicyHooks),
+// on a freshly built rig every call.
 // Kept as the equivalence baseline: for any config it must produce results
 // byte-identical to run_experiment (pinned by
 // tests/core/test_static_dispatch.cpp) and is what bench_e2e reports the

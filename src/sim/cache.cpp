@@ -1,5 +1,6 @@
 #include "reap/sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "reap/common/assert.hpp"
@@ -7,7 +8,7 @@
 namespace reap::sim {
 
 SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
-    : cfg_(std::move(cfg)), rng_(seed) {
+    : cfg_(std::move(cfg)) {
   REAP_EXPECTS(cfg_.ways >= 1);
   REAP_EXPECTS(std::has_single_bit(cfg_.block_bytes));
   REAP_EXPECTS(cfg_.capacity_bytes % (cfg_.ways * cfg_.block_bytes) == 0);
@@ -16,20 +17,36 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   stride_ = simd::padded_ways(cfg_.ways);
   offset_bits_ = static_cast<unsigned>(std::countr_zero(cfg_.block_bytes));
   index_bits_ = static_cast<unsigned>(std::countr_zero(sets_));
-  // Hot columns: 64 B-aligned, stride padded to the vector width, zeroed
-  // (zero = invalid tagv / LineRel{0,0}) -- see the layout note up top.
+  // Hot columns: 64 B-aligned, stride padded to the vector width -- see
+  // the layout note up top. reset() fills them.
   tags_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
   rel_ = simd::AlignedVec<LineRel>(sets_ * stride_);
   lru_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
-  // The lru column's padding lanes hold the never-wins sentinel so the
-  // vector victim scan can run whole padded sets. Set in every build --
-  // the layout is REAP_SIMD-independent by design.
-  for (std::size_t s = 0; s < sets_; ++s) {
-    for (std::size_t w = cfg_.ways; w < stride_; ++w)
-      lru_[s * stride_ + w] = simd::kLruPad;
-  }
   state_.resize(sets_ * stride_);
   default_ones_ = static_cast<std::uint32_t>(cfg_.block_bytes * 8 / 2);
+  reset(seed);
+}
+
+void SetAssocCache::reset(std::uint64_t seed) {
+  const std::size_t n = sets_ * stride_;
+  // Zero = invalid tagv / LineRel{0,0}.
+  std::fill_n(tags_.data(), n, std::uint64_t{0});
+  std::fill_n(rel_.data(), n, LineRel{});
+  // Invalid ways stamp 0; the lru column's padding lanes hold the
+  // never-wins sentinel so the vector victim scan can run whole padded
+  // sets. Set in every build -- the layout is REAP_SIMD-independent by
+  // design.
+  for (std::size_t s = 0; s < sets_; ++s) {
+    std::uint64_t* lru = lru_.data() + s * stride_;
+    std::fill_n(lru, cfg_.ways, std::uint64_t{0});
+    std::fill_n(lru + cfg_.ways, stride_ - cfg_.ways, simd::kLruPad);
+  }
+  std::fill(state_.begin(), state_.end(), LineState{});
+  stats_ = {};
+  hooks_ = nullptr;
+  ones_ = {};
+  clock_ = 0;
+  rng_.reseed(seed);
 }
 
 SetAssocCache::LineInfo SetAssocCache::line_info(std::size_t set,

@@ -6,8 +6,17 @@ namespace reap::sim {
 
 TraceCpu::TraceCpu(trace::TraceSource& source, MemoryHierarchy& mem,
                    double clock_ghz)
-    : source_(source), mem_(mem), clock_ghz_(clock_ghz) {
+    : mem_(mem) {
+  rebind(source, clock_ghz);
+}
+
+void TraceCpu::rebind(trace::TraceSource& source, double clock_ghz) {
   REAP_EXPECTS(clock_ghz > 0.0);
+  source_ = &source;
+  clock_ghz_ = clock_ghz;
+  instructions_ = cycles_ = 0;
+  pending_valid_ = false;
+  buf_pos_ = buf_len_ = pre_len_ = 0;
 }
 
 std::uint64_t TraceCpu::run(std::uint64_t max_instructions) {
@@ -17,7 +26,7 @@ std::uint64_t TraceCpu::run(std::uint64_t max_instructions) {
     if (pending_valid_) {
       op = pending_;
       pending_valid_ = false;
-    } else if (!source_.next(op)) {
+    } else if (!source_->next(op)) {
       break;
     }
     switch (op.type) {

@@ -236,6 +236,13 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
+  // Returns the cache to its just-constructed state under `seed`: every
+  // line invalid, stats and clock zeroed, hooks and ones provider cleared,
+  // the replacement RNG re-seeded. Geometry and column storage are kept,
+  // so a reset allocates nothing. The constructor ends in this call, so a
+  // reset cache and a fresh SetAssocCache(cfg, seed) cannot drift apart.
+  void reset(std::uint64_t seed);
+
   // Runtime policy observer; may be null (L1 caches). Used only by the
   // untemplated access overloads.
   void set_hooks(L2PolicyHooks* hooks) { hooks_ = hooks; }

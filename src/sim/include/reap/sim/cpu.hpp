@@ -44,6 +44,11 @@ class TraceCpu {
   TraceCpu(trace::TraceSource& source, MemoryHierarchy& mem,
            double clock_ghz = 2.0);
 
+  // Points the core at a new op stream and clock and clears its counters
+  // and buffered ops, as a fresh TraceCpu(source, mem, clock_ghz) would
+  // start; the batch and pre-decode buffers keep their allocations.
+  void rebind(trace::TraceSource& source, double clock_ghz);
+
   // Ops pulled per TraceSource::next_batch call in the batched loop.
   static constexpr std::size_t kBatchOps = 4096;
 
@@ -64,7 +69,7 @@ class TraceCpu {
     std::uint64_t executed = 0;
     for (;;) {
       if (buf_pos_ == buf_len_) {
-        buf_len_ = source_.next_batch({buf_.data(), buf_.size()});
+        buf_len_ = source_->next_batch({buf_.data(), buf_.size()});
         buf_pos_ = 0;
         pre_len_ = 0;  // a fresh batch invalidates any pre-decode
         if (buf_len_ == 0) break;  // end of trace
@@ -116,7 +121,7 @@ class TraceCpu {
     std::uint64_t executed = 0;
     for (;;) {
       if (buf_pos_ == buf_len_) {
-        buf_len_ = source_.next_batch({buf_.data(), buf_.size()});
+        buf_len_ = source_->next_batch({buf_.data(), buf_.size()});
         buf_pos_ = 0;
         if (buf_len_ == 0) break;  // end of trace
         // The pre-pass: pure shifts/masks over the fresh batch, hoisting
@@ -170,9 +175,9 @@ class TraceCpu {
   void reset_counters() { instructions_ = cycles_ = 0; }
 
  private:
-  trace::TraceSource& source_;
+  trace::TraceSource* source_ = nullptr;
   MemoryHierarchy& mem_;
-  double clock_ghz_;
+  double clock_ghz_ = 0.0;
   std::uint64_t instructions_ = 0;
   std::uint64_t cycles_ = 0;
   // Legacy path: instruction boundary seen past the budget, replayed on

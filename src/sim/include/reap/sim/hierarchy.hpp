@@ -60,6 +60,13 @@ class MemoryHierarchy {
  public:
   MemoryHierarchy(HierarchyConfig cfg, std::uint64_t seed = 1);
 
+  // Returns every cache to its just-constructed state under the per-cache
+  // seeds the constructor derives from `seed`, and clears the memory
+  // counters and the fetch buffer. Like SetAssocCache::reset it drops the
+  // L2 hooks and ones provider; the L2 hit-latency override is kept.
+  // Geometry and storage are kept, so nothing is reallocated.
+  void reset(std::uint64_t seed);
+
   // Runtime observer for the L2 read path; used by the untemplated access
   // overloads.
   void set_l2_hooks(L2PolicyHooks* hooks) { l2_.set_hooks(hooks); }

@@ -26,6 +26,12 @@ class DataValueModel {
   DataValueModel(OnesDensitySpec spec, std::uint64_t line_bits = 512,
                  std::uint64_t seed = 0xD5EED);
 
+  // Re-points the model at (spec, line_bits, seed), keeping the memo's
+  // storage. The memo is cleared only when that triple changes: an entry
+  // is a pure function of it and the block, so otherwise it stays right.
+  void reseat(OnesDensitySpec spec, std::uint64_t line_bits,
+              std::uint64_t seed);
+
   std::uint64_t line_bits() const { return line_bits_; }
 
   // Deterministic ones-count for the line containing `line_addr`
@@ -51,8 +57,8 @@ class DataValueModel {
   std::uint32_t compute_ones(std::uint64_t block) const;
 
   OnesDensitySpec spec_;
-  std::uint64_t line_bits_;
-  std::uint64_t seed_;
+  std::uint64_t line_bits_ = 0;
+  std::uint64_t seed_ = 0;
   // Per-block memo (bounded at 768KB — see memo.hpp for why it must stay
   // cache-resident rather than grow with the footprint).
   mutable common::DirectMappedMemo<std::uint32_t, 1 << 16> memo_;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
+
+#include "reap/common/rng.hpp"
 
 namespace reap::sim {
 namespace {
@@ -264,6 +267,90 @@ TEST(Cache, StatsResetKeepsContents) {
   c.reset_stats();
   EXPECT_EQ(c.stats().read_lookups, 0u);
   EXPECT_TRUE(c.probe(mk_addr(1, 0)));  // contents survive
+}
+
+// Static hooks that keep the reliability column moving, so LER victims
+// depend on it: every read lookup accumulates over its set and checks the
+// hit way.
+struct AccumulatingHooks {
+  void on_read_lookup(CacheSetView set, int hit_way) {
+    set.accumulate_valid();
+    if (hit_way >= 0)
+      set.rel(static_cast<std::size_t>(hit_way)).reads_since_check = 0;
+  }
+  void on_write_lookup(CacheSetView, int) {}
+  void on_fill(LineRel&) {}
+  void on_evict(LineRel&, bool) {}
+};
+
+// Random reads and writes (filling on a miss) over 16 tags x 8 sets of a
+// 64 B-block, 8-set cache; returns the hit and victim sequence.
+std::vector<std::uint64_t> drive(SetAssocCache& c, std::uint64_t seed,
+                                 int ops) {
+  common::Rng rng(seed);
+  AccumulatingHooks hooks;
+  std::vector<std::uint64_t> log;
+  for (int i = 0; i < ops; ++i) {
+    const std::uint64_t addr = (rng.below(16) << 9) | (rng.below(8) << 6);
+    const bool store = rng.chance(0.3);
+    const bool hit = store ? c.write(addr, hooks) : c.read(addr, hooks);
+    log.push_back(hit);
+    if (!hit) {
+      const auto ev = c.fill(addr, store, hooks);
+      log.push_back(ev.any ? ev.addr | ev.dirty : ~std::uint64_t{0});
+    }
+  }
+  return log;
+}
+
+void expect_same_state(const SetAssocCache& a, const SetAssocCache& b) {
+  const auto stats = [](const CacheStats& s) {
+    return std::tuple(s.read_lookups, s.read_hits, s.write_lookups,
+                      s.write_hits, s.fills, s.evictions, s.dirty_evictions);
+  };
+  EXPECT_EQ(stats(a.stats()), stats(b.stats()));
+  for (std::size_t s = 0; s < a.config().sets(); ++s) {
+    for (std::size_t w = 0; w < a.config().ways; ++w) {
+      const auto x = a.line_info(s, w);
+      const auto y = b.line_info(s, w);
+      EXPECT_EQ(std::tuple(x.valid, x.dirty, x.tag, x.ones,
+                           x.reads_since_check, x.lru_stamp, x.fill_stamp),
+                std::tuple(y.valid, y.dirty, y.tag, y.ones,
+                           y.reads_since_check, y.lru_stamp, y.fill_stamp))
+          << "set " << s << " way " << w;
+    }
+  }
+}
+
+TEST(CacheReset, IndistinguishableFromAFreshCache) {
+  for (const ReplacementKind kind :
+       {ReplacementKind::lru, ReplacementKind::fifo,
+        ReplacementKind::random_repl, ReplacementKind::least_error_rate}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    // 3 ways: the per-set stride is padded to 4, so reset must restore
+    // the padding lanes too.
+    const CacheConfig cfg{.name = "t",
+                          .capacity_bytes = 8 * 3 * 64,
+                          .ways = 3,
+                          .block_bytes = 64,
+                          .replacement = kind};
+    SetAssocCache used(cfg, 7);
+    RecordingHooks recorder;
+    used.set_hooks(&recorder);
+    used.set_ones_provider(OnesProvider::fixed(100));
+    drive(used, 1, 3000);
+
+    used.reset(42);
+    const SetAssocCache fresh_ref(cfg, 42);
+    EXPECT_EQ(used.hooks(), nullptr);
+    expect_same_state(used, fresh_ref);
+
+    // The same traffic must take the same path through both; fills after
+    // the reset use the default ones count, not the dropped provider.
+    SetAssocCache fresh(cfg, 42);
+    EXPECT_EQ(drive(used, 2, 3000), drive(fresh, 2, 3000));
+    expect_same_state(used, fresh);
+  }
 }
 
 TEST(Cache, RejectsNonPowerOfTwoGeometry) {

@@ -45,6 +45,17 @@ TEST(DataValueModel, DifferentSeedsGiveDifferentAssignments) {
   EXPECT_GT(diff, 50);
 }
 
+TEST(DataValueModel, ReseatMatchesAFreshModel) {
+  const OnesDensitySpec spec{.mean_density = 0.35, .stddev_density = 0.1};
+  DataValueModel m(spec, 512, 1);
+  for (std::uint64_t blk = 0; blk < 100; ++blk) m.ones_for(blk * 64);
+  // A new seed must not be answered from the old seed's memo entries.
+  m.reseat(spec, 512, 2);
+  const DataValueModel fresh(spec, 512, 2);
+  for (std::uint64_t blk = 0; blk < 100; ++blk)
+    EXPECT_EQ(m.ones_for(blk * 64), fresh.ones_for(blk * 64)) << blk;
+}
+
 TEST(DataValueModel, PayloadPopcountMatchesOnes) {
   DataValueModel m({.mean_density = 0.4, .stddev_density = 0.1});
   for (std::uint64_t blk = 0; blk < 50; ++blk) {
