@@ -4,11 +4,13 @@
 // axes) replays the byte-identical op stream — the seed rule guarantees it
 // (spec.hpp / seed.hpp) and CampaignPoint::trace_key names it. The cache
 // materializes each distinct trace once (trace::MaterializedTrace) and
-// hands shared references to every grid point of the group, so the
-// RNG-driven generation cost is paid once per *trace*, not once per grid
-// point. Combined with the runner's group_key schedule (points of one
-// trace group run contiguously), a cap of roughly one trace per worker
-// thread already serves a whole campaign.
+// hands shared references to every simulation pass of the group. The
+// runner already runs a trace group as one pass wherever its points share
+// one (core::shares_pass), so the cache pays off for keys that span
+// several passes -- least-error-rate replacement runs each point alone --
+// and for mapped store files. The runner schedules a key's passes back to
+// back, so a cap of roughly one trace per worker thread already serves a
+// whole campaign.
 //
 // Memory discipline: the cache accounts the real arena bytes of every
 // trace it retains and evicts least-recently-used idle entries to stay

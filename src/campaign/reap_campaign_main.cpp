@@ -405,25 +405,25 @@ int main(int argc, char** argv) {
       progress(d, t);
     };
 
-  // Trace replay: group the schedule by trace identity and materialize
-  // each paired trace once; every other point of the group replays the
-  // byte-identical stream from the cache instead of regenerating it.
-  // Keys with a store file replay the mmapped arena instead: borrowed
-  // traces account zero bytes, so the cache retains them for free even at
-  // cap 0 (--trace-dir alone, no --trace-cache-mb).
+  // Trace replay: every pass of a trace group already shares one op
+  // stream, so the cache pays off when a key spans several passes
+  // (least-error-rate replacement splits a group into one pass per point)
+  // and for store files. The first pass of a key materializes it; every
+  // later pass replays the byte-identical stream from the cache instead of
+  // regenerating it. Keys with a store file replay the mmapped arena
+  // instead: borrowed traces account zero bytes, so the cache retains them
+  // for free even at cap 0 (--trace-dir alone, no --trace-cache-mb).
   std::optional<campaign::TraceCache> trace_cache;
   if (trace_cache_mb > 0 || !mapped_traces.empty()) {
     trace_cache.emplace(static_cast<std::size_t>(trace_cache_mb) << 20);
-    opts.group_key = [](const campaign::CampaignPoint& pt) {
-      return pt.trace_key;
-    };
-    opts.run_point_fn = [&cache = *trace_cache, &mapped_traces,
-                         trace_cache_mb](const campaign::CampaignPoint& pt) {
+    opts.run_pass_fn = [&cache = *trace_cache, &mapped_traces,
+                        trace_cache_mb](const campaign::Pass& pass) {
+      const campaign::CampaignPoint& pt = *pass.front();
       const auto it = mapped_traces.find(pt.trace_key);
       if (it == mapped_traces.end() && trace_cache_mb == 0) {
-        // --trace-dir without a cache: keys with no store file generate
-        // per point, exactly the default path.
-        return core::run_experiment(pt.config);
+        // --trace-dir without a cache: keys with no store file generate,
+        // exactly the default path.
+        return campaign::run_pass(pass);
       }
       const auto trace = cache.acquire(pt.trace_key, [&] {
         if (it != mapped_traces.end()) return it->second;  // shares the mmap
@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
         return trace::MaterializedTrace::materialize(gen, budget);
       });
       trace::ReplayTraceSource source(*trace);
-      return core::run_experiment_replay(pt.config, source);
+      return campaign::run_pass(pass, &source);
     };
     if (!quiet) progress.watch_trace_cache(&trace_cache->stats());
   }

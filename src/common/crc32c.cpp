@@ -7,24 +7,49 @@
 namespace reap::common {
 namespace {
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: table[0] is the classic byte-at-a-time table;
+// table[k][b] is the CRC contribution of byte b followed by k zero bytes,
+// so eight input bytes fold into the CRC with eight independent lookups.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  return t;
+}
+
+// Little-endian load from any alignment; compiles to one load on
+// little-endian hosts.
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32c(std::string_view data) {
-  static const auto table = make_table();
+  static const Tables t = make_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data)
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

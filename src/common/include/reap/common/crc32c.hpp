@@ -3,10 +3,10 @@
 // The execution journal suffixes every row with a CRC so a reader can
 // tell a row that was written and later damaged (bit rot, a partial
 // overwrite, a buggy editor) from one that is merely torn at the tail.
-// Software table-driven implementation: journal rows are a few hundred
-// bytes written once per completed experiment, so throughput is
-// irrelevant next to stability of the function -- the checksum is part of
-// the on-disk format and must never change value.
+// Software slicing-by-8: journal rows are short, but trace-store bodies
+// are checked in full on every open, so throughput matters there. The
+// checksum is part of the on-disk formats and must never change value
+// (pinned by tests/common/test_crc32c.cpp against a bytewise reference).
 #pragma once
 
 #include <cstdint>

@@ -110,7 +110,6 @@ class ZipfSampler {
   double s_;
   double h_x1_;
   double h_n_;
-  double c_;  // normalizing shift
 };
 
 }  // namespace reap::common

@@ -2,6 +2,8 @@
 // the config kv round-trip, campaign spec parsing, and result sinks.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,9 +34,19 @@ inline bool parse_double(const std::string& s, double& out) {
 // exact but writes 2.0 as 2.0000000000000000e+00; try increasing precision
 // until the round trip holds). The campaign byte-determinism guarantee
 // rests on this being a pure function of the value.
+//
+// The search starts at the shortest round-trip digit count std::to_chars
+// finds (at least 6): no "%.*g" precision below it can round-trip, so the
+// bytes are those of a search from 6, at a fraction of the snprintf and
+// strtod calls (pinned against that search by tests/common/test_util.cpp).
 inline std::string fmt_double(double v) {
   char buf[64];
-  for (int prec = 6; prec <= 17; ++prec) {
+  const auto sci = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != sci.ptr && *p != 'e'; ++p)
+    digits += *p >= '0' && *p <= '9';
+  for (int prec = std::max(6, digits); prec <= 17; ++prec) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, v);
     if (std::strtod(buf, nullptr) == v) break;
   }

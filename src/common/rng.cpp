@@ -76,7 +76,6 @@ std::size_t Rng::weighted(const std::vector<double>& weights) {
 ZipfSampler::ZipfSampler(std::size_t n, double s) : n_(n), s_(s) {
   REAP_EXPECTS(n >= 1);
   REAP_EXPECTS(s >= 0.0);
-  c_ = (s_ == 1.0) ? 0.0 : 0.0;  // h handles both branches directly
   h_x1_ = h(1.5) - 1.0;
   h_n_ = h(static_cast<double>(n_) + 0.5);
 }

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "reap/common/histogram.hpp"
 #include "reap/core/energy.hpp"
@@ -66,48 +68,76 @@ struct ExperimentResult {
   double p_rd = 0.0;  // device operating point used
 };
 
-// Runs one experiment end to end. Dispatch is static: the simulator inner
-// loop (trace batch -> L1 -> L2 -> policy) is instantiated per PolicyKind
-// with no per-access virtual calls. The drive loop is the vectorized one
-// (TraceCpu::run_vectorized): batch address pre-decode, software prefetch
-// of upcoming set columns, SIMD set scans where the build enables them
-// (REAP_SIMD) -- all byte-identical to the unvectorized loop below.
+// True when `a` and `b` can be simulated by one pass: they agree on
+// everything the walk depends on -- the workload (so the op stream), the
+// hierarchy's shape and seed, the instruction and warmup counts -- and
+// differ at most in what only a read-path policy sees (policy, ecc_t, MTJ
+// and technology point, clock, dirty-eviction check, scrub period).
+// Least-error-rate replacement never shares: its victim choice reads a
+// policy's accumulation counters, so each of its configs walks alone
+// (shares_pass(a, a) is false for such a config).
+bool shares_pass(const ExperimentConfig& a, const ExperimentConfig& b);
+
+// Runs a group of experiments as one simulation pass, the engine every
+// entry point below wraps. `cfgs` is a single config or configs that
+// pairwise shares_pass. One op stream and one L1 -> L2 walk serve them
+// all; each config's read-path policy runs on its own reliability lane of
+// the L2 (SetAssocCache lanes) with its own line code, models, ledger and
+// energy events, and its cycle count is rebuilt exactly from the shared
+// walk's stats at its own L2 hit latency. Every result is byte-identical
+// to running that config alone (pinned by tests/core/test_group_pass.cpp
+// against run_experiment_virtual).
 //
-// run_experiment, run_experiment_basic and run_experiment_replay keep one
-// experiment rig (caches, memos, models) per thread and reset it for each
-// config instead of allocating a new one; the result depends on the
-// config alone, never on what ran before on the thread (pinned by
-// tests/core/test_rig_reuse.cpp).
+// Ops come from `source` when given -- it must yield the byte-identical
+// sequence the configs' generator would (e.g. a trace::ReplayTraceSource
+// over an arena materialized from it) -- and from a fresh
+// WorkloadTraceSource otherwise.
+//
+// Dispatch is static per lane: the simulator inner loop (trace batch ->
+// L1 -> L2 -> lanes) inlines every policy impl and switches between them
+// per hook call (AnyPolicyImpl), with no virtual calls. The drive loop is
+// the vectorized one (TraceCpu::run_vectorized): batch address
+// pre-decode, software prefetch of upcoming set columns, SIMD set scans
+// where the build enables them (REAP_SIMD).
+//
+// The experiment rig (caches, memos, models) is kept per thread and reset
+// for each pass instead of allocated; a result depends on its config
+// alone, never on what ran before on the thread or on the other configs
+// of its pass (pinned by tests/core/test_rig_reuse.cpp and
+// tests/core/test_group_pass.cpp).
+std::vector<ExperimentResult> run_experiments(
+    std::span<const ExperimentConfig> cfgs,
+    trace::TraceSource* source = nullptr);
+
+// A pass of one.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-// The same static-dispatch engine driven by the plain batched loop
-// (TraceCpu::run(n, policy)): no pre-decode, no prefetch, scalar per-way
-// walks. Kept as bench_e2e's E2E/static baseline -- the simd/static ratio
-// isolates this PR's vectorization win inside one binary -- and as a
-// golden-equivalence midpoint (pinned byte-identical to run_experiment by
+// A pass of one driven by the plain batched loop (TraceCpu::run(n,
+// hooks)): no pre-decode, no prefetch, scalar per-way walks. Kept as
+// bench_e2e's E2E/static baseline -- the simd/static ratio isolates the
+// vectorization win inside one binary -- and as a golden-equivalence
+// midpoint (pinned byte-identical to run_experiment by
 // tests/core/test_static_dispatch.cpp).
 ExperimentResult run_experiment_basic(const ExperimentConfig& cfg);
 
-// Same static-dispatch drive loop, but ops are pulled from `source`
-// instead of a freshly constructed WorkloadTraceSource(cfg.workload).
-// `source` must yield the byte-identical op sequence that generator would
-// (e.g. a trace::ReplayTraceSource over an arena materialized from it);
-// results are then byte-identical to run_experiment (golden-pinned by
-// tests/core/test_static_dispatch.cpp). The campaign trace cache hangs off
-// this: one materialized trace serves every point of a paired comparison.
+// A pass of one over `source` (see run_experiments). The campaign trace
+// cache hangs off this: one materialized trace serves every pass of a
+// trace key.
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source);
 
 // Reference implementation driving the same wiring through the runtime
 // interfaces (per-op virtual TraceSource::next, virtual L2PolicyHooks),
-// on a freshly built rig every call.
+// on a freshly built single-lane rig every call, taking its cycle count
+// from the core rather than rebuilding it.
 // Kept as the equivalence baseline: for any config it must produce results
 // byte-identical to run_experiment (pinned by
 // tests/core/test_static_dispatch.cpp) and is what bench_e2e reports the
 // static path's speedup against.
 ExperimentResult run_experiment_virtual(const ExperimentConfig& cfg);
 
-// Runs `base` and `other` on the same workload/seed and reports the
+// Runs `base` and `other` on the same workload/seed -- as one pass unless
+// the config uses least-error-rate replacement -- and reports the
 // headline comparisons the paper's figures plot.
 struct PolicyComparison {
   ExperimentResult base;

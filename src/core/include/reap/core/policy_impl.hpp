@@ -17,6 +17,8 @@
 // must stay in exact way order.
 #pragma once
 
+#include <variant>
+
 #include "reap/common/assert.hpp"
 #include "reap/core/read_path.hpp"
 #include "reap/reliability/binomial.hpp"
@@ -293,37 +295,59 @@ class ScrubPolicyImpl final : public PolicyImplBase<ScrubPolicyImpl> {
   std::uint64_t scrubs_ = 0;
 };
 
-// The single point where a runtime PolicyKind becomes a compile-time type:
-// constructs the matching impl and invokes fn with it. Every caller's fn
-// must return the same type for all impls.
-template <class Fn>
-decltype(auto) with_policy_impl(PolicyKind kind, const PolicyContext& ctx,
-                                Fn&& fn) {
-  switch (kind) {
-    case PolicyKind::conventional_parallel: {
-      ConventionalPolicyImpl p(ctx);
-      return fn(p);
+// One of the five impls, chosen at run time: the single point where a
+// runtime PolicyKind becomes a compile-time type. visit() switches on the
+// kind (a predictable branch per call, like the trace generator's pattern
+// dispatch) and invokes fn with the concrete impl, so each lane of a
+// simulation pass runs the impl's inlined code without per-combination
+// template instantiations. Every caller's fn must return the same type for
+// all impls.
+class AnyPolicyImpl {
+ public:
+  AnyPolicyImpl(PolicyKind kind, const PolicyContext& ctx)
+      : kind_(kind), impl_(make(kind, ctx)) {}
+
+  template <class Fn>
+  decltype(auto) visit(Fn&& fn) {
+    switch (kind_) {
+      case PolicyKind::conventional_parallel:
+        return fn(*std::get_if<ConventionalPolicyImpl>(&impl_));
+      case PolicyKind::reap:
+        return fn(*std::get_if<ReapPolicyImpl>(&impl_));
+      case PolicyKind::serial_tag_then_data:
+        return fn(*std::get_if<SerialPolicyImpl>(&impl_));
+      case PolicyKind::disruptive_restore:
+        return fn(*std::get_if<RestorePolicyImpl>(&impl_));
+      case PolicyKind::scrub_piggyback:
+        break;
     }
-    case PolicyKind::reap: {
-      ReapPolicyImpl p(ctx);
-      return fn(p);
-    }
-    case PolicyKind::serial_tag_then_data: {
-      SerialPolicyImpl p(ctx);
-      return fn(p);
-    }
-    case PolicyKind::disruptive_restore: {
-      RestorePolicyImpl p(ctx);
-      return fn(p);
-    }
-    case PolicyKind::scrub_piggyback: {
-      ScrubPolicyImpl p(ctx);
-      return fn(p);
-    }
+    return fn(*std::get_if<ScrubPolicyImpl>(&impl_));
   }
-  REAP_ASSERT(false && "unreachable: sealed PolicyKind");
-  ConventionalPolicyImpl p(ctx);
-  return fn(p);
-}
+
+ private:
+  using Variant = std::variant<ConventionalPolicyImpl, ReapPolicyImpl,
+                               SerialPolicyImpl, RestorePolicyImpl,
+                               ScrubPolicyImpl>;
+
+  static Variant make(PolicyKind kind, const PolicyContext& ctx) {
+    switch (kind) {
+      case PolicyKind::conventional_parallel:
+        return Variant(std::in_place_type<ConventionalPolicyImpl>, ctx);
+      case PolicyKind::reap:
+        return Variant(std::in_place_type<ReapPolicyImpl>, ctx);
+      case PolicyKind::serial_tag_then_data:
+        return Variant(std::in_place_type<SerialPolicyImpl>, ctx);
+      case PolicyKind::disruptive_restore:
+        return Variant(std::in_place_type<RestorePolicyImpl>, ctx);
+      case PolicyKind::scrub_piggyback:
+        break;
+    }
+    REAP_EXPECTS(kind == PolicyKind::scrub_piggyback);
+    return Variant(std::in_place_type<ScrubPolicyImpl>, ctx);
+  }
+
+  PolicyKind kind_;
+  Variant impl_;
+};
 
 }  // namespace reap::core

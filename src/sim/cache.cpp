@@ -20,18 +20,27 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   // Hot columns: 64 B-aligned, stride padded to the vector width -- see
   // the layout note up top. reset() fills them.
   tags_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
-  rel_ = simd::AlignedVec<LineRel>(sets_ * stride_);
+  // Lane columns start on a host-line boundary, like the first one.
+  constexpr std::size_t kRelPerLine = simd::kLineBytes / sizeof(LineRel);
+  lane_stride_ = (sets_ * stride_ + kRelPerLine - 1) & ~(kRelPerLine - 1);
+  rel_ = simd::AlignedVec<LineRel>(lane_stride_);
   lru_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
   state_.resize(sets_ * stride_);
   default_ones_ = static_cast<std::uint32_t>(cfg_.block_bytes * 8 / 2);
   reset(seed);
 }
 
-void SetAssocCache::reset(std::uint64_t seed) {
+void SetAssocCache::reset(std::uint64_t seed, std::size_t lanes) {
+  REAP_EXPECTS(lanes >= 1);
+  REAP_EXPECTS(lanes == 1 ||
+               cfg_.replacement != ReplacementKind::least_error_rate);
+  lanes_ = lanes;
+  if (rel_.size() < lanes_ * lane_stride_)
+    rel_ = simd::AlignedVec<LineRel>(lanes_ * lane_stride_);
   const std::size_t n = sets_ * stride_;
   // Zero = invalid tagv / LineRel{0,0}.
   std::fill_n(tags_.data(), n, std::uint64_t{0});
-  std::fill_n(rel_.data(), n, LineRel{});
+  std::fill_n(rel_.data(), lanes_ * lane_stride_, LineRel{});
   // Invalid ways stamp 0; the lru column's padding lanes hold the
   // never-wins sentinel so the vector victim scan can run whole padded
   // sets. Set in every build -- the layout is REAP_SIMD-independent by
@@ -76,7 +85,8 @@ std::size_t SetAssocCache::victim_way_rare(std::size_t set) {
   }
   if (cfg_.replacement == ReplacementKind::random_repl)
     return static_cast<std::size_t>(rng_.below(cfg_.ways));
-  // least_error_rate: most accumulated unchecked reads, LRU tie-break.
+  // least_error_rate: most accumulated unchecked reads, LRU tie-break
+  // (such a cache has one lane; reset() enforces it).
   const LineRel* rel = &rel_[base];
   const std::uint64_t* lru = &lru_[base];
   std::size_t v = 0;
@@ -97,7 +107,7 @@ bool SetAssocCache::invalidate(std::uint64_t addr) {
   const std::size_t idx = set * stride_ + static_cast<std::size_t>(way);
   const bool was_dirty = state_[idx].dirty;
   tags_[idx] = 0;
-  rel_[idx] = LineRel{};
+  for (std::size_t l = 0; l < lanes_; ++l) rel_[l * lane_stride_ + idx] = {};
   lru_[idx] = 0;  // stamp 0 = prime victim, like any invalid line
   state_[idx] = LineState{};
   return was_dirty;

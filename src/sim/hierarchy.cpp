@@ -22,10 +22,10 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg, std::uint64_t seed)
       fetch_block_bits_(
           static_cast<unsigned>(std::countr_zero(cfg.l1i.block_bytes))) {}
 
-void MemoryHierarchy::reset(std::uint64_t seed) {
+void MemoryHierarchy::reset(std::uint64_t seed, std::size_t l2_lanes) {
   l1i_.reset(l1i_seed(seed));
   l1d_.reset(l1d_seed(seed));
-  l2_.reset(l2_seed(seed));
+  l2_.reset(l2_seed(seed), l2_lanes);
   mem_reads_ = 0;
   mem_writes_ = 0;
   last_fetch_block_ = ~std::uint64_t{0};

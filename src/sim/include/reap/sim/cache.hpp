@@ -10,7 +10,8 @@
 //   tags_  -- dense (tag << 1 | valid) uint64 column; the only data
 //             find_way scans (one 64B host cache line covers an 8-way set)
 //   rel_   -- LineRel {ones, reads_since_check}, the reliability metadata
-//             the policy loop walks on every lookup (8 bytes per line)
+//             the policy loop walks on every lookup (8 bytes per line);
+//             one column per reliability lane (see below)
 //   lru_   -- lru-stamp uint64 column: written on every hit (the LRU
 //             touch) and min-scanned on every fill (the victim pick)
 //   state_ -- LineState {valid, dirty, fill stamp}, touched only on
@@ -23,6 +24,14 @@
 // scan -- runs in full vectors over padding that can never win (zero for
 // tags/rel, simd::kLruPad for lru). The layout is identical in scalar
 // builds; only the kernels switch on REAP_SIMD.
+//
+// Reliability lanes: several read-path policies can observe one simulation
+// pass, each through its own copy of the rel_ column (a lane). Policies
+// never write tags, LRU, dirty bits or stats, so those stay shared; a fill
+// installs the shared ones count in every lane and a write hit clears
+// every lane's accumulation. Lane l's column starts lane_stride() entries
+// after lane l-1's. Least-error-rate replacement reads the rel column to
+// pick victims, so a cache using it has exactly one lane.
 //
 // Dispatch is compile-time: the access paths are templates over a Hooks
 // type with the L2PolicyHooks shape, so a concrete policy inlines into the
@@ -64,15 +73,25 @@ struct LineState {
 };
 
 // One set's SoA columns, as handed to the policy hooks: the tag|valid
-// column (read-only) and the reliability column (mutable). `padded` says
-// both columns are readable/writable up to simd::padded_ways(ways)
+// column (read-only) and lane 0's reliability column (mutable). `padded`
+// says both columns are readable/writable up to simd::padded_ways(ways)
 // entries with zeroed padding -- true for views the cache builds over its
 // own columns, false for views tests construct over raw arrays.
+// `lane_stride` is the distance in entries between two lanes' columns.
 class CacheSetView {
  public:
   CacheSetView(const std::uint64_t* tagv, LineRel* rel, std::size_t ways,
-               bool padded = false)
-      : tagv_(tagv), rel_(rel), ways_(ways), padded_(padded) {}
+               bool padded = false, std::size_t lane_stride = 0)
+      : tagv_(tagv),
+        rel_(rel),
+        ways_(ways),
+        padded_(padded),
+        lane_stride_(lane_stride) {}
+
+  // The same set seen through reliability lane `lane`.
+  CacheSetView lane(std::size_t lane) const {
+    return {tagv_, rel_ + lane * lane_stride_, ways_, padded_, lane_stride_};
+  }
 
   std::size_t size() const { return ways_; }
   bool valid(std::size_t way) const { return (tagv_[way] & 1) != 0; }
@@ -101,6 +120,7 @@ class CacheSetView {
   LineRel* rel_;
   std::size_t ways_;
   bool padded_;
+  std::size_t lane_stride_;
 };
 
 // lru/fifo/random are the classic policies; least_error_rate follows the
@@ -138,10 +158,13 @@ class L2PolicyHooks {
   // not read the data ways, so they cause no concealed reads.
   virtual void on_write_lookup(CacheSetView set, int hit_way) = 0;
 
-  // `rel` belongs to a line that was just filled (ones already set).
+  // `rel` belongs to a line that was just filled (ones already set). In a
+  // multi-lane cache it is lane 0's entry; lane l's entry of the same line
+  // is l * lane_stride() entries further on.
   virtual void on_fill(LineRel& rel) = 0;
 
-  // `rel` belongs to a (still valid) line about to be evicted.
+  // `rel` belongs to a (still valid) line about to be evicted; lane 0's
+  // entry, as for on_fill.
   virtual void on_evict(LineRel& rel, bool dirty) = 0;
 };
 
@@ -239,9 +262,15 @@ class SetAssocCache {
   // Returns the cache to its just-constructed state under `seed`: every
   // line invalid, stats and clock zeroed, hooks and ones provider cleared,
   // the replacement RNG re-seeded. Geometry and column storage are kept,
-  // so a reset allocates nothing. The constructor ends in this call, so a
-  // reset cache and a fresh SetAssocCache(cfg, seed) cannot drift apart.
-  void reset(std::uint64_t seed);
+  // so a reset allocates nothing unless `lanes` needs more reliability
+  // columns than any earlier reset did. The constructor ends in
+  // reset(seed), so a reset cache and a fresh SetAssocCache(cfg, seed)
+  // cannot drift apart. More than one lane requires a replacement policy
+  // that does not read the rel column (anything but least_error_rate).
+  void reset(std::uint64_t seed, std::size_t lanes = 1);
+
+  // The distance in entries between two reliability lanes' columns.
+  std::size_t lane_stride() const { return lane_stride_; }
 
   // Runtime policy observer; may be null (L1 caches). Used only by the
   // untemplated access overloads.
@@ -306,7 +335,9 @@ class SetAssocCache {
     ++stats_.write_hits;
     const std::size_t idx = set * stride_ + static_cast<std::size_t>(way);
     state_[idx].dirty = true;
-    rel_[idx].reads_since_check = 0;  // a rewrite refreshes every cell
+    // A rewrite refreshes every cell, whichever policy observes the line.
+    for (std::size_t l = 0; l < lanes_; ++l)
+      rel_[l * lane_stride_ + idx].reads_since_check = 0;
     touch(idx);
     return true;
   }
@@ -335,8 +366,9 @@ class SetAssocCache {
     tags_[idx] = (tag << 1) | 1;
     st.valid = true;
     st.dirty = dirty;
-    rel_[idx].ones = ones_.ones_for(addr, default_ones_);
-    rel_[idx].reads_since_check = 0;
+    const LineRel filled{ones_.ones_for(addr, default_ones_), 0};
+    for (std::size_t l = 0; l < lanes_; ++l)
+      rel_[l * lane_stride_ + idx] = filled;
     st.fill_stamp = ++clock_;
     lru_[idx] = clock_;
     ++stats_.fills;
@@ -366,7 +398,8 @@ class SetAssocCache {
   // Invalidates addr's block if present; returns whether it was dirty.
   bool invalidate(std::uint64_t addr);
 
-  // Snapshot of one line for tests and diagnostics.
+  // Snapshot of one line for tests and diagnostics; ones and
+  // reads_since_check are lane 0's.
   struct LineInfo {
     bool valid = false;
     bool dirty = false;
@@ -407,6 +440,8 @@ class SetAssocCache {
     const std::size_t base = set * stride_;
     simd::prefetch(&tags_[base]);
     simd::prefetch(&rel_[base]);
+    for (std::size_t l = 1; l < lanes_; ++l)
+      simd::prefetch(&rel_[l * lane_stride_ + base]);
     simd::prefetch(&lru_[base]);
   }
 
@@ -424,7 +459,8 @@ class SetAssocCache {
   template <bool kVector = true>
   CacheSetView view_of(std::size_t set) {
     const std::size_t base = set * stride_;
-    return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/kVector};
+    return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/kVector,
+            lane_stride_};
   }
 
   template <bool kVector = true>
@@ -470,10 +506,12 @@ class SetAssocCache {
   CacheConfig cfg_;
   std::size_t sets_;
   std::size_t stride_;  // simd::padded_ways(cfg_.ways) entries per set
+  std::size_t lanes_ = 1;
+  std::size_t lane_stride_ = 0;  // entries per lane column, 64 B multiple
   unsigned offset_bits_;
   unsigned index_bits_;
   simd::AlignedVec<std::uint64_t> tags_;  // dense (tag << 1) | valid column
-  simd::AlignedVec<LineRel> rel_;         // hot reliability column
+  simd::AlignedVec<LineRel> rel_;         // hot reliability columns
   simd::AlignedVec<std::uint64_t> lru_;   // hot lru-stamp column
   std::vector<LineState> state_;          // cold valid/dirty/fifo column
   CacheStats stats_;

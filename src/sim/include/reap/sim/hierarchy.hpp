@@ -64,8 +64,9 @@ class MemoryHierarchy {
   // seeds the constructor derives from `seed`, and clears the memory
   // counters and the fetch buffer. Like SetAssocCache::reset it drops the
   // L2 hooks and ones provider; the L2 hit-latency override is kept.
-  // Geometry and storage are kept, so nothing is reallocated.
-  void reset(std::uint64_t seed);
+  // Geometry and storage are kept, so nothing is reallocated. `l2_lanes`
+  // is the L2's reliability-lane count (SetAssocCache::reset).
+  void reset(std::uint64_t seed, std::size_t l2_lanes = 1);
 
   // Runtime observer for the L2 read path; used by the untemplated access
   // overloads.

@@ -18,10 +18,7 @@ void DataValueModel::reseat(OnesDensitySpec spec, std::uint64_t line_bits,
   REAP_EXPECTS(line_bits >= 8);
   REAP_EXPECTS(spec.mean_density > 0.0 && spec.mean_density < 1.0);
   REAP_EXPECTS(spec.stddev_density >= 0.0);
-  if (spec.mean_density == spec_.mean_density &&
-      spec.stddev_density == spec_.stddev_density &&
-      line_bits == line_bits_ && seed == seed_)
-    return;
+  if (spec == spec_ && line_bits == line_bits_ && seed == seed_) return;
   spec_ = spec;
   line_bits_ = line_bits;
   seed_ = seed;

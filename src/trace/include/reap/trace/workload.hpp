@@ -56,6 +56,8 @@ struct PatternSpec {
   std::uint64_t hammer_resident_blocks = 2;
   double hammer_resident_prob = 0.0008;
   std::uint64_t hammer_set_period = 128 * 1024;
+
+  bool operator==(const PatternSpec&) const = default;
 };
 
 struct WorkloadProfile {
@@ -67,6 +69,9 @@ struct WorkloadProfile {
   std::vector<PatternSpec> patterns;
   OnesDensitySpec values;
   std::uint64_t seed = 0x5EED;
+
+  // Equal profiles generate byte-identical op streams.
+  bool operator==(const WorkloadProfile&) const = default;
 };
 
 class WorkloadTraceSource final : public TraceSource {

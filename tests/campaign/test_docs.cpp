@@ -169,6 +169,12 @@ TEST(Docs, ArchitectureCoversEveryLayer) {
        {"REAP_SIMD", "sim/simd.hpp", "test_simd", "scalar-fallback"})
     EXPECT_NE(arch.find(token), std::string::npos)
         << "docs/architecture.md does not mention " << token;
+  // Invariant 8: policies never change hierarchy state, and its pin.
+  for (const char* token :
+       {"never changes hierarchy state", "shares_pass",
+        "PoliciesNeverChangeHierarchyState", "test_group_pass"})
+    EXPECT_NE(arch.find(token), std::string::npos)
+        << "docs/architecture.md does not mention " << token;
 }
 
 // docs/performance.md must describe the vectorized hot loop in terms
@@ -181,6 +187,19 @@ TEST(Docs, PerformanceCoversTheVectorizedHotLoop) {
         "predecode", "REAP_SIMD", "kPrefetchAhead", "E2E/simd",
         "BM_CacheFindWay", "BM_BatchAddrDecode",
         "--gate replay/static=1.3", "--gate simd/static=1.0"})
+    EXPECT_NE(perf.find(token), std::string::npos)
+        << "docs/performance.md does not mention " << token;
+}
+
+// docs/performance.md must explain group passes in the code's terms: the
+// engine entry point, the sharing rule and its exception, the lane layout
+// and the suite that pins it.
+TEST(Docs, PerformanceCoversGroupPasses) {
+  const auto perf = read_file(kSourceDir + "/docs/performance.md");
+  for (const char* token :
+       {"## One pass per trace group", "run_experiments", "shares_pass",
+        "Least-error-rate replacement", "lane_stride()", "LaneHooks",
+        "mem_cycles", "test_group_pass"})
     EXPECT_NE(perf.find(token), std::string::npos)
         << "docs/performance.md does not mention " << token;
 }

@@ -4,20 +4,40 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <sstream>
 #include <thread>
 
 #include "campaign_test_util.hpp"
 #include "reap/campaign/aggregate.hpp"
+#include "reap/campaign/journal.hpp"
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/runner.hpp"
 #include "reap/campaign/spec.hpp"
+#include "reap/common/fault.hpp"
 
 namespace reap::campaign {
 namespace {
 
 using testutil::fake_run;
 using testutil::grid_24;
+using testutil::temp_path;
+
+// A pass function built on the fake: one fake result per point.
+std::vector<core::ExperimentResult> fake_pass(const Pass& pass) {
+  std::vector<core::ExperimentResult> out;
+  for (const CampaignPoint* pt : pass) out.push_back(fake_run(pt->config));
+  return out;
+}
+
+std::string render_cells(const std::vector<CampaignPoint>& points,
+                         const std::vector<core::ExperimentResult>& results) {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < points.size(); ++i)
+    for (const auto& cell : result_cells(points[i], results[i]))
+      out << cell << '|';
+  return out.str();
+}
 
 std::string render_run(const CampaignSpec& spec, unsigned threads) {
   const auto points = expand(spec);
@@ -150,6 +170,141 @@ TEST(CampaignRunnerEndToEnd, RealExperimentsDeterministicAcrossThreads) {
   a << agg_a->render();
   b << agg_b->render();
   EXPECT_EQ(a.str(), b.str());
+}
+
+// grid_24 has four trace groups (2 workloads x 2 seeds) of six points
+// each (3 policies x 2 ecc), and all six of a group share a pass.
+TEST(CampaignRunner, ShouldStopTakesEffectBetweenPasses) {
+  const auto points = expand(grid_24());
+  std::vector<const CampaignPoint*> delivered;
+  std::size_t passes = 0;
+  RunnerOptions opts;
+  opts.threads = 1;
+  opts.run_pass_fn = [&](const Pass& pass) {
+    ++passes;
+    return fake_pass(pass);
+  };
+  opts.on_result = [&](const CampaignPoint& pt, const core::ExperimentResult&) {
+    delivered.push_back(&pt);
+  };
+  // Asks to stop as soon as the first row lands: the rest of its pass is
+  // still delivered, the next pass never starts.
+  opts.should_stop = [&] { return !delivered.empty(); };
+  CampaignRunner(opts).run(points);
+  EXPECT_EQ(passes, 1u);
+  ASSERT_EQ(delivered.size(), 6u);
+  for (const CampaignPoint* pt : delivered)
+    EXPECT_EQ(pt->trace_key, delivered.front()->trace_key);
+}
+
+TEST(CampaignRunner, PassesFollowTraceGroupsAndSplitOnSharesPass) {
+  auto points = expand(grid_24());
+  // Least-error-rate replacement on one group's points: each runs alone.
+  const std::string ler_key = points.front().trace_key;
+  for (auto& pt : points)
+    if (pt.trace_key == ler_key)
+      pt.config.hierarchy.l2.replacement =
+          sim::ReplacementKind::least_error_rate;
+  std::vector<std::vector<std::string>> seen;
+  RunnerOptions opts;
+  opts.threads = 1;
+  opts.run_pass_fn = [&](const Pass& pass) {
+    seen.emplace_back();
+    for (const CampaignPoint* pt : pass) seen.back().push_back(pt->trace_key);
+    return fake_pass(pass);
+  };
+  CampaignRunner(opts).run(points);
+  // 6 single-point passes for the split group, then 3 six-point passes.
+  ASSERT_EQ(seen.size(), 9u);
+  for (std::size_t i = 0; i < 6; ++i)
+    EXPECT_EQ(seen[i], std::vector<std::string>{ler_key});
+  std::set<std::string> keys{ler_key};
+  for (std::size_t i = 6; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i].size(), 6u);
+    EXPECT_EQ(std::set<std::string>(seen[i].begin(), seen[i].end()).size(),
+              1u);
+    EXPECT_TRUE(keys.insert(seen[i].front()).second);
+  }
+}
+
+// A crash injected at a pass's second point must take the process down
+// before any row of that pass reaches the journal.
+TEST(CampaignRunner, PointFaultFiresBeforeAnyRowOfItsPassIsJournaled) {
+  const auto spec = grid_24();
+  const auto points = expand(spec);
+  // The second pass in schedule order: the trace group of the first point
+  // whose trace_key differs from the first point's.
+  std::string second_key;
+  std::vector<const CampaignPoint*> second_pass;
+  for (const auto& pt : points)
+    if (pt.trace_key != points.front().trace_key) {
+      if (second_key.empty()) second_key = pt.trace_key;
+      if (pt.trace_key == second_key) second_pass.push_back(&pt);
+    }
+  ASSERT_EQ(second_pass.size(), 6u);
+  const std::string poison = second_pass[1]->key;
+  const std::string path = temp_path("runner_pass_fault.journal");
+
+  EXPECT_EXIT(
+      {
+        common::fault::disarm();
+        common::fault::arm("runner.point:crash:*:key=" + poison);
+        JournalWriter journal(
+            path, JournalHeader::for_run(spec, points.size(), 0, 1));
+        RunnerOptions opts;
+        opts.threads = 1;
+        opts.run_pass_fn = fake_pass;
+        opts.on_result = [&](const CampaignPoint& pt,
+                             const core::ExperimentResult& r) {
+          journal.add(pt.key, result_cells(pt, r));
+        };
+        CampaignRunner(opts).run(points);
+      },
+      ::testing::ExitedWithCode(common::fault::kCrashExit), "");
+
+  std::string error;
+  const auto loaded = read_journal(path, &error);
+  ASSERT_TRUE(loaded) << error;
+  // The first pass finished and was journaled; nothing of the second.
+  EXPECT_EQ(loaded->rows.size(), 6u);
+  for (const auto& row : loaded->rows)
+    for (const CampaignPoint* pt : second_pass)
+      EXPECT_NE(row.key, pt->key);
+}
+
+// Real group passes over every policy at two ecc levels, plus a trace
+// group least-error-rate replacement splits into single-point passes:
+// 1 and 4 threads emit the same bytes, and those are the bytes of running
+// every point on its own.
+TEST(CampaignRunnerEndToEnd, GroupPassesMatchPointByPointRunsOnAnyThreadCount) {
+  CampaignSpec spec;
+  spec.workloads = {"mcf", "h264ref"};
+  spec.policies = core::all_policies();
+  spec.ecc_ts = {1, 2};
+  spec.seeds = {0, 1};
+  spec.base.instructions = 8'000;
+  spec.base.warmup_instructions = 800;
+  auto points = expand(spec);
+  ASSERT_EQ(points.size(), 40u);
+  for (auto& pt : points)
+    if (pt.workload_i == 1 && pt.seed_i == 1)
+      pt.config.hierarchy.l2.replacement =
+          sim::ReplacementKind::least_error_rate;
+
+  RunnerOptions serial_opts;
+  serial_opts.threads = 1;
+  RunnerOptions parallel_opts;
+  parallel_opts.threads = 4;
+  RunnerOptions point_opts;
+  point_opts.threads = 1;
+  point_opts.run_fn = core::run_experiment_virtual;
+
+  const std::string serial =
+      render_cells(points, CampaignRunner(serial_opts).run(points));
+  EXPECT_EQ(serial,
+            render_cells(points, CampaignRunner(parallel_opts).run(points)));
+  EXPECT_EQ(serial,
+            render_cells(points, CampaignRunner(point_opts).run(points)));
 }
 
 }  // namespace

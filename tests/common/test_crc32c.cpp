@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <random>
 #include <string>
 
 namespace reap::common {
@@ -32,6 +35,41 @@ TEST(Crc32c, SensitiveToSingleBitFlips) {
     std::string damaged = row;
     damaged[i] = static_cast<char>(damaged[i] ^ 0x01);
     EXPECT_NE(crc32c(damaged), clean) << "bit flip at byte " << i;
+  }
+}
+
+// The byte-at-a-time CRC the slicing-by-8 implementation replaced, kept
+// here as the reference it must match bit for bit.
+std::uint32_t bytewise_crc32c(std::string_view data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data)
+    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32c, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937_64 rng(7);
+  std::string buf(300, '\0');
+  for (auto& ch : buf) ch = static_cast<char>(rng());
+  // Every start offset inside an 8-byte word and every length up to a few
+  // words past the unrolled loop, so both the 8-byte body and the bytewise
+  // tail run from unaligned starts.
+  for (std::size_t start = 0; start < 8; ++start)
+    for (std::size_t len = 0; len + start <= 80; ++len) {
+      const std::string_view v(buf.data() + start, len);
+      ASSERT_EQ(crc32c(v), bytewise_crc32c(v))
+          << "start " << start << ", length " << len;
+    }
+  for (const std::size_t len : {127u, 255u, 257u, 299u}) {
+    const std::string_view v(buf.data() + 1, len);
+    EXPECT_EQ(crc32c(v), bytewise_crc32c(v)) << "length " << len;
   }
 }
 

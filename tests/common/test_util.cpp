@@ -2,8 +2,14 @@
 // types.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "reap/common/cli.hpp"
@@ -129,6 +135,39 @@ TEST(Strings, HashAndHexAreStableRoundTrips) {
   EXPECT_TRUE(parse_hex64(fmt_hex64(0xDEADBEEF12345678ULL), v));
   EXPECT_EQ(v, 0xDEADBEEF12345678ULL);
   EXPECT_EQ(fmt_hex64(0x1ULL), "0000000000000001");
+}
+
+// The search fmt_double used before it started at the to_chars digit
+// count: every precision from 6 up until the round trip holds.
+std::string fmt_double_full_search(double v) {
+  char buf[64];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(Strings, FmtDoubleMatchesTheFullPrecisionSearch) {
+  using limits = std::numeric_limits<double>;
+  for (const double v :
+       {0.0, -0.0, 1.0, -2.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 1e300,
+        9007199254740993.0, 123456.0, 1234567.0, 0.75, 171.0, 5e-324,
+        limits::min(), limits::max(), limits::denorm_min(),
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN()})
+    EXPECT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 10000; ++i) {
+    // Arbitrary bit patterns cover every exponent; short decimals and
+    // powers of two cover the cases where few digits suffice or the
+    // round-trip interval is lopsided.
+    const double bits = std::bit_cast<double>(rng());
+    const double short_decimal = std::round(unit(rng) * 1e4) / 1e2;
+    const double power = std::ldexp(1.0, static_cast<int>(rng() % 2000) - 1000);
+    for (const double v : {bits, short_decimal, power, unit(rng) * 1e6})
+      ASSERT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
+  }
 }
 
 TEST(Csv, ParseLineInvertsEscape) {
