@@ -1,6 +1,9 @@
 #include "reap/campaign/dispatch.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <deque>
@@ -62,6 +65,53 @@ struct Slot {
   Clock::time_point last_change{};
   std::optional<Clock::time_point> term_at;  // SIGTERM sent, grace running
 };
+
+// Sleeps out one supervisor tick, but returns as soon as a worker exits
+// (its pidfd turns readable), so a finished run is reaped at once rather
+// than up to a tick later. Remote workers' stream bytes are pumped as
+// they arrive without ending the wait: tailing, the watchdog and backoff
+// keep the poll_interval cadence. A worker without an exit descriptor
+// (no pidfd_open) is noticed at the end of the tick, as before.
+void wait_for_workers(std::vector<std::optional<Slot>>& slots,
+                      std::chrono::milliseconds tick) {
+  const auto deadline = Clock::now() + tick;
+  std::vector<pollfd> fds;
+  std::vector<WorkerHandle*> streams;  // per fd; null for an exit fd
+  for (;;) {
+    fds.clear();
+    streams.clear();
+    for (auto& slot : slots) {
+      if (!slot) continue;
+      if (const int fd = slot->worker->exit_fd(); fd >= 0) {
+        fds.push_back({fd, POLLIN, 0});
+        streams.push_back(nullptr);
+      }
+      if (const int fd = slot->worker->stream_fd(); fd >= 0) {
+        fds.push_back({fd, POLLIN, 0});
+        streams.push_back(slot->worker.get());
+      }
+    }
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return;
+    const int n = ::poll(fds.data(), fds.size(), static_cast<int>(left.count()));
+    if (n == 0) return;  // the tick is over
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      std::this_thread::sleep_until(deadline);
+      return;
+    }
+    bool exited = false;
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      if (streams[i])
+        streams[i]->pump();
+      else
+        exited = true;
+    }
+    if (exited) return;
+  }
+}
 
 // Per-host (per-transport) failure accounting; see
 // DispatchOptions::host_max_failures.
@@ -658,7 +708,7 @@ DispatchResult Dispatcher::run() {
       slot.reset();
     }
 
-    if (remaining > 0) std::this_thread::sleep_for(opts_.poll_interval);
+    if (remaining > 0) wait_for_workers(slots, opts_.poll_interval);
   }
 
   report_progress();

@@ -31,11 +31,13 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/spec.hpp"
+#include "reap/common/jsonl.hpp"
 
 namespace reap::campaign {
 
@@ -60,6 +62,49 @@ struct JournalRow {
   std::string key;
   std::uint64_t index = 0;
   std::vector<std::string> cells;
+};
+
+// How one line fares as a journal row.
+enum class RowVerdict {
+  ok,         // parses, and its checksum (when it carries one) matches
+  malformed,  // does not parse: a torn tail when it is the last line,
+              // corruption anywhere else
+  bad_crc,    // carries a checksum suffix that does not match its body:
+              // corruption wherever it sits
+};
+
+// The one journal-row parser. read_journal, JournalTailer::poll and
+// load_rows (reap_report, merge_dispatch_journals) all classify lines with
+// it, so they cannot disagree on a line. It works in place: fields are
+// views into the line, the checksum is computed over the line's bytes
+// (common::crc32c's two-piece form supplies the restored closing brace)
+// and column names are compared where they sit.
+class JournalRowParser {
+ public:
+  // Classifies `line`. The checksum suffix is checked first: a complete
+  // line whose checksum fails is bad_crc even when its body would not
+  // parse. On ok, fields() views the line's fields without the checksum
+  // field; the views stay valid while `line` does.
+  RowVerdict scan(std::string_view line);
+  const std::vector<common::JsonlField>& fields() const { return fields_; }
+
+  // Whether the scanned line leads with a "key" field -- a row rather
+  // than a header line.
+  bool has_key() const {
+    return !fields_.empty() && fields_[0].name_is("key");
+  }
+
+  // The shape check on a scanned line: "key", then exactly `columns` by
+  // name, with a numeric grid index in column 0 ("index"). Fills `row`.
+  bool to_row(const std::vector<std::string>& columns, JournalRow& row) const;
+
+  // scan + to_row: read_journal's verdict on a row line (a line of the
+  // wrong shape is malformed).
+  RowVerdict parse(std::string_view line,
+                   const std::vector<std::string>& columns, JournalRow& row);
+
+ private:
+  std::vector<common::JsonlField> fields_;
 };
 
 // One line read_journal could not accept as a row: where and why. Corrupt
@@ -146,9 +191,14 @@ bool journal_compatible(const JournalHeader& header, const CampaignSpec& spec,
 // newly completed rows. Tolerant of everything a live worker journal
 // does: the file not existing yet (worker still starting), a torn tail
 // (the in-flight line stays unreported until its '\n' lands), and the
-// file *shrinking* (a resumed worker's atomic torn-tail rewrite) -- a
-// shrink restarts the scan from byte 0, and the per-key dedupe set keeps
-// already-reported rows from being counted twice.
+// file being *replaced* (a resumed worker's atomic rewrite, which drops a
+// torn tail or corrupt rows). A replacement is noticed by file identity
+// (device and inode) or, failing that, by the file shrinking; either
+// restarts the scan from byte 0, and the per-key dedupe set keeps
+// already-reported rows from being counted twice. Identity matters: a
+// rewrite that dropped a corrupt row can grow back past the old offset
+// before the next poll, and resuming at that offset would skip the rows
+// in between.
 class JournalTailer {
  public:
   explicit JournalTailer(std::string path);
@@ -171,7 +221,10 @@ class JournalTailer {
  private:
   std::string path_;
   std::uint64_t offset_ = 0;  // bytes consumed through the last complete line
+  std::uint64_t dev_ = 0;     // identity of the file offset_ refers to
+  std::uint64_t ino_ = 0;
   std::unordered_set<std::string> seen_;
+  JournalRowParser parser_;
 };
 
 // Concatenates completion-order row batches, drops duplicate keys (first

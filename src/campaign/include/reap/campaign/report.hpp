@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "reap/campaign/aggregate.hpp"
@@ -35,14 +36,14 @@ struct RowTable {
   std::optional<std::size_t> col(const std::string& name) const;
 };
 
-// Loaders. load_rows() sniffs the format: a '{' first byte means JSONL
-// (sink output or an execution journal -- journal header lines and "key"
-// fields are skipped), anything else is CSV. All loaders verify rows are
-// rectangular and return nullopt with a description on malformed input.
-std::optional<RowTable> load_rows_csv(const std::string& path,
-                                      std::string* error = nullptr);
-std::optional<RowTable> load_rows_jsonl(const std::string& path,
-                                        std::string* error = nullptr);
+// Loads a row file, sniffing the format: a '{' first byte means JSONL,
+// anything else CSV. JSONL is sink output or an execution journal; a
+// journal's lines go through JournalRowParser, so its rows load exactly
+// as read_journal reads them (the header names the columns, a row's key
+// is dropped), except that a damaged row is an error here rather than a
+// row to re-run. Rows must be rectangular; returns nullopt with a
+// description on malformed input. One torn final line is tolerated and
+// flagged in truncated_tail.
 std::optional<RowTable> load_rows(const std::string& path,
                                   std::string* error = nullptr);
 
@@ -61,6 +62,13 @@ std::optional<RowTable> merge_tables(std::vector<RowTable> tables,
 // indistinguishable from a complete smaller one -- journals close that
 // hole, plain CSV cannot.
 bool covers_all_indices(const RowTable& table);
+
+// A row's config column minus its policy key, in a canonical form: rows
+// that agree on it are the same experiment under different policies --
+// the pairing the paper's normalized figures need. Equal to joining
+// core::kv_parse(config) without "policy" as sorted `k=v` tokens, at a
+// fraction of the cost (no map, no stream).
+std::string partner_key(std::string_view config);
 
 // Recomputes the cross-experiment aggregates from rows alone. Baseline
 // partners are matched by their config column stripped of the policy key

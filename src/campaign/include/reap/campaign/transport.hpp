@@ -103,6 +103,12 @@ class WorkerHandle {
   // remainder so rows that landed just before death are not lost.
   virtual void drain() {}
 
+  // Descriptors the supervisor blocks on in poll(2) between ticks, or -1
+  // for none: exit_fd() turns readable when the worker exits (its
+  // pidfd), stream_fd() when pump() has bytes to move.
+  virtual int exit_fd() const { return -1; }
+  virtual int stream_fd() const { return -1; }
+
   // Whether `status` says the *machine/connection* failed (stream lost,
   // stalled, ssh's exit 255) rather than the worker itself -- what the
   // dispatcher counts toward quarantining the host instead of burning

@@ -1,5 +1,9 @@
 #include "reap/campaign/journal.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
@@ -9,6 +13,7 @@
 
 #include "reap/common/crc32c.hpp"
 #include "reap/common/fault.hpp"
+#include "reap/common/file.hpp"
 #include "reap/common/jsonl.hpp"
 #include "reap/common/strings.hpp"
 
@@ -25,19 +30,6 @@ std::string join(const std::vector<std::string>& items, char sep) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i) out += sep;
     out += items[i];
-  }
-  return out;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto next = s.find(sep, pos);
-    const auto end = next == std::string::npos ? s.size() : next;
-    out.push_back(s.substr(pos, end - pos));
-    if (next == std::string::npos) break;
-    pos = next + 1;
   }
   return out;
 }
@@ -68,7 +60,7 @@ bool parse_header(const std::string& line, JournalHeader& h,
       if (!common::parse_u64(value, h.shard_count))
         return fail(error, "journal: bad shard_count: " + value);
     } else if (key == "columns") {
-      h.columns = split(value, ',');
+      h.columns = common::split(value, ',');
     }
     // Unknown header fields are ignored: newer writers may add metadata.
   }
@@ -79,63 +71,69 @@ bool parse_header(const std::string& line, JournalHeader& h,
   return true;
 }
 
+// Owns an open file descriptor.
+struct Fd {
+  explicit Fd(int fd) : fd(fd) {}
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() {
+    if (fd >= 0) ::close(fd);
+  }
+  int fd;
+};
+
 // The checksum suffix of a v2 row: `,"crc":"xxxxxxxx"}` closes the line.
 // The CRC covers the row body -- the line with that suffix removed and the
 // closing brace restored, i.e. exactly the v1 serialization of the row.
-constexpr char kCrcSuffix[] = ",\"crc\":\"";
-constexpr std::size_t kCrcSuffixLen = sizeof(kCrcSuffix) - 1;
-
-// Splits a v2 line into (body, crc hex). Returns false for a line without
-// the suffix -- a v1 row, which simply has no checksum to verify.
-bool split_crc(const std::string& line, std::string& body, std::string& hex) {
-  const auto pos = line.rfind(kCrcSuffix);
-  if (pos == std::string::npos) return false;
-  const auto tail = line.substr(pos + kCrcSuffixLen);
-  if (tail.size() != 10 || tail.substr(8) != "\"}") return false;
-  body = line.substr(0, pos) + "}";
-  hex = tail.substr(0, 8);
-  return true;
-}
-
-enum class RowParse { ok, malformed, bad_crc };
-
-// Parses one row line into (key, cells), verifying the v2 checksum when
-// present. The caller decides whether `malformed` is a torn tail
-// (acceptable on the last line) or corruption; `bad_crc` is always
-// corruption -- only a complete, well-formed line can carry a checksum
-// that fails to verify.
-RowParse parse_row(const std::string& line,
-                   const std::vector<std::string>& columns,
-                   JournalRow& row) {
-  std::string body;
-  std::string hex;
-  const bool has_crc = split_crc(line, body, hex);
-  if (has_crc) {
-    std::uint32_t stored = 0;
-    if (!common::parse_hex32(hex, stored)) return RowParse::malformed;
-    if (common::crc32c(body) != stored) return RowParse::bad_crc;
-  } else {
-    body = line;
-  }
-  const auto fields = common::parse_jsonl_line(body);
-  if (!fields) return RowParse::malformed;
-  if (fields->size() != columns.size() + 1) return RowParse::malformed;
-  if ((*fields)[0].first != "key") return RowParse::malformed;
-  row.key = (*fields)[0].second;
-  row.cells.clear();
-  row.cells.reserve(columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    const auto& [name, value] = (*fields)[i + 1];
-    if (name != columns[i]) return RowParse::malformed;
-    row.cells.push_back(value);
-  }
-  // Column 0 is the grid index by construction of result_header().
-  if (columns.empty() || columns[0] != "index") return RowParse::malformed;
-  return common::parse_u64(row.cells[0], row.index) ? RowParse::ok
-                                                    : RowParse::malformed;
-}
+constexpr std::string_view kCrcSuffix = ",\"crc\":\"";
 
 }  // namespace
+
+RowVerdict JournalRowParser::scan(std::string_view line) {
+  fields_.clear();
+  // A line ending in the checksum suffix is a v2 row; anything else is
+  // read as a v1 row, which simply has no checksum to verify.
+  bool has_crc = false;
+  if (const auto pos = line.rfind(kCrcSuffix); pos != std::string_view::npos) {
+    const auto tail = line.substr(pos + kCrcSuffix.size());
+    if (tail.size() == 10 && tail.substr(8) == "\"}") {
+      std::uint32_t stored = 0;
+      if (!common::parse_hex32(tail.substr(0, 8), stored))
+        return RowVerdict::malformed;
+      if (common::crc32c(line.substr(0, pos), "}") != stored)
+        return RowVerdict::bad_crc;
+      has_crc = true;
+    }
+  }
+  if (!common::scan_jsonl_line(line, fields_)) return RowVerdict::malformed;
+  // The whole line parses exactly when its body does, and then its last
+  // field is the checksum: the suffix's quote after a comma cannot sit
+  // inside a string or a raw token of a line that parses.
+  if (has_crc) fields_.pop_back();
+  return RowVerdict::ok;
+}
+
+bool JournalRowParser::to_row(const std::vector<std::string>& columns,
+                              JournalRow& row) const {
+  // Column 0 is the grid index by construction of result_header().
+  if (columns.empty() || columns[0] != "index") return false;
+  if (fields_.size() != columns.size() + 1 || !has_key()) return false;
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    if (!fields_[i + 1].name_is(columns[i])) return false;
+  row.key = fields_[0].value_text();
+  row.cells.resize(columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    row.cells[i] = fields_[i + 1].value_text();
+  return common::parse_u64(row.cells[0], row.index);
+}
+
+RowVerdict JournalRowParser::parse(std::string_view line,
+                                   const std::vector<std::string>& columns,
+                                   JournalRow& row) {
+  const RowVerdict v = scan(line);
+  if (v != RowVerdict::ok) return v;
+  return to_row(columns, row) ? RowVerdict::ok : RowVerdict::malformed;
+}
 
 JournalHeader JournalHeader::for_run(const CampaignSpec& spec,
                                      std::size_t n_points,
@@ -190,7 +188,7 @@ void JournalWriter::add(const std::string& key,
   const std::string body = "{\"key\":\"" + common::json_escape(key) + "\"," +
                            jsonl_fields(columns_, cells) + "}";
   const std::string line =
-      body.substr(0, body.size() - 1) + kCrcSuffix +
+      body.substr(0, body.size() - 1) + std::string(kCrcSuffix) +
       common::fmt_hex32(common::crc32c(body)) + "\"}\n";
 
   if (const auto f = common::fault::hit("journal.write", key)) {
@@ -219,29 +217,35 @@ void JournalWriter::add(const std::string& key,
 
 std::optional<Journal> read_journal(const std::string& path,
                                     std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = common::read_file(path);
+  if (!text) {
     fail(error, "cannot open journal: " + path);
     return std::nullopt;
   }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line))
-    if (!line.empty()) lines.push_back(line);
+  // Non-empty lines as views into the one read; line numbers count them.
+  std::vector<std::string_view> lines;
+  for (std::size_t pos = 0; pos < text->size();) {
+    const auto nl = std::min(text->find('\n', pos), text->size());
+    if (nl > pos) lines.emplace_back(text->data() + pos, nl - pos);
+    pos = nl + 1;
+  }
   if (lines.empty()) {
     fail(error, "journal is empty: " + path);
     return std::nullopt;
   }
 
   Journal j;
-  if (!parse_header(lines[0], j.header, error)) return std::nullopt;
+  if (!parse_header(std::string(lines[0]), j.header, error))
+    return std::nullopt;
+  j.rows.reserve(lines.size() - 1);
+  JournalRowParser parser;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     JournalRow row;
-    switch (parse_row(lines[i], j.header.columns, row)) {
-      case RowParse::ok:
+    switch (parser.parse(lines[i], j.header.columns, row)) {
+      case RowVerdict::ok:
         j.rows.push_back(std::move(row));
         break;
-      case RowParse::malformed:
+      case RowVerdict::malformed:
         if (i + 1 == lines.size()) {
           // A torn final line is the expected signature of a mid-write
           // kill; the row it carried simply re-runs on resume.
@@ -250,7 +254,7 @@ std::optional<Journal> read_journal(const std::string& path,
           j.corrupt.push_back({i + 1, "malformed row"});
         }
         break;
-      case RowParse::bad_crc:
+      case RowVerdict::bad_crc:
         // A complete line whose checksum fails is damage, not a tear --
         // even on the last line.
         j.corrupt.push_back({i + 1, "CRC mismatch"});
@@ -328,48 +332,54 @@ std::vector<std::string> JournalTailer::poll() {
   // An injected read fault models a flaky shared filesystem: the poll
   // sees nothing this round and simply retries later.
   if (common::fault::hit("tailer.read", path_)) return fresh;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path_, ec);
-  if (ec) return fresh;  // not created yet (worker still starting)
-  // A shrink is resume's atomic torn-tail rewrite landing: the bytes at
-  // our offset are no longer the bytes we consumed, so rescan from the
-  // start. `seen_` keeps rescanned rows from being re-reported.
-  if (size < offset_) offset_ = 0;
+  const Fd file(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.fd < 0) return fresh;  // not created yet (worker still starting)
+  // Size and identity of the file actually opened, so a rename landing
+  // between the checks and the read cannot mix two files.
+  struct stat st {};
+  if (::fstat(file.fd, &st) != 0) return fresh;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  // A different file at the path, or a shorter one, is resume's atomic
+  // rewrite landing: the bytes at our offset are no longer the bytes we
+  // consumed, so rescan from the start. `seen_` keeps rescanned rows from
+  // being re-reported.
+  const auto dev = static_cast<std::uint64_t>(st.st_dev);
+  const auto ino = static_cast<std::uint64_t>(st.st_ino);
+  if (dev != dev_ || ino != ino_ || size < offset_) offset_ = 0;
+  dev_ = dev;
+  ino_ = ino;
   if (size == offset_) return fresh;
 
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return fresh;
-  in.seekg(static_cast<std::streamoff>(offset_));
   std::string appended(static_cast<std::size_t>(size - offset_), '\0');
-  in.read(appended.data(), static_cast<std::streamsize>(appended.size()));
-  appended.resize(static_cast<std::size_t>(in.gcount()));
+  std::size_t got = 0;
+  while (got < appended.size()) {
+    const auto n = ::pread(file.fd, appended.data() + got,
+                           appended.size() - got,
+                           static_cast<off_t>(offset_ + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  appended.resize(got);
 
   // Consume only through the last newline: everything after it is a line
   // still being written.
   const auto last_nl = appended.rfind('\n');
   if (last_nl == std::string::npos) return fresh;
-  std::size_t pos = 0;
-  while (pos <= last_nl) {
-    const auto nl = appended.find('\n', pos);
-    const std::string line = appended.substr(pos, nl - pos);
+  const std::string_view text(appended.data(), last_nl + 1);
+  for (std::size_t pos = 0; pos < text.size();) {
+    const auto nl = text.find('\n', pos);
+    const auto line = text.substr(pos, nl - pos);
     pos = nl + 1;
-    if (line.empty()) continue;
     // Rows lead with a "key" field; the header line (and any malformed
     // mid-flight content) does not and is skipped. A checksummed row
     // that fails to verify is damage, not progress: skip it unseen so
     // the supervisor still counts that point as outstanding.
-    std::string body = line;
-    std::string hex;
-    if (split_crc(line, body, hex)) {
-      std::uint32_t stored = 0;
-      if (!common::parse_hex32(hex, stored) ||
-          common::crc32c(body) != stored)
-        continue;
-    }
-    const auto fields = common::parse_jsonl_line(body);
-    if (!fields || fields->empty() || (*fields)[0].first != "key") continue;
-    if (seen_.insert((*fields)[0].second).second)
-      fresh.push_back((*fields)[0].second);
+    if (line.empty() || parser_.scan(line) != RowVerdict::ok ||
+        !parser_.has_key())
+      continue;
+    auto key = parser_.fields()[0].value_text();
+    if (seen_.insert(key).second) fresh.push_back(std::move(key));
   }
   offset_ += last_nl + 1;
   return fresh;

@@ -7,12 +7,11 @@
 #include <unordered_map>
 #include <utility>
 
-#include "reap/common/crc32c.hpp"
+#include "reap/campaign/journal.hpp"
 #include "reap/common/csv.hpp"
-#include "reap/common/jsonl.hpp"
+#include "reap/common/file.hpp"
 #include "reap/common/strings.hpp"
 #include "reap/common/table.hpp"
-#include "reap/core/config_kv.hpp"
 
 namespace reap::campaign {
 namespace {
@@ -22,18 +21,131 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-// The config column minus its policy key: rows that agree on this string
-// are the same experiment under different policies -- the pairing the
-// paper's normalized figures need.
-std::string partner_key(const std::string& config_kv) {
-  auto kv = core::kv_parse(config_kv);
-  kv.erase("policy");
-  std::string out;
-  for (const auto& [k, v] : kv) {  // std::map: deterministic key order
-    if (!out.empty()) out += ' ';
-    out += k + "=" + v;
+// Calls fn(line, lineno, is_last) for every line of `text`, empty ones
+// included; `is_last` says nothing follows the line's newline.
+template <class Fn>
+bool for_each_line(std::string_view text, Fn fn) {
+  std::size_t lineno = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const auto nl = std::min(text.find('\n', pos), text.size());
+    if (!fn(text.substr(pos, nl - pos), ++lineno, nl + 1 >= text.size()))
+      return false;
+    pos = nl + 1;
   }
-  return out;
+  return true;
+}
+
+std::optional<RowTable> rows_from_csv(std::string_view text,
+                                      const std::string& path,
+                                      std::string* error) {
+  RowTable table;
+  const bool ok = for_each_line(text, [&](std::string_view line,
+                                          std::size_t lineno, bool) {
+    if (line.empty()) return true;
+    auto cells = common::parse_csv_line(std::string(line));
+    if (!cells)
+      return fail(error,
+                  path + ":" + std::to_string(lineno) + ": malformed CSV");
+    if (table.header.empty()) {
+      table.header = std::move(*cells);
+    } else {
+      if (cells->size() != table.header.size())
+        return fail(error, path + ":" + std::to_string(lineno) +
+                               ": row has " + std::to_string(cells->size()) +
+                               " cells, header has " +
+                               std::to_string(table.header.size()));
+      table.rows.push_back(std::move(*cells));
+    }
+    return true;
+  });
+  if (!ok) return std::nullopt;
+  if (table.header.empty()) {
+    fail(error, path + ": no header row");
+    return std::nullopt;
+  }
+  return table;
+}
+
+// JSONL sink output or an execution journal. Every line goes through the
+// journal-row parser, so a journal loads here exactly as read_journal
+// reads it -- except that any damage is an error: reports run on settled
+// files, where bad bytes mean real damage, not a run still in flight.
+std::optional<RowTable> rows_from_jsonl(std::string_view text,
+                                        const std::string& path,
+                                        std::string* error) {
+  RowTable table;
+  bool journal = false;  // a journal header set the columns
+  JournalRowParser parser;
+  JournalRow row;
+  const bool ok = for_each_line(text, [&](std::string_view line,
+                                          std::size_t lineno, bool is_last) {
+    if (line.empty()) return true;
+    const auto at = [&](const char* what) {
+      return fail(error, path + ":" + std::to_string(lineno) + ": " + what);
+    };
+    // Tolerate one torn final line (a killed run's last write), but
+    // surface it: the caller decides whether a lost row matters.
+    const auto torn_or = [&](const char* what) {
+      if (table.truncated_tail || !is_last) return at(what);
+      table.truncated_tail = true;
+      return true;
+    };
+    switch (parser.scan(line)) {
+      case RowVerdict::ok:
+        break;
+      case RowVerdict::malformed:
+        return torn_or("malformed JSONL");
+      case RowVerdict::bad_crc:
+        return at("row CRC mismatch");
+    }
+    const auto& fields = parser.fields();
+    // A journal header line carries the column schema and the grid size;
+    // keep the size so the completeness check can catch a dense prefix.
+    if (!fields.empty() && fields[0].name_is("format")) {
+      for (const auto& f : fields) {
+        std::uint64_t n = 0;
+        if (f.name_is("points") && common::parse_u64(f.value_text(), n)) {
+          table.expected_points = n;
+        } else if (f.name_is("columns") && table.header.empty()) {
+          table.header = common::split(f.value_text(), ',');
+          journal = true;
+        }
+      }
+      return true;
+    }
+    // In a journal every other line is a row and gets read_journal's
+    // verdict: the wrong shape is a malformed row, which on the last line
+    // is a torn tail.
+    if (journal) {
+      if (!parser.to_row(table.header, row))
+        return torn_or("inconsistent columns");
+      table.rows.push_back(std::move(row.cells));
+      return true;
+    }
+    // Sink rows: the first one names the columns. Journal rows lead with
+    // their key, which is not a column.
+    const std::size_t begin = parser.has_key() ? 1 : 0;
+    if (table.header.empty())
+      for (std::size_t i = begin; i < fields.size(); ++i)
+        table.header.push_back(fields[i].name_text());
+    if (fields.size() - begin != table.header.size())
+      return at("inconsistent columns");
+    std::vector<std::string> cells;
+    cells.reserve(table.header.size());
+    for (std::size_t i = begin; i < fields.size(); ++i) {
+      if (!fields[i].name_is(table.header[i - begin]))
+        return at("inconsistent columns");
+      cells.push_back(fields[i].value_text());
+    }
+    table.rows.push_back(std::move(cells));
+    return true;
+  });
+  if (!ok) return std::nullopt;
+  if (table.header.empty() || table.rows.empty()) {
+    fail(error, path + ": no rows");
+    return std::nullopt;
+  }
+  return table;
 }
 
 }  // namespace
@@ -44,130 +156,53 @@ std::optional<std::size_t> RowTable::col(const std::string& name) const {
   return std::nullopt;
 }
 
-std::optional<RowTable> load_rows_csv(const std::string& path,
-                                      std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    fail(error, "cannot open: " + path);
-    return std::nullopt;
-  }
-  RowTable table;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    auto cells = common::parse_csv_line(line);
-    if (!cells) {
-      fail(error, path + ":" + std::to_string(lineno) + ": malformed CSV");
-      return std::nullopt;
-    }
-    if (table.header.empty()) {
-      table.header = std::move(*cells);
-    } else {
-      if (cells->size() != table.header.size()) {
-        fail(error, path + ":" + std::to_string(lineno) +
-                        ": row has " + std::to_string(cells->size()) +
-                        " cells, header has " +
-                        std::to_string(table.header.size()));
-        return std::nullopt;
-      }
-      table.rows.push_back(std::move(*cells));
-    }
-  }
-  if (table.header.empty()) {
-    fail(error, path + ": no header row");
-    return std::nullopt;
-  }
-  return table;
-}
-
-std::optional<RowTable> load_rows_jsonl(const std::string& path,
-                                        std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    fail(error, "cannot open: " + path);
-    return std::nullopt;
-  }
-  RowTable table;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const auto fields = common::parse_jsonl_line(line);
-    if (!fields) {
-      // Tolerate one torn final line (a killed run's last write), but
-      // surface it: the caller decides whether a lost row matters.
-      if (!table.truncated_tail &&
-          in.peek() == std::ifstream::traits_type::eof()) {
-        table.truncated_tail = true;
-        continue;
-      }
-      fail(error, path + ":" + std::to_string(lineno) + ": malformed JSONL");
-      return std::nullopt;
-    }
-    // A journal header line carries the grid size; keep it so the
-    // completeness check can catch a dense prefix. Strip the journal's
-    // leading key field from data lines.
-    std::size_t begin = 0;
-    if (!fields->empty() && (*fields)[0].first == "format") {
-      for (const auto& [key, value] : *fields) {
-        std::uint64_t n = 0;
-        if (key == "points" && common::parse_u64(value, n))
-          table.expected_points = n;
-      }
-      continue;
-    }
-    if (!fields->empty() && (*fields)[0].first == "key") begin = 1;
-
-    // Journal v2 rows close with a checksum over the rest of the line;
-    // verify it and strip the field. A mismatch here is a hard error:
-    // reports run on settled files, where bad bytes mean real damage.
-    std::size_t end = fields->size();
-    if (begin == 1 && end > begin && (*fields)[end - 1].first == "crc") {
-      const auto pos = line.rfind(",\"crc\":\"");
-      std::uint32_t stored = 0;
-      if (pos == std::string::npos ||
-          !common::parse_hex32((*fields)[end - 1].second, stored) ||
-          common::crc32c(line.substr(0, pos) + "}") != stored) {
-        fail(error, path + ":" + std::to_string(lineno) + ": row CRC mismatch");
-        return std::nullopt;
-      }
-      --end;
-    }
-
-    std::vector<std::string> names, cells;
-    for (std::size_t i = begin; i < end; ++i) {
-      names.push_back((*fields)[i].first);
-      cells.push_back((*fields)[i].second);
-    }
-    if (table.header.empty()) table.header = names;
-    if (names != table.header) {
-      fail(error,
-           path + ":" + std::to_string(lineno) + ": inconsistent columns");
-      return std::nullopt;
-    }
-    table.rows.push_back(std::move(cells));
-  }
-  if (table.header.empty()) {
-    fail(error, path + ": no rows");
-    return std::nullopt;
-  }
-  return table;
-}
-
 std::optional<RowTable> load_rows(const std::string& path,
                                   std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = common::read_file(path);
+  if (!text) {
     fail(error, "cannot open: " + path);
     return std::nullopt;
   }
-  const int first = in.peek();
-  in.close();
-  return first == '{' ? load_rows_jsonl(path, error)
-                      : load_rows_csv(path, error);
+  return !text->empty() && (*text)[0] == '{'
+             ? rows_from_jsonl(*text, path, error)
+             : rows_from_csv(*text, path, error);
+}
+
+std::string partner_key(std::string_view config) {
+  // kv_parse's reading of the string -- whitespace-separated tokens, key
+  // before the first '=', a repeated key keeps its last value -- without
+  // its std::map and istringstream: views, sorted by key.
+  std::vector<std::pair<std::string_view, std::string_view>> kv;
+  const auto is_space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  for (std::size_t i = 0; i < config.size();) {
+    while (i < config.size() && is_space(config[i])) ++i;
+    const std::size_t begin = i;
+    while (i < config.size() && !is_space(config[i])) ++i;
+    if (i == begin) break;
+    const auto token = config.substr(begin, i - begin);
+    const auto eq = token.find('=');
+    if (eq == std::string_view::npos)
+      kv.emplace_back(token, std::string_view{});
+    else
+      kv.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+  }
+  std::stable_sort(kv.begin(), kv.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  std::string out;
+  out.reserve(config.size());
+  for (std::size_t i = 0; i < kv.size(); ++i) {
+    // Of a run of equal keys only the last counts, as a map assignment.
+    if (i + 1 < kv.size() && kv[i + 1].first == kv[i].first) continue;
+    if (kv[i].first == "policy") continue;
+    if (!out.empty()) out += ' ';
+    out += kv[i].first;
+    out += '=';
+    out += kv[i].second;
+  }
+  return out;
 }
 
 std::optional<RowTable> merge_tables(std::vector<RowTable> tables,

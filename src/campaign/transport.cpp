@@ -98,6 +98,9 @@ class SshWorker final : public WorkerHandle {
 
   void pump() override { pump_stream(); }
   void drain() override { pump_stream(); }
+  int exit_fd() const override { return child_.exit_fd(); }
+  // A stalled stream is not read, so it must not wake the supervisor.
+  int stream_fd() const override { return stalled_ ? -1 : fd_; }
 
   bool host_failure(const common::ExitStatus& status) const override {
     // 255 is ssh's own "connection/authentication failed" exit -- the
@@ -204,6 +207,7 @@ class LocalWorker final : public WorkerHandle {
   long pid() const override { return child_.pid(); }
   std::optional<common::ExitStatus> poll() override { return child_.poll(); }
   bool kill(int sig) override { return child_.kill(sig); }
+  int exit_fd() const override { return child_.exit_fd(); }
 
  private:
   common::Child child_;

@@ -35,13 +35,11 @@ std::uint32_t load_le32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-}  // namespace
-
-std::uint32_t crc32c(std::string_view data) {
+// Folds `data` into a running (pre-inverted) CRC.
+std::uint32_t update(std::uint32_t crc, std::string_view data) {
   static const Tables t = make_tables();
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   std::size_t n = data.size();
-  std::uint32_t crc = 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const std::uint32_t lo = crc ^ load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);
@@ -50,7 +48,17 @@ std::uint32_t crc32c(std::string_view data) {
           t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
   for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+}  // namespace
+
+std::uint32_t crc32c(std::string_view data) {
+  return update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32c(std::string_view a, std::string_view b) {
+  return update(update(0xFFFFFFFFu, a), b) ^ 0xFFFFFFFFu;
 }
 
 std::string fmt_hex32(std::uint32_t v) {
@@ -59,7 +67,7 @@ std::string fmt_hex32(std::uint32_t v) {
   return buf;
 }
 
-bool parse_hex32(const std::string& s, std::uint32_t& out) {
+bool parse_hex32(std::string_view s, std::uint32_t& out) {
   // Exactly 8 hex digits: strtoul alone would also take "0x…", spaces,
   // or a sign, none of which a well-formed CRC suffix can contain.
   if (s.size() != 8) return false;

@@ -11,24 +11,44 @@ CsvWriter::CsvWriter(const std::string& path,
   if (out_) add_row(header);
 }
 
+namespace {
+
+bool needs_quoting(const std::string& cell) {
+  return cell.find_first_of(",\"\n") != std::string::npos;
+}
+
+void append_quoted(std::string& out, const std::string& cell) {
+  out += '"';
+  for (char ch : cell) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
+}
+
+}  // namespace
+
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
   REAP_EXPECTS(cells.size() == ncols_);
   if (!out_) return;
+  // The line is assembled in a reused buffer and written once; a cell
+  // that needs no quoting (nearly all of them) is appended as is.
+  line_.clear();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << csv_escape(cells[i]);
+    if (i) line_ += ',';
+    if (needs_quoting(cells[i]))
+      append_quoted(line_, cells[i]);
+    else
+      line_ += cells[i];
   }
-  out_ << '\n';
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string quoted = "\"";
-  for (char ch : cell) {
-    if (ch == '"') quoted += '"';
-    quoted += ch;
-  }
-  quoted += '"';
+  if (!needs_quoting(cell)) return cell;
+  std::string quoted;
+  append_quoted(quoted, cell);
   return quoted;
 }
 

@@ -33,19 +33,6 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto next = s.find(sep, pos);
-    const auto end = next == std::string::npos ? s.size() : next;
-    out.push_back(s.substr(pos, end - pos));
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  return out;
-}
-
 std::optional<Kind> kind_from(const std::string& name) {
   if (name == "crash") return Kind::crash;
   if (name == "hang") return Kind::hang;

@@ -12,23 +12,48 @@ LogHistogram::LogHistogram(unsigned bins_per_decade, std::uint64_t max_value)
     : bins_per_decade_(bins_per_decade), max_value_(max_value) {
   REAP_EXPECTS(bins_per_decade >= 1);
   REAP_EXPECTS(max_value >= 1);
+  // Every ledger and every ExperimentResult holds a default-shaped
+  // histogram; its edges cost a std::pow per bin, so compute them once.
+  static const std::vector<HistogramBin> kDefaultBins =
+      make_bins(kDefaultBinsPerDecade, kDefaultMaxValue);
+  if (bins_per_decade == kDefaultBinsPerDecade &&
+      max_value == kDefaultMaxValue)
+    bins_ = kDefaultBins;
+  else
+    bins_ = make_bins(bins_per_decade, max_value);
+}
+
+std::vector<HistogramBin> LogHistogram::make_bins(unsigned bins_per_decade,
+                                                  std::uint64_t max_value) {
   // Bin 0 holds value 0. Bin i>=1 holds the log-spaced range.
-  const double decades = std::log10(static_cast<double>(max_value_));
+  const double decades = std::log10(static_cast<double>(max_value));
   const std::size_t nlog =
-      static_cast<std::size_t>(std::ceil(decades * bins_per_decade_)) + 1;
-  bins_.resize(nlog + 1);
-  bins_[0] = {0, 0, 0, 0.0};
+      static_cast<std::size_t>(std::ceil(decades * bins_per_decade)) + 1;
+  std::vector<HistogramBin> bins(nlog + 1);
+  bins[0] = {0, 0, 0, 0.0};
   std::uint64_t prev_hi = 0;
-  for (std::size_t i = 1; i < bins_.size(); ++i) {
+  for (std::size_t i = 1; i < bins.size(); ++i) {
     const double exp_hi =
-        static_cast<double>(i) / static_cast<double>(bins_per_decade_);
+        static_cast<double>(i) / static_cast<double>(bins_per_decade);
     std::uint64_t hi =
         static_cast<std::uint64_t>(std::floor(std::pow(10.0, exp_hi)));
     hi = std::max<std::uint64_t>(hi, prev_hi + 1);
-    bins_[i] = {prev_hi + 1, hi, 0, 0.0};
+    bins[i] = {prev_hi + 1, hi, 0, 0.0};
     prev_hi = hi;
   }
-  bins_.back().hi = std::max(bins_.back().hi, max_value_);
+  bins.back().hi = std::max(bins.back().hi, max_value);
+  return bins;
+}
+
+void LogHistogram::clear() {
+  for (HistogramBin& b : bins_) {
+    b.count = 0;
+    b.weight = 0.0;
+  }
+  total_count_ = 0;
+  total_weight_ = 0.0;
+  overflow_ = 0;
+  max_sample_ = 0;
 }
 
 std::size_t LogHistogram::bin_index(std::uint64_t value) const {

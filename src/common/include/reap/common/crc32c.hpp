@@ -19,9 +19,14 @@ namespace reap::common {
 // 0xFFFFFFFF): the widely deployed Castagnoli variant (iSCSI, ext4).
 std::uint32_t crc32c(std::string_view data);
 
+// CRC32C of the concatenation a + b, without building it: lets a reader
+// check a journal row body that is its line minus the checksum suffix
+// plus a closing brace in place.
+std::uint32_t crc32c(std::string_view a, std::string_view b);
+
 // Fixed-width lowercase hex, zero-padded to 8 digits; parse_hex32 accepts
 // exactly that form.
 std::string fmt_hex32(std::uint32_t v);
-bool parse_hex32(const std::string& s, std::uint32_t& out);
+bool parse_hex32(std::string_view s, std::uint32_t& out);
 
 }  // namespace reap::common

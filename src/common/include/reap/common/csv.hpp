@@ -22,6 +22,7 @@ class CsvWriter {
  private:
   std::ofstream out_;
   std::size_t ncols_;
+  std::string line_;  // add_row's buffer, kept across rows
 };
 
 // Canonical cell quoting: bare unless the cell contains , " or a newline,

@@ -25,10 +25,18 @@ class LogHistogram {
   // bins_per_decade controls x resolution; max_value the last tracked value
   // (larger samples clamp into the final bin and are counted in
   // `overflow()`).
-  explicit LogHistogram(unsigned bins_per_decade = 8,
-                        std::uint64_t max_value = 10'000'000);
+  static constexpr unsigned kDefaultBinsPerDecade = 8;
+  static constexpr std::uint64_t kDefaultMaxValue = 10'000'000;
+
+  explicit LogHistogram(unsigned bins_per_decade = kDefaultBinsPerDecade,
+                        std::uint64_t max_value = kDefaultMaxValue);
 
   void add(std::uint64_t value, double weight = 0.0);
+
+  // Forgets every sample and keeps the bin layout: the histogram then
+  // equals a freshly constructed one with the same shape, without
+  // recomputing its bin edges.
+  void clear();
 
   // Bins with nonzero count, in increasing value order.
   std::vector<HistogramBin> nonempty_bins() const;
@@ -46,6 +54,8 @@ class LogHistogram {
 
  private:
   std::size_t bin_index(std::uint64_t value) const;
+  static std::vector<HistogramBin> make_bins(unsigned bins_per_decade,
+                                             std::uint64_t max_value);
 
   unsigned bins_per_decade_;
   std::uint64_t max_value_;

@@ -50,14 +50,24 @@ class DirectMappedMemo {
       values_.resize(Slots);
     }
     const std::size_t slot = slot_of(key);
+    if (keys_[slot] == 0 && filled_.size() <= kMaxTracked)
+      filled_.push_back(static_cast<std::uint32_t>(slot));
     keys_[slot] = key + 1;
     values_[slot] = value;
   }
 
   // Forgets every entry and keeps the allocation, so a cleared memo costs
   // no page faults. Only the key column is zeroed: a value is never read
-  // unless its key matches.
-  void clear() { std::fill(keys_.begin(), keys_.end(), std::uint64_t{0}); }
+  // unless its key matches. A memo that filled few slots since the last
+  // clear zeroes just those; past kMaxTracked it zeroes the whole column.
+  void clear() {
+    if (filled_.size() > kMaxTracked) {
+      std::fill(keys_.begin(), keys_.end(), std::uint64_t{0});
+    } else {
+      for (const std::uint32_t slot : filled_) keys_[slot] = 0;
+    }
+    filled_.clear();
+  }
 
   // Address of the key column (null until the first insert); lets tests
   // check that clear() keeps the storage.
@@ -73,8 +83,15 @@ class DirectMappedMemo {
     return static_cast<std::size_t>(h) & (Slots - 1);
   }
 
+  // Past this many filled slots a clear zeroes the whole key column,
+  // which is then cheaper than visiting the slots one by one.
+  static constexpr std::size_t kMaxTracked = Slots / 8;
+
   std::vector<std::uint64_t> keys_;  // key + 1 per slot; 0 = empty
   std::vector<Value> values_;
+  // The first kMaxTracked + 1 slots filled since the last clear. While it
+  // holds no more than kMaxTracked, they are exactly the non-empty slots.
+  std::vector<std::uint32_t> filled_;
 };
 
 }  // namespace reap::common

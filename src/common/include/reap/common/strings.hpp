@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace reap::common {
 
@@ -63,6 +64,21 @@ constexpr std::uint64_t fnv1a64(std::string_view s) {
     h *= 0x100000001B3ULL;
   }
   return h;
+}
+
+// Splits on every `sep`: n separators give n + 1 fields, empty ones
+// included ("" gives one empty field).
+inline std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const auto next = s.find(sep, pos);
+    const auto end = next == std::string::npos ? s.size() : next;
+    out.push_back(s.substr(pos, end - pos));
+    if (next == std::string::npos) break;
+    pos = next + 1;
+  }
+  return out;
 }
 
 // Fixed-width lowercase hex, zero-padded to 16 digits; parse_hex64 accepts

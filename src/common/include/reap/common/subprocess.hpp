@@ -61,6 +61,12 @@ class Child {
 
   long pid() const { return pid_; }
 
+  // A descriptor that turns readable once the child has exited (a Linux
+  // pidfd), so a supervisor can block in poll(2) until a worker ends
+  // instead of sleeping out a fixed tick. -1 where pidfd_open is
+  // unavailable. Owned by the Child; valid until it is destroyed.
+  int exit_fd() const { return pidfd_; }
+
   // Non-blocking: the exit status if the child has ended, else nullopt.
   // Idempotent after exit (the status is cached once reaped).
   std::optional<ExitStatus> poll();
@@ -73,9 +79,10 @@ class Child {
   bool kill(int sig = 9);
 
  private:
-  explicit Child(long pid) : pid_(pid) {}
+  explicit Child(long pid);
 
   long pid_ = -1;  // -1 once moved-from or reaped-and-cached
+  int pidfd_ = -1;
   std::optional<ExitStatus> status_;
 };
 

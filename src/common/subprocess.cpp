@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -177,9 +178,19 @@ std::optional<Child> Child::spawn_piped(const std::vector<std::string>& argv,
   return Child(*pid);
 }
 
+Child::Child(long pid) : pid_(pid) {
+#ifdef SYS_pidfd_open
+  // Linux 5.3+; the descriptor is close-on-exec. ENOSYS elsewhere leaves
+  // -1, and supervisors fall back to their fixed tick.
+  const long fd = ::syscall(SYS_pidfd_open, static_cast<pid_t>(pid), 0);
+  pidfd_ = fd >= 0 ? static_cast<int>(fd) : -1;
+#endif
+}
+
 Child::Child(Child&& other) noexcept
-    : pid_(other.pid_), status_(other.status_) {
+    : pid_(other.pid_), pidfd_(other.pidfd_), status_(other.status_) {
   other.pid_ = -1;
+  other.pidfd_ = -1;
   other.status_.reset();
 }
 
@@ -189,9 +200,12 @@ Child& Child::operator=(Child&& other) noexcept {
       kill();
       wait();
     }
+    if (pidfd_ >= 0) ::close(pidfd_);
     pid_ = other.pid_;
+    pidfd_ = other.pidfd_;
     status_ = other.status_;
     other.pid_ = -1;
+    other.pidfd_ = -1;
     other.status_.reset();
   }
   return *this;
@@ -202,6 +216,7 @@ Child::~Child() {
     kill();
     wait();
   }
+  if (pidfd_ >= 0) ::close(pidfd_);
 }
 
 std::optional<ExitStatus> Child::poll() {

@@ -24,7 +24,7 @@ void FailureLedger::record_unattributed(double p_fail) {
 void FailureLedger::reset() {
   total_failure_prob_ = 0.0;
   checks_ = 0;
-  histogram_ = common::LogHistogram(kBinsPerDecade, kMaxConcealedTracked);
+  histogram_.clear();
 }
 
 }  // namespace reap::reliability

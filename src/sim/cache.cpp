@@ -26,6 +26,8 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   rel_ = simd::AlignedVec<LineRel>(lane_stride_);
   lru_ = simd::AlignedVec<std::uint64_t>(sets_ * stride_);
   state_.resize(sets_ * stride_);
+  touched_.reserve(sets_);
+  is_touched_.assign(sets_, 0);
   default_ones_ = static_cast<std::uint32_t>(cfg_.block_bytes * 8 / 2);
   reset(seed);
 }
@@ -34,23 +36,37 @@ void SetAssocCache::reset(std::uint64_t seed, std::size_t lanes) {
   REAP_EXPECTS(lanes >= 1);
   REAP_EXPECTS(lanes == 1 ||
                cfg_.replacement != ReplacementKind::least_error_rate);
+  // The pass being undone wrote lanes [0, lanes_) of the touched sets.
+  const std::size_t pass_lanes = lanes_;
   lanes_ = lanes;
-  if (rel_.size() < lanes_ * lane_stride_)
+  bool full = !cleared_ || touched_.size() > sets_ / 2;
+  if (rel_.size() < lanes_ * lane_stride_) {
     rel_ = simd::AlignedVec<LineRel>(lanes_ * lane_stride_);
-  const std::size_t n = sets_ * stride_;
-  // Zero = invalid tagv / LineRel{0,0}.
-  std::fill_n(tags_.data(), n, std::uint64_t{0});
-  std::fill_n(rel_.data(), lanes_ * lane_stride_, LineRel{});
-  // Invalid ways stamp 0; the lru column's padding lanes hold the
-  // never-wins sentinel so the vector victim scan can run whole padded
-  // sets. Set in every build -- the layout is REAP_SIMD-independent by
-  // design.
-  for (std::size_t s = 0; s < sets_; ++s) {
-    std::uint64_t* lru = lru_.data() + s * stride_;
-    std::fill_n(lru, cfg_.ways, std::uint64_t{0});
-    std::fill_n(lru + cfg_.ways, stride_ - cfg_.ways, simd::kLruPad);
+    full = true;
   }
-  std::fill(state_.begin(), state_.end(), LineState{});
+  if (full) {
+    // Zero = invalid tagv / LineRel{0,0}, in every allocated lane.
+    std::fill_n(tags_.data(), tags_.size(), std::uint64_t{0});
+    std::fill_n(rel_.data(), rel_.size(), LineRel{});
+    // Invalid ways stamp 0; the lru column's padding lanes hold the
+    // never-wins sentinel so the vector victim scan can run whole padded
+    // sets. Set in every build -- the layout is REAP_SIMD-independent by
+    // design.
+    for (std::size_t s = 0; s < sets_; ++s) {
+      std::uint64_t* lru = lru_.data() + s * stride_;
+      std::fill_n(lru, cfg_.ways, std::uint64_t{0});
+      std::fill_n(lru + cfg_.ways, stride_ - cfg_.ways, simd::kLruPad);
+    }
+    std::fill(state_.begin(), state_.end(), LineState{});
+    std::fill(is_touched_.begin(), is_touched_.end(), std::uint8_t{0});
+    cleared_ = true;
+  } else {
+    for (const std::uint32_t s : touched_) {
+      clear_set(s, pass_lanes);
+      is_touched_[s] = 0;
+    }
+  }
+  touched_.clear();
   stats_ = {};
   hooks_ = nullptr;
   ones_ = {};
@@ -58,17 +74,30 @@ void SetAssocCache::reset(std::uint64_t seed, std::size_t lanes) {
   rng_.reseed(seed);
 }
 
+void SetAssocCache::clear_set(std::size_t set, std::size_t lanes) {
+  const std::size_t base = set * stride_;
+  std::fill_n(&tags_[base], stride_, std::uint64_t{0});
+  for (std::size_t l = 0; l < lanes; ++l)
+    std::fill_n(&rel_[l * lane_stride_ + base], stride_, LineRel{});
+  std::fill_n(&lru_[base], cfg_.ways, std::uint64_t{0});
+  std::fill_n(&lru_[base] + cfg_.ways, stride_ - cfg_.ways, simd::kLruPad);
+  std::fill_n(&state_[base], stride_, LineState{});
+}
+
 SetAssocCache::LineInfo SetAssocCache::line_info(std::size_t set,
-                                                 std::size_t way) const {
+                                                 std::size_t way,
+                                                 std::size_t lane) const {
   REAP_EXPECTS(set < sets_);
   REAP_EXPECTS(way < cfg_.ways);
+  REAP_EXPECTS(lane < lanes_);
   const std::size_t idx = set * stride_ + way;
+  const LineRel& rel = rel_[lane * lane_stride_ + idx];
   LineInfo info;
   info.valid = state_[idx].valid;
   info.dirty = state_[idx].dirty;
   info.tag = tags_[idx] >> 1;
-  info.ones = rel_[idx].ones;
-  info.reads_since_check = rel_[idx].reads_since_check;
+  info.ones = rel.ones;
+  info.reads_since_check = rel.reads_since_check;
   info.lru_stamp = lru_[idx];
   info.fill_stamp = state_[idx].fill_stamp;
   return info;

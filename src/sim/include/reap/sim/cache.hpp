@@ -267,6 +267,13 @@ class SetAssocCache {
   // reset(seed), so a reset cache and a fresh SetAssocCache(cfg, seed)
   // cannot drift apart. More than one lane requires a replacement policy
   // that does not read the rel column (anything but least_error_rate).
+  //
+  // The work is proportional to the pass being undone: only sets filled
+  // since the last reset are re-zeroed (fill is the one way a line turns
+  // valid, and nothing writes a set with no valid line). It falls back to
+  // clearing every column on first use, when the lane columns grow, and
+  // when most sets were filled. Invariant: every set not in touched_ is
+  // in reset state in every allocated lane.
   void reset(std::uint64_t seed, std::size_t lanes = 1);
 
   // The distance in entries between two reliability lanes' columns.
@@ -363,6 +370,10 @@ class SetAssocCache {
       ++stats_.evictions;
       if (st.dirty) ++stats_.dirty_evictions;
     }
+    if (!is_touched_[set]) {
+      is_touched_[set] = 1;
+      touched_.push_back(static_cast<std::uint32_t>(set));
+    }
     tags_[idx] = (tag << 1) | 1;
     st.valid = true;
     st.dirty = dirty;
@@ -399,7 +410,8 @@ class SetAssocCache {
   bool invalidate(std::uint64_t addr);
 
   // Snapshot of one line for tests and diagnostics; ones and
-  // reads_since_check are lane 0's.
+  // reads_since_check are reliability lane `lane`'s (lane < lanes of the
+  // last reset).
   struct LineInfo {
     bool valid = false;
     bool dirty = false;
@@ -409,7 +421,8 @@ class SetAssocCache {
     std::uint64_t lru_stamp = 0;
     std::uint64_t fill_stamp = 0;
   };
-  LineInfo line_info(std::size_t set, std::size_t way) const;
+  LineInfo line_info(std::size_t set, std::size_t way,
+                     std::size_t lane = 0) const;
 
   std::size_t set_of(std::uint64_t addr) const {
     return (addr >> offset_bits_) & (sets_ - 1);
@@ -501,6 +514,8 @@ class SetAssocCache {
   }
 
   std::size_t victim_way_rare(std::size_t set);
+  // Returns one set to reset state in reliability lanes [0, lanes).
+  void clear_set(std::size_t set, std::size_t lanes);
   void touch(std::size_t idx) { lru_[idx] = ++clock_; }
 
   CacheConfig cfg_;
@@ -514,6 +529,11 @@ class SetAssocCache {
   simd::AlignedVec<LineRel> rel_;         // hot reliability columns
   simd::AlignedVec<std::uint64_t> lru_;   // hot lru-stamp column
   std::vector<LineState> state_;          // cold valid/dirty/fifo column
+  // Sets filled since the last reset, in first-fill order, and a per-set
+  // membership flag; what reset() re-zeroes.
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint8_t> is_touched_;
+  bool cleared_ = false;  // every column has been zeroed at least once
   CacheStats stats_;
   L2PolicyHooks* hooks_ = nullptr;
   OnesProvider ones_;

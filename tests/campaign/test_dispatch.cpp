@@ -8,6 +8,7 @@
 // failure, not a success.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -286,6 +287,28 @@ TEST(Dispatch, MissingWorkerBinaryIsAnImmediateError) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("cannot exec"), std::string::npos)
       << result.error;
+}
+
+// The supervisor blocks on the workers' exit descriptors between ticks,
+// so a shard that finishes is reaped at once, not a poll_interval later.
+// With a tick far longer than the work, a run that slept out its ticks
+// would take at least one; one that wakes on exit takes a fraction.
+TEST(Dispatch, WakesWhenAWorkerExitsInsteadOfSleepingOutTheTick) {
+  {
+    auto probe = common::Child::spawn({"/bin/true"});
+    ASSERT_TRUE(probe);
+    if (probe->exit_fd() < 0) GTEST_SKIP() << "no pidfd_open on this kernel";
+  }
+  const auto kv = spec_kv(2000);
+  auto opts = base_opts(fresh_dir("dispatch_wake"));
+  opts.workers = 1;
+  opts.poll_interval = std::chrono::seconds(20);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = Dispatcher(kv, opts).run();
+  const auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.shards.at(0).rows, 8u);
+  EXPECT_LT(took, opts.poll_interval / 2);
 }
 
 TEST(Dispatch, RejectsABadSpecBeforeLaunchingAnything) {

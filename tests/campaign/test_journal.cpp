@@ -1,16 +1,25 @@
 // Execution journal: round trip, torn-tail tolerance, per-row CRC
 // classification (torn vs corrupt), v1 compatibility, append/rewrite,
-// compatibility checks, row merging, and the progress line.
+// compatibility checks, row merging, live tailing, the one row parser
+// against the readers it replaced, and the progress line.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "reap/campaign/journal.hpp"
 #include "reap/campaign/progress.hpp"
+#include "reap/campaign/report.hpp"
 #include "reap/campaign/spec.hpp"
+#include "reap/common/crc32c.hpp"
 #include "reap/common/fault.hpp"
+#include "reap/common/jsonl.hpp"
+#include "reap/common/strings.hpp"
+#include "reap/core/config_kv.hpp"
+#include "reap/core/experiment.hpp"
 
 namespace reap::campaign {
 namespace {
@@ -483,6 +492,429 @@ TEST(JournalTailer, SurvivesResumeStyleShrinkWithoutDoubleCounting) {
   EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k2"}));
   EXPECT_EQ(tailer.rows_seen(), 3u);
   std::remove(path.c_str());
+}
+
+// A resume that drops a corrupt middle row rewrites the journal, and the
+// resumed worker's appends can grow it back past the tailer's old offset
+// before the next poll. Only the file's identity says it was replaced;
+// resuming at the old offset would start mid-line and lose the rows in
+// between, and the dispatcher would count those points as not done.
+TEST(JournalTailer, NoticesAReplacedJournalThatGrewPastTheOldOffset) {
+  const auto spec = small_spec();
+  const auto path = temp_path("journal_tail_replaced.jsonl");
+  {
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
+    for (std::size_t i = 0; i < 5; ++i)
+      writer.add("k" + std::to_string(i), fake_cells(i));
+  }
+  auto lines = file_lines(path);
+  {
+    const auto at = lines[3].find("mcf");  // damage k2's row
+    ASSERT_NE(at, std::string::npos);
+    lines[3].replace(at, 3, "mcg");
+  }
+  write_lines(path, lines);
+
+  JournalTailer tailer(path);
+  EXPECT_EQ(tailer.poll(),
+            (std::vector<std::string>{"k0", "k1", "k3", "k4"}));
+
+  // Resume: drop the corrupt row, rewrite, re-run k2, carry on.
+  auto journal = read_journal(path);
+  ASSERT_TRUE(journal);
+  ASSERT_EQ(journal->corrupt.size(), 1u);
+  std::string error;
+  ASSERT_TRUE(rewrite_journal(path, *journal, &error)) << error;
+  {
+    JournalWriter writer(path);
+    for (const std::size_t i : {2, 5, 6})
+      writer.add("k" + std::to_string(i), fake_cells(i));
+  }
+  EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k2", "k5", "k6"}));
+  EXPECT_EQ(tailer.rows_seen(), 7u);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The one row parser, checked against the readers it replaced.
+
+// Today's reading of a journal line, kept verbatim as the reference: the
+// copying JSONL parser and the split-then-parse CRC check.
+std::optional<common::JsonlFields> reference_jsonl(const std::string& line) {
+  const auto parse_string = [&line](std::size_t& i, std::string& out) {
+    ++i;
+    out.clear();
+    while (i < line.size()) {
+      const char c = line[i];
+      if (c == '"') {
+        ++i;
+        return true;
+      }
+      if (c == '\\') {
+        if (i + 1 >= line.size()) return false;
+        switch (line[i + 1]) {
+          case '"': out += '"'; break;
+          case '\\': out += '\\'; break;
+          case '/': out += '/'; break;
+          case 'n': out += '\n'; break;
+          case 't': out += '\t'; break;
+          case 'r': out += '\r'; break;
+          default: return false;
+        }
+        i += 2;
+      } else {
+        out += c;
+        ++i;
+      }
+    }
+    return false;
+  };
+  common::JsonlFields fields;
+  std::size_t i = 0;
+  const auto skip_ws = [&] {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+  };
+  const auto at_end = [&] {
+    ++i;
+    skip_ws();
+    return i == line.size() ? std::optional(fields) : std::nullopt;
+  };
+  skip_ws();
+  if (i >= line.size() || line[i] != '{') return std::nullopt;
+  ++i;
+  skip_ws();
+  if (i < line.size() && line[i] == '}') return at_end();
+  while (true) {
+    skip_ws();
+    if (i >= line.size() || line[i] != '"') return std::nullopt;
+    std::string key;
+    if (!parse_string(i, key)) return std::nullopt;
+    skip_ws();
+    if (i >= line.size() || line[i] != ':') return std::nullopt;
+    ++i;
+    skip_ws();
+    if (i >= line.size()) return std::nullopt;
+    std::string value;
+    if (line[i] == '"') {
+      if (!parse_string(i, value)) return std::nullopt;
+    } else {
+      const auto end = line.find_first_of(",}", i);
+      if (end == std::string::npos || end == i) return std::nullopt;
+      value = line.substr(i, end - i);
+      if (value.find_first_of("{[\"") != std::string::npos)
+        return std::nullopt;
+      i = end;
+    }
+    fields.emplace_back(std::move(key), std::move(value));
+    skip_ws();
+    if (i >= line.size()) return std::nullopt;
+    if (line[i] == ',') {
+      ++i;
+      continue;
+    }
+    if (line[i] == '}') return at_end();
+    return std::nullopt;
+  }
+}
+
+struct RefRow {
+  RowVerdict verdict = RowVerdict::malformed;
+  bool parses = false;  // the body is well-formed flat JSONL
+  std::optional<std::string> key;  // first field's value, if named "key"
+  JournalRow row;
+};
+
+RefRow reference_row(const std::string& line,
+                     const std::vector<std::string>& columns) {
+  RefRow ref;
+  std::string body = line;
+  const auto pos = line.rfind(",\"crc\":\"");
+  if (pos != std::string::npos) {
+    const auto tail = line.substr(pos + 8);
+    if (tail.size() == 10 && tail.substr(8) == "\"}") {
+      std::uint32_t stored = 0;
+      if (!common::parse_hex32(tail.substr(0, 8), stored)) return ref;
+      body = line.substr(0, pos) + "}";
+      if (common::crc32c(body) != stored) {
+        ref.verdict = RowVerdict::bad_crc;
+        return ref;
+      }
+    }
+  }
+  const auto fields = reference_jsonl(body);
+  if (!fields) return ref;
+  ref.parses = true;
+  if (!fields->empty() && (*fields)[0].first == "key")
+    ref.key = (*fields)[0].second;
+  if (fields->size() != columns.size() + 1 || !ref.key) return ref;
+  ref.row.key = *ref.key;
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if ((*fields)[i + 1].first != columns[i]) return ref;
+    ref.row.cells.push_back((*fields)[i + 1].second);
+  }
+  if (columns.empty() || columns[0] != "index" ||
+      !common::parse_u64(ref.row.cells[0], ref.row.index))
+    return ref;
+  ref.verdict = RowVerdict::ok;
+  return ref;
+}
+
+// Rows of real experiments (tiny windows), two of them with quotes and
+// backslashes in the string cells, as JournalWriter serializes them
+// (through a temporary file named after the calling test: ctest runs the
+// tests of this file in parallel processes).
+std::vector<std::string> real_row_lines() {
+  auto spec = small_spec();
+  spec.base.instructions = 2000;
+  spec.base.warmup_instructions = 200;
+  const auto points = expand(spec);
+  const auto path =
+      temp_path(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  {
+    JournalWriter writer(path, JournalHeader::for_run(spec, points.size(),
+                                                      0, 1));
+    for (const auto& p : points) {
+      auto cells = result_cells(p, core::run_experiment(p.config));
+      if (p.index == 1) {
+        cells[1] = "mc\"f\\";                             // workload
+        cells.back() = "workload=\"a b\" path=C:\\x\\ \\\""; // config
+      }
+      if (p.index == 2) cells.back() += " note=\\\"quoted\\\"";
+      writer.add(p.key, cells);
+    }
+  }
+  auto lines = file_lines(path);
+  std::remove(path.c_str());
+  lines.erase(lines.begin());  // the header
+  return lines;
+}
+
+// A v2 line's v1 form: the body the checksum covers.
+std::string v1_of(const std::string& line) {
+  return line.substr(0, line.rfind(",\"crc\":\"")) + "}";
+}
+
+// A body with a fresh checksum suffix, as JournalWriter would close it.
+std::string with_crc(const std::string& body) {
+  return body.substr(0, body.size() - 1) + ",\"crc\":\"" +
+         common::fmt_hex32(common::crc32c(body)) + "\"}";
+}
+
+std::string replace_all(std::string s, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = s.find(from); at != std::string::npos;
+       at = s.find(from, at + to.size()))
+    s.replace(at, from.size(), to);
+  return s;
+}
+
+// Every line the differential tests feed through the readers.
+std::vector<std::string> mutated_lines() {
+  const auto rows = real_row_lines();
+  std::vector<std::string> out;
+  for (const auto& line : rows) {
+    out.push_back(line);
+    out.push_back(v1_of(line));
+  }
+  // Every single-byte flip of a plain row and of an escaped one, and
+  // truncation at every length.
+  for (const auto* line : {&rows[0], &rows[1]}) {
+    for (std::size_t i = 0; i < line->size(); ++i) {
+      for (const unsigned char mask : {0x01, 0x02, 0x20, 0x80}) {
+        std::string flipped = *line;
+        flipped[i] = static_cast<char>(flipped[i] ^ mask);
+        out.push_back(flipped);
+      }
+      out.push_back(line->substr(0, i));
+    }
+  }
+  // Whitespace around ':' and ',' and around the object, under a stale
+  // checksum, a recomputed one, and none.
+  for (const auto& line : {rows[0], rows[2]}) {
+    const auto body = v1_of(line);
+    for (const auto& spaced :
+         {replace_all(body, "\":", "\" :\t"), replace_all(body, ",\"", " ,  \""),
+          replace_all(replace_all(body, ":", ": "), ",", "\t, "),
+          " \t" + body + "  ", "{ " + body.substr(1)}) {
+      out.push_back(spaced);
+      out.push_back(with_crc(spaced));
+      out.push_back(spaced.substr(0, spaced.size() - 1) +
+                    line.substr(line.rfind(",\"crc\":\"")));
+    }
+  }
+  // Missing, extra and reordered fields, with and without a checksum.
+  {
+    const auto body = v1_of(rows[0]);
+    std::vector<std::string> fields;  // the body's `"name":value` pieces
+    const auto inner = body.substr(1, body.size() - 2);
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= inner.size(); ++i) {
+      if (i == inner.size() || (inner[i] == ',' && inner[i + 1] == '"')) {
+        fields.push_back(inner.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+    const auto join = [](const std::vector<std::string>& parts) {
+      std::string s = "{";
+      for (std::size_t i = 0; i < parts.size(); ++i)
+        s += (i ? "," : "") + parts[i];
+      return s + "}";
+    };
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      auto missing = fields;
+      missing.erase(missing.begin() + static_cast<long>(i));
+      auto extra = fields;
+      extra.insert(extra.begin() + static_cast<long>(i), "\"extra\":1");
+      auto swapped = fields;
+      std::swap(swapped[i], swapped[(i + 1) % fields.size()]);
+      auto renamed = fields;
+      renamed[i] = "\"renamed\"" + renamed[i].substr(renamed[i].find(':'));
+      for (const auto& parts : {missing, extra, swapped, renamed}) {
+        out.push_back(join(parts));
+        out.push_back(with_crc(join(parts)));
+      }
+    }
+    out.push_back("{}");
+    out.push_back(with_crc("{}"));
+    out.push_back(with_crc("{\"key\":\"k\"}"));
+  }
+  // Suffix look-alikes: a crc field of the wrong length, a second crc
+  // field, uppercase hex, and a raw-token checksum.
+  {
+    const auto body = v1_of(rows[0]);
+    const auto open = body.substr(0, body.size() - 1);
+    out.push_back(open + ",\"crc\":\"abc\"}");
+    out.push_back(open + ",\"crc\":\"0123456789\"}");
+    out.push_back(with_crc(body) + "\n");
+    out.push_back(with_crc(body + " "));
+    out.push_back(with_crc(with_crc(body)));
+    std::string upper = with_crc(body);
+    for (auto i = upper.size() - 10; i < upper.size() - 2; ++i)
+      upper[i] = static_cast<char>(std::toupper(upper[i]));
+    out.push_back(upper);
+    out.push_back(open + ",\"crc\":12345678}");
+  }
+  return out;
+}
+
+TEST(JournalRowParser, MatchesTheReadersItReplacedOnEveryMutation) {
+  const auto columns = result_header();
+  const auto lines = mutated_lines();
+  ASSERT_GT(lines.size(), 1000u);
+  std::size_t ok = 0, bad_crc = 0, malformed = 0;
+  JournalRowParser parser;
+  for (const auto& line : lines) {
+    SCOPED_TRACE(line);
+    const auto ref = reference_row(line, columns);
+    JournalRow row;
+    const auto verdict = parser.parse(line, columns, row);
+    ASSERT_EQ(verdict, ref.verdict);
+    if (verdict == RowVerdict::ok) {
+      EXPECT_EQ(row.key, ref.row.key);
+      EXPECT_EQ(row.index, ref.row.index);
+      EXPECT_EQ(row.cells, ref.row.cells);
+    }
+    // The tailer's weaker question, "a sound line leading with a key?",
+    // gets the reference's answer too.
+    const bool sound = parser.scan(line) == RowVerdict::ok;
+    EXPECT_EQ(sound && parser.has_key(), ref.parses && ref.key.has_value());
+    if (sound && parser.has_key()) {
+      EXPECT_EQ(parser.fields()[0].value_text(), *ref.key);
+    }
+    ok += verdict == RowVerdict::ok;
+    bad_crc += verdict == RowVerdict::bad_crc;
+    malformed += verdict == RowVerdict::malformed;
+  }
+  // The corpus exercises every verdict, not just the rejections.
+  EXPECT_GT(ok, 20u);
+  EXPECT_GT(bad_crc, 100u);
+  EXPECT_GT(malformed, 100u);
+}
+
+// read_journal, JournalTailer::poll and load_rows (what reap_report and
+// the dispatcher's merge read) share the parser, so they agree on every
+// line: a row one accepts, the others accept with the same cells; a line
+// one rejects for its checksum or syntax, all reject. The tailer only
+// counts keys, so it alone accepts a sound keyed line of the wrong shape.
+TEST(JournalRowParser, EveryReaderAgreesOnEveryLine) {
+  const auto spec = small_spec();
+  const auto columns = result_header();
+  const auto path = temp_path("journal_agree.jsonl");
+  {
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
+    writer.add("good", fake_cells(7));
+  }
+  auto base = file_lines(path);
+  ASSERT_EQ(base.size(), 2u);
+
+  for (const auto& line : mutated_lines()) {
+    if (line.empty() || line.find('\n') != std::string::npos) continue;
+    SCOPED_TRACE(line);
+    const auto ref = reference_row(line, columns);
+    for (const bool last : {false, true}) {
+      write_lines(path, last ? std::vector{base[0], base[1], line}
+                             : std::vector{base[0], line, base[1]});
+      const auto journal = read_journal(path);
+      ASSERT_TRUE(journal);
+      const bool accepted = journal->rows.size() == 2;
+      EXPECT_EQ(accepted, ref.verdict == RowVerdict::ok);
+      EXPECT_EQ(journal->truncated_tail,
+                last && ref.verdict == RowVerdict::malformed);
+
+      std::string error;
+      const auto table = load_rows(path, &error);
+      // A report refuses damage; only a torn last line is tolerated.
+      const bool torn_tail = last && ref.verdict == RowVerdict::malformed;
+      EXPECT_EQ(table.has_value(), accepted || torn_tail) << error;
+      if (table && accepted) {
+        ASSERT_EQ(table->rows.size(), 2u);
+        const auto& cells = journal->rows[last ? 1 : 0].cells;
+        EXPECT_EQ(table->rows[last ? 1 : 0], cells);
+        EXPECT_EQ(cells, ref.row.cells);
+      }
+
+      JournalTailer tailer(path);
+      const auto keys = tailer.poll();
+      std::vector<std::string> expected = {"good"};
+      if (ref.parses && ref.key && *ref.key != "good")
+        expected.insert(last ? expected.end() : expected.begin(), *ref.key);
+      EXPECT_EQ(keys, expected);
+      if (accepted) {
+        EXPECT_EQ(keys.size(), 2u);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The aggregate's partner key, built in place, against the kv_parse form
+// it replaced: real config strings, and crafted ones with repeated keys,
+// bare keys, empty values and odd whitespace.
+TEST(PartnerKey, MatchesTheKvParseForm) {
+  const auto reference = [](const std::string& config) {
+    auto kv = core::kv_parse(config);
+    kv.erase("policy");
+    std::string out;
+    for (const auto& [k, v] : kv) {
+      if (!out.empty()) out += ' ';
+      out += k + "=" + v;
+    }
+    return out;
+  };
+  auto spec = small_spec();
+  spec.ecc_ts = {1, 2};
+  spec.read_ratios = {0.5, 0.693};
+  std::vector<std::string> configs;
+  for (const auto& p : expand(spec))
+    configs.push_back(core::to_kv_string(p.config));
+  for (const char* crafted :
+       {"", "   ", "policy=reap", "a=1  b=2", " policy=reap a=1 a=2 ",
+        "b=1 a=2 b=3 policy=x policy=y", "x y=  z=3\t\tw=\n", "=v k",
+        "k==v k=", "a=1\r\vb=2\fc=3", "workload=mcf policy=reap workload=lbm",
+        "ü=1 a=2", "policy"})
+    configs.emplace_back(crafted);
+  for (const auto& config : configs)
+    EXPECT_EQ(partner_key(config), reference(config)) << config;
 }
 
 TEST(Progress, ReportsRateElapsedAndEta) {

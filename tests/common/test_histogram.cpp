@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 namespace reap::common {
 namespace {
 
@@ -82,6 +85,44 @@ TEST(LogHistogram, RenderNormalization) {
   // row shows 0.005.
   const std::string s = h.render("freq", "fail", 200.0);
   EXPECT_NE(s.find("0.005"), std::string::npos);
+}
+
+// clear() keeps the bin layout and forgets the samples: what it leaves
+// must be indistinguishable from a fresh histogram of the same shape, for
+// the default shape (whose edges are computed once and shared) and
+// another.
+TEST(LogHistogram, ClearMatchesFresh) {
+  const auto same = [](const LogHistogram& a, const LogHistogram& b) {
+    EXPECT_EQ(a.total_count(), b.total_count());
+    EXPECT_EQ(a.total_weight(), b.total_weight());
+    EXPECT_EQ(a.overflow(), b.overflow());
+    EXPECT_EQ(a.max_sample(), b.max_sample());
+    EXPECT_EQ(a.render("n", "w"), b.render("n", "w"));
+    const auto x = a.nonempty_bins();
+    const auto y = b.nonempty_bins();
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(std::tie(x[i].lo, x[i].hi, x[i].count),
+                std::tie(y[i].lo, y[i].hi, y[i].count));
+      EXPECT_EQ(x[i].weight, y[i].weight);
+    }
+  };
+  for (const auto& [per_decade, max] :
+       {std::pair<unsigned, std::uint64_t>{8, 10'000'000}, {3, 5000}}) {
+    LogHistogram used(per_decade, max);
+    for (std::uint64_t v : {0ull, 1ull, 7ull, 99ull, 4999ull, 20'000'000ull})
+      used.add(v, 0.25);
+    used.clear();
+    const LogHistogram fresh(per_decade, max);
+    same(used, fresh);
+    // And both bin the same samples the same way afterwards.
+    LogHistogram reference(per_decade, max);
+    for (std::uint64_t v = 0; v <= 6000; v += 37) {
+      used.add(v, 1e-9 * double(v));
+      reference.add(v, 1e-9 * double(v));
+    }
+    same(used, reference);
+  }
 }
 
 TEST(LinearHistogram, BinsAndEdges) {

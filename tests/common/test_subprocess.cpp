@@ -1,6 +1,7 @@
 // Child-process helper: exit/signal decoding, log redirection, exec
 // failure reporting, kill, and the parse_shard CLI helper it ships with.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <csignal>
 #include <cstdio>
@@ -67,6 +68,22 @@ TEST(Subprocess, KillReportsTheSignal) {
   // poll() after reaping keeps returning the cached status.
   ASSERT_TRUE(child->poll());
   EXPECT_EQ(child->poll()->signal, SIGKILL);
+}
+
+// The exit descriptor is what a supervisor blocks on: quiet while the
+// child runs, readable once it has exited, and the status is then there
+// to collect without blocking.
+TEST(Subprocess, ExitFdTurnsReadableWhenTheChildExits) {
+  auto child = Child::spawn({"sleep", "30"});
+  ASSERT_TRUE(child);
+  if (child->exit_fd() < 0) GTEST_SKIP() << "no pidfd_open on this kernel";
+  pollfd pfd{child->exit_fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 50), 0);  // still sleeping
+  child->kill(SIGTERM);
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  const auto status = child->poll();
+  ASSERT_TRUE(status);
+  EXPECT_EQ(status->signal, SIGTERM);
 }
 
 TEST(ParseShard, AcceptsIOfNAndRejectsGarbage) {

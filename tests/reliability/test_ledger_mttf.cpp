@@ -47,6 +47,33 @@ TEST(Ledger, ResetClearsEverything) {
   EXPECT_EQ(l.histogram().total_count(), 0u);
 }
 
+// A ledger reset between passes must leave nothing a fresh ledger would
+// not have: totals, check count, and every histogram bin.
+TEST(Ledger, ResetMatchesAFreshLedger) {
+  FailureLedger used;
+  for (std::uint64_t c : {0ull, 3ull, 3ull, 250ull, 90'000'000ull})
+    used.record_check(c, 1e-9 * double(c + 1));
+  used.record_unattributed(1e-6);
+  used.reset();
+  const auto record = [](FailureLedger& l) {
+    for (std::uint64_t c = 0; c < 5000; c += 7) l.record_check(c, 1e-12 * c);
+    l.record_unattributed(1e-7);
+  };
+  FailureLedger fresh;
+  EXPECT_EQ(used.histogram().render("n", "w"),
+            fresh.histogram().render("n", "w"));
+  EXPECT_EQ(used.max_concealed(), 0u);
+  EXPECT_EQ(used.histogram().overflow(), 0u);
+  record(used);
+  record(fresh);
+  EXPECT_EQ(used.total_failure_prob(), fresh.total_failure_prob());
+  EXPECT_EQ(used.checks(), fresh.checks());
+  EXPECT_EQ(used.max_concealed(), fresh.max_concealed());
+  EXPECT_EQ(used.histogram().total_weight(), fresh.histogram().total_weight());
+  EXPECT_EQ(used.histogram().render("n", "w"),
+            fresh.histogram().render("n", "w"));
+}
+
 TEST(Mttf, BasicRateArithmetic) {
   const auto r = compute_mttf(1e-6, 2.0);
   EXPECT_DOUBLE_EQ(r.failure_rate_per_s, 5e-7);

@@ -269,29 +269,63 @@ TEST(Cache, StatsResetKeepsContents) {
   EXPECT_TRUE(c.probe(mk_addr(1, 0)));  // contents survive
 }
 
-// Static hooks that keep the reliability column moving, so LER victims
-// depend on it: every read lookup accumulates over its set and checks the
-// hit way.
-struct AccumulatingHooks {
+// Every way of every set, invalid ways included, in reliability lanes
+// [0, lanes).
+void expect_same_state(const SetAssocCache& a, const SetAssocCache& b,
+                       std::size_t lanes = 1) {
+  const auto stats = [](const CacheStats& s) {
+    return std::tuple(s.read_lookups, s.read_hits, s.write_lookups,
+                      s.write_hits, s.fills, s.evictions, s.dirty_evictions);
+  };
+  EXPECT_EQ(stats(a.stats()), stats(b.stats()));
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t s = 0; s < a.config().sets(); ++s) {
+      for (std::size_t w = 0; w < a.config().ways; ++w) {
+        const auto x = a.line_info(s, w, l);
+        const auto y = b.line_info(s, w, l);
+        EXPECT_EQ(std::tuple(x.valid, x.dirty, x.tag, x.ones,
+                             x.reads_since_check, x.lru_stamp, x.fill_stamp),
+                  std::tuple(y.valid, y.dirty, y.tag, y.ones,
+                             y.reads_since_check, y.lru_stamp, y.fill_stamp))
+            << "lane " << l << " set " << s << " way " << w;
+      }
+    }
+  }
+}
+
+// Static hooks that keep every reliability lane's column moving, so LER
+// victims depend on it and a reset that skipped a lane would show: each
+// read lookup accumulates over its set in every lane, and lanes 0, 3, 6,
+// 9 check the hit way.
+struct LaneHooks {
+  std::size_t lanes = 1;
   void on_read_lookup(CacheSetView set, int hit_way) {
-    set.accumulate_valid();
-    if (hit_way >= 0)
-      set.rel(static_cast<std::size_t>(hit_way)).reads_since_check = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const CacheSetView lane = set.lane(l);
+      lane.accumulate_valid();
+      if (hit_way >= 0 && l % 3 == 0)
+        lane.rel(static_cast<std::size_t>(hit_way)).reads_since_check = 0;
+    }
   }
   void on_write_lookup(CacheSetView, int) {}
   void on_fill(LineRel&) {}
   void on_evict(LineRel&, bool) {}
 };
 
-// Random reads and writes (filling on a miss) over 16 tags x 8 sets of a
-// 64 B-block, 8-set cache; returns the hit and victim sequence.
-std::vector<std::uint64_t> drive(SetAssocCache& c, std::uint64_t seed,
-                                 int ops) {
+// Random reads and writes (filling on a miss) over 16 tags x the
+// `n_sets` sets from `first_set` on; returns the hit and victim sequence.
+std::vector<std::uint64_t> drive_sets(SetAssocCache& c, std::size_t lanes,
+                                      std::size_t first_set,
+                                      std::size_t n_sets, std::uint64_t seed,
+                                      int ops) {
   common::Rng rng(seed);
-  AccumulatingHooks hooks;
+  LaneHooks hooks{lanes};
+  const unsigned tag_shift = c.offset_bits() + c.index_bits();
   std::vector<std::uint64_t> log;
   for (int i = 0; i < ops; ++i) {
-    const std::uint64_t addr = (rng.below(16) << 9) | (rng.below(8) << 6);
+    const std::uint64_t set = first_set + rng.below(n_sets);
+    const std::uint64_t addr =
+        (rng.below(16) << tag_shift) | (set << c.offset_bits());
     const bool store = rng.chance(0.3);
     const bool hit = store ? c.write(addr, hooks) : c.read(addr, hooks);
     log.push_back(hit);
@@ -303,25 +337,13 @@ std::vector<std::uint64_t> drive(SetAssocCache& c, std::uint64_t seed,
   return log;
 }
 
-void expect_same_state(const SetAssocCache& a, const SetAssocCache& b) {
-  const auto stats = [](const CacheStats& s) {
-    return std::tuple(s.read_lookups, s.read_hits, s.write_lookups,
-                      s.write_hits, s.fills, s.evictions, s.dirty_evictions);
-  };
-  EXPECT_EQ(stats(a.stats()), stats(b.stats()));
-  for (std::size_t s = 0; s < a.config().sets(); ++s) {
-    for (std::size_t w = 0; w < a.config().ways; ++w) {
-      const auto x = a.line_info(s, w);
-      const auto y = b.line_info(s, w);
-      EXPECT_EQ(std::tuple(x.valid, x.dirty, x.tag, x.ones,
-                           x.reads_since_check, x.lru_stamp, x.fill_stamp),
-                std::tuple(y.valid, y.dirty, y.tag, y.ones,
-                           y.reads_since_check, y.lru_stamp, y.fill_stamp))
-          << "set " << s << " way " << w;
-    }
-  }
-}
-
+// reset() re-zeroes only the sets filled since the last reset (or every
+// column, when most sets were filled or the lane columns grew). Either
+// way the cache must be indistinguishable from a fresh one: after passes
+// that fill a few sets and passes that fill all of them, across lane
+// counts that grow, shrink and grow again. Each pass runs on the reset
+// cache and on a fresh one side by side, so it also checks that the same
+// traffic takes the same path through both.
 TEST(CacheReset, IndistinguishableFromAFreshCache) {
   for (const ReplacementKind kind :
        {ReplacementKind::lru, ReplacementKind::fifo,
@@ -330,26 +352,51 @@ TEST(CacheReset, IndistinguishableFromAFreshCache) {
     // 3 ways: the per-set stride is padded to 4, so reset must restore
     // the padding lanes too.
     const CacheConfig cfg{.name = "t",
-                          .capacity_bytes = 8 * 3 * 64,
+                          .capacity_bytes = 64 * 3 * 64,
                           .ways = 3,
                           .block_bytes = 64,
                           .replacement = kind};
+    const std::size_t few = 3, most = cfg.sets();
+    // (lanes, sets filled) per pass: lane counts 1 -> 10 -> 2 -> 10, each
+    // with passes over few and over most sets. Successive few-set passes
+    // fill different sets, so a lane a reset missed is still dirty when a
+    // later pass widens the lanes again. Least-error-rate replacement
+    // reads the rel column, so it gets one lane throughout.
+    std::vector<std::pair<std::size_t, std::size_t>> passes = {
+        {1, few},  {1, most}, {1, few},  {10, few}, {10, most},
+        {10, few}, {2, few},  {10, few}, {2, most}, {2, few},
+        {10, few}, {10, most}, {10, few}};
+    if (kind == ReplacementKind::least_error_rate)
+      for (auto& pass : passes) pass.first = 1;
+
     SetAssocCache used(cfg, 7);
     RecordingHooks recorder;
     used.set_hooks(&recorder);
     used.set_ones_provider(OnesProvider::fixed(100));
-    drive(used, 1, 3000);
+    SetAssocCache fresh(cfg, 7);
+    fresh.set_ones_provider(OnesProvider::fixed(100));
+    std::uint64_t seed = 7;
+    for (std::size_t i = 0; i < passes.size(); ++i) {
+      const auto [lanes, sets] = passes[i];
+      const std::size_t next_lanes =
+          i + 1 < passes.size() ? passes[i + 1].first : lanes;
+      SCOPED_TRACE(testing::Message() << "pass " << i << ": " << lanes
+                                      << " lanes over " << sets
+                                      << " sets, then " << next_lanes);
+      const std::size_t first = sets == most ? 0 : (5 * i) % (most - few);
+      EXPECT_EQ(drive_sets(used, lanes, first, sets, seed, 1500),
+                drive_sets(fresh, lanes, first, sets, seed, 1500));
+      expect_same_state(used, fresh, lanes);
 
-    used.reset(42);
-    const SetAssocCache fresh_ref(cfg, 42);
-    EXPECT_EQ(used.hooks(), nullptr);
-    expect_same_state(used, fresh_ref);
-
-    // The same traffic must take the same path through both; fills after
-    // the reset use the default ones count, not the dropped provider.
-    SetAssocCache fresh(cfg, 42);
-    EXPECT_EQ(drive(used, 2, 3000), drive(fresh, 2, 3000));
-    expect_same_state(used, fresh);
+      // Fills after the reset use the default ones count, not the
+      // dropped provider.
+      ++seed;
+      used.reset(seed, next_lanes);
+      EXPECT_EQ(used.hooks(), nullptr);
+      fresh = SetAssocCache(cfg, seed);
+      fresh.reset(seed, next_lanes);
+      expect_same_state(used, fresh, next_lanes);
+    }
   }
 }
 
