@@ -158,14 +158,10 @@ struct Lane {
 
 // The L2 hooks of a simulation pass: each hook call fans out to every
 // lane's policy, over that lane's reliability column (SetAssocCache lanes).
-// The cache hands fill/evict hooks lane 0's entry of the line; lane l's
-// entry sits l * lane_stride entries further on in the same column block.
 class LaneHooks {
  public:
-  LaneHooks(std::vector<AnyPolicyImpl>& policies, std::size_t lane_stride)
-      : policies_(policies.data()),
-        lanes_(policies.size()),
-        lane_stride_(lane_stride) {}
+  explicit LaneHooks(std::vector<AnyPolicyImpl>& policies)
+      : policies_(policies.data()), lanes_(policies.size()) {}
 
   void on_read_lookup(sim::CacheSetView set, int hit_way) {
     for (std::size_t l = 0; l < lanes_; ++l)
@@ -177,20 +173,19 @@ class LaneHooks {
       policies_[l].visit(
           [&](auto& p) { p.on_write_lookup(set.lane(l), hit_way); });
   }
-  void on_fill(sim::LineRel& rel) {
+  void on_fill(sim::CacheSetView set, std::size_t way) {
     for (std::size_t l = 0; l < lanes_; ++l)
-      policies_[l].visit([&](auto& p) { p.on_fill((&rel)[l * lane_stride_]); });
+      policies_[l].visit([&](auto& p) { p.on_fill(set.lane(l), way); });
   }
-  void on_evict(sim::LineRel& rel, bool dirty) {
+  void on_evict(sim::CacheSetView set, std::size_t way, bool dirty) {
     for (std::size_t l = 0; l < lanes_; ++l)
       policies_[l].visit(
-          [&](auto& p) { p.on_evict((&rel)[l * lane_stride_], dirty); });
+          [&](auto& p) { p.on_evict(set.lane(l), way, dirty); });
   }
 
  private:
   AnyPolicyImpl* policies_;
   std::size_t lanes_;
-  std::size_t lane_stride_;
 };
 
 // Everything a simulation pass wires together except the policy objects:
@@ -198,8 +193,8 @@ class LaneHooks {
 // lane per config. reset() wires the rig for a pass; a rig may be reset
 // any number of times, and rebuilds only what the new pass's shape
 // changes (line codes, the hierarchy) while resetting the rest in place --
-// the ~1.5 MB of cache columns and memos a fresh rig would have to fault
-// in cost more than a short experiment simulates.
+// the cache columns and binomial memos a fresh rig would have to fault in
+// cost more than a short experiment simulates.
 struct ExperimentRig {
   ModelTable models;
   std::deque<Lane> lanes;  // the first cfgs.size() serve the current pass
@@ -324,7 +319,7 @@ std::vector<ExperimentResult> run_pass(std::span<const ExperimentConfig> cfgs,
   policies.reserve(cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i)
     policies.emplace_back(cfgs[i].policy, rig.lanes[i].ctx);
-  LaneHooks hooks(policies, rig.hier->l2().lane_stride());
+  LaneHooks hooks(policies);
 
   const auto drive = [&](std::uint64_t instructions) {
     if (vectorized)

@@ -27,9 +27,11 @@ class PolicyAdapter final : public ReadPathPolicy {
   void on_write_lookup(sim::CacheSetView set, int hit_way) override {
     impl_.on_write_lookup(set, hit_way);
   }
-  void on_fill(sim::LineRel& rel) override { impl_.on_fill(rel); }
-  void on_evict(sim::LineRel& rel, bool dirty) override {
-    impl_.on_evict(rel, dirty);
+  void on_fill(sim::CacheSetView set, std::size_t way) override {
+    impl_.on_fill(set, way);
+  }
+  void on_evict(sim::CacheSetView set, std::size_t way, bool dirty) override {
+    impl_.on_evict(set, way, dirty);
   }
 
   // Access to impl-specific surface (restore_failure_prob,

@@ -43,28 +43,30 @@ class PolicyImplBase {
     ++events_.tag_reads;
     if (hit_way >= 0) {
       // The hit way's data (and its freshly-encoded ECC) is rewritten; the
-      // cache clears reads_since_check and refreshes ones after this hook.
+      // cache clears reads_since_check after this hook (and keeps ones:
+      // the count is a function of the block, not of the write).
       ++events_.way_data_writes;
       ++events_.ecc_encodes;
       ++events_.tag_writes;  // dirty-bit / LRU state update
     }
   }
 
-  void on_fill(sim::LineRel& rel) {
-    (void)rel;
+  void on_fill(sim::CacheSetView, std::size_t) {
     ++events_.way_data_writes;
     ++events_.ecc_encodes;
     ++events_.tag_writes;
   }
 
-  void on_evict(sim::LineRel& rel, bool dirty) {
+  void on_evict(sim::CacheSetView set, std::size_t way, bool dirty) {
     if (!ctx_.check_on_dirty_eviction || !dirty) return;
     // Extension: the victim is read out through the ECC path before its
     // writeback, which both costs a decode and realizes any accumulated
     // uncorrectable state.
     ++events_.ecc_decodes;
     ++events_.way_data_reads;
-    ctx_.ledger->record_unattributed(derived().check_failure(rel));
+    sim::LineRel& rel = set.rel(way);
+    ctx_.ledger->record_unattributed(
+        derived().check_failure(set.ones(way), rel.reads_since_check));
     rel.reads_since_check = 0;
   }
 
@@ -92,10 +94,11 @@ class PolicyImplBase {
       // probability reflects the disturbance accumulated over the
       // concealed reads since its last check, plus this read (Eq. 3's N).
       ++events_.ecc_decodes;
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(hit_way));
+      const auto way = static_cast<std::size_t>(hit_way);
+      sim::LineRel& line = set.rel(way);
       const std::uint64_t concealed = line.reads_since_check - 1;
       ctx_.ledger->record_check(
-          concealed, ctx_.model->conventional(line.ones, concealed + 1));
+          concealed, ctx_.model->conventional(set.ones(way), concealed + 1));
       line.reads_since_check = 0;  // checked (and scrubbed) now
     }
   }
@@ -115,8 +118,8 @@ class ConventionalPolicyImpl final
     conventional_read_lookup(set, hit_way);
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->conventional(rel.ones, rel.reads_since_check + 1);
+  double check_failure(std::uint32_t ones, std::uint64_t concealed) const {
+    return ctx_.model->conventional(ones, concealed + 1);
   }
 };
 
@@ -144,16 +147,17 @@ class ReapPolicyImpl final : public PolicyImplBase<ReapPolicyImpl> {
       // Every read since the last delivery was individually checked and
       // scrubbed; correct delivery requires all N per-read checks to have
       // passed (Eq. 6).
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(hit_way));
+      const auto way = static_cast<std::size_t>(hit_way);
+      sim::LineRel& line = set.rel(way);
       const std::uint64_t concealed = line.reads_since_check - 1;
       ctx_.ledger->record_check(concealed,
-                                ctx_.model->reap(line.ones, concealed + 1));
+                                ctx_.model->reap(set.ones(way), concealed + 1));
       line.reads_since_check = 0;
     }
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->reap(rel.ones, rel.reads_since_check + 1);
+  double check_failure(std::uint32_t ones, std::uint64_t concealed) const {
+    return ctx_.model->reap(ones, concealed + 1);
   }
 };
 
@@ -170,15 +174,15 @@ class SerialPolicyImpl final : public PolicyImplBase<SerialPolicyImpl> {
 
     // Only the matching way is ever read, after the compare: no concealed
     // reads exist anywhere, so every check sees N = 1.
-    sim::LineRel& line = set.rel(static_cast<std::size_t>(hit_way));
+    const auto way = static_cast<std::size_t>(hit_way);
     ++events_.way_data_reads;
     ++events_.ecc_decodes;
-    REAP_ASSERT(line.reads_since_check == 0);
-    ctx_.ledger->record_check(0, ctx_.model->single(line.ones));
+    REAP_ASSERT(set.rel(way).reads_since_check == 0);
+    ctx_.ledger->record_check(0, ctx_.model->single(set.ones(way)));
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->single(rel.ones);
+  double check_failure(std::uint32_t ones, std::uint64_t) const {
+    return ctx_.model->single(ones);
   }
 };
 
@@ -209,8 +213,9 @@ class RestorePolicyImpl final : public PolicyImplBase<RestorePolicyImpl> {
     // Branchy on purpose: every valid way appends a ledger entry, and the
     // ledger sum must accumulate in exact way order.
     for (int w = 0; w < static_cast<int>(set.size()); ++w) {
-      if (!set.valid(static_cast<std::size_t>(w))) continue;
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(w));
+      const auto way = static_cast<std::size_t>(w);
+      if (!set.valid(way)) continue;
+      sim::LineRel& line = set.rel(way);
       // Restore-after-read: the sensed value (captured before the
       // disturbance manifests) is immediately written back, so no
       // accumulation survives -- but the restore write itself can fail.
@@ -218,7 +223,7 @@ class RestorePolicyImpl final : public PolicyImplBase<RestorePolicyImpl> {
       if (w == hit_way) {
         ++events_.ecc_decodes;
         ctx_.ledger->record_check(line.reads_since_check,
-                                  ctx_.model->single(line.ones) +
+                                  ctx_.model->single(set.ones(way)) +
                                       p_restore_fail_);
       } else {
         ctx_.ledger->record_unattributed(p_restore_fail_);
@@ -227,8 +232,8 @@ class RestorePolicyImpl final : public PolicyImplBase<RestorePolicyImpl> {
     }
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->single(rel.ones);
+  double check_failure(std::uint32_t ones, std::uint64_t) const {
+    return ctx_.model->single(ones);
   }
 
  private:
@@ -266,28 +271,23 @@ class ScrubPolicyImpl final : public PolicyImplBase<ScrubPolicyImpl> {
     // ledger sees one entry per valid way — keep exact way order.
     for (int w = 0; w < static_cast<int>(set.size()); ++w) {
       ++events_.ecc_decodes;  // decoder fires even on invalid ways
-      if (!set.valid(static_cast<std::size_t>(w))) continue;
-      sim::LineRel& line = set.rel(static_cast<std::size_t>(w));
-      if (w == hit_way) {
-        // The requested way is always checked (conventional behaviour).
-        // Its window accumulated since the last check or scrub (Eq. 3).
-        const std::uint64_t concealed = line.reads_since_check;
-        ctx_.ledger->record_check(
-            concealed, ctx_.model->conventional(line.ones, concealed + 1));
-      } else {
-        // Scrubbed concealed way: its window ends here with a full check,
-        // so the accumulated risk is realized now instead of at the next
-        // real read (same Eq. 3 window, just closed early).
-        ctx_.ledger->record_check(
-            line.reads_since_check,
-            ctx_.model->conventional(line.ones, line.reads_since_check + 1));
-      }
+      const auto way = static_cast<std::size_t>(w);
+      if (!set.valid(way)) continue;
+      sim::LineRel& line = set.rel(way);
+      // The requested way is always checked (conventional behaviour), its
+      // window accumulated since the last check or scrub (Eq. 3). A
+      // scrubbed concealed way's window ends here with a full check too,
+      // so its accumulated risk is realized now instead of at the next
+      // real read (same Eq. 3 window, just closed early).
+      const std::uint64_t concealed = line.reads_since_check;
+      ctx_.ledger->record_check(
+          concealed, ctx_.model->conventional(set.ones(way), concealed + 1));
       line.reads_since_check = 0;
     }
   }
 
-  double check_failure(const sim::LineRel& rel) const {
-    return ctx_.model->conventional(rel.ones, rel.reads_since_check + 1);
+  double check_failure(std::uint32_t ones, std::uint64_t concealed) const {
+    return ctx_.model->conventional(ones, concealed + 1);
   }
 
  private:

@@ -84,20 +84,31 @@ void SetAssocCache::clear_set(std::size_t set, std::size_t lanes) {
   std::fill_n(&state_[base], stride_, LineState{});
 }
 
+std::uint32_t SetAssocCache::draw_ones(std::size_t set, std::size_t way) {
+  const std::size_t idx = set * stride_ + way;
+  const std::uint64_t tagv = tags_[idx];
+  REAP_ASSERT((tagv & 1) != 0);
+  const std::uint32_t ones =
+      ones_.ones_for(line_addr(tagv >> 1, set), default_ones_);
+  for (std::size_t l = 0; l < lanes_; ++l)
+    rel_[l * lane_stride_ + idx].ones = ones;
+  return ones;
+}
+
 SetAssocCache::LineInfo SetAssocCache::line_info(std::size_t set,
                                                  std::size_t way,
-                                                 std::size_t lane) const {
+                                                 std::size_t lane) {
   REAP_EXPECTS(set < sets_);
   REAP_EXPECTS(way < cfg_.ways);
   REAP_EXPECTS(lane < lanes_);
   const std::size_t idx = set * stride_ + way;
-  const LineRel& rel = rel_[lane * lane_stride_ + idx];
+  const CacheSetView view = view_of(set).lane(lane);
   LineInfo info;
   info.valid = state_[idx].valid;
   info.dirty = state_[idx].dirty;
   info.tag = tags_[idx] >> 1;
-  info.ones = rel.ones;
-  info.reads_since_check = rel.reads_since_check;
+  info.ones = view.ones(way);
+  info.reads_since_check = view.rel(way).reads_since_check;
   info.lru_stamp = lru_[idx];
   info.fill_stamp = state_[idx].fill_stamp;
   return info;

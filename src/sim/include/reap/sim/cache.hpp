@@ -28,8 +28,9 @@
 // Reliability lanes: several read-path policies can observe one simulation
 // pass, each through its own copy of the rel_ column (a lane). Policies
 // never write tags, LRU, dirty bits or stats, so those stay shared; a fill
-// installs the shared ones count in every lane and a write hit clears
-// every lane's accumulation. Lane l's column starts lane_stride() entries
+// leaves the ones count undrawn in every lane, the first reader draws it
+// for every lane (CacheSetView::ones), and a write hit clears every lane's
+// accumulation. Lane l's column starts lane_stride() entries
 // after lane l-1's. Least-error-rate replacement reads the rel column to
 // pick victims, so a cache using it has exactly one lane.
 //
@@ -45,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "reap/common/assert.hpp"
 #include "reap/common/rng.hpp"
 #include "reap/sim/simd.hpp"
 #include "reap/trace/datavalue.hpp"
@@ -55,10 +57,17 @@ namespace reap::sim {
 // SRAM L1s). Kept to 8 bytes so a policy's per-way loop over an 8-way set
 // stays within one host cache line.
 struct LineRel {
-  std::uint32_t ones = 0;               // popcount of the stored payload
+  std::uint32_t ones = 0;               // popcount of the stored payload,
+                                        // or kOnesUndrawn
   std::uint32_t reads_since_check = 0;  // concealed reads since last ECC
                                         // check / rewrite (paper's N - 1)
 };
+
+// LineRel::ones of a valid line whose count nobody has read yet. Read it
+// through CacheSetView::ones, never directly.
+inline constexpr std::uint32_t kOnesUndrawn = ~std::uint32_t{0};
+
+class SetAssocCache;
 
 // Cold per-line state: the dirty bit and the fifo stamp. `valid` mirrors
 // the tag column's valid bit (the cache is the sole writer of both). The
@@ -78,19 +87,25 @@ struct LineState {
 // entries with zeroed padding -- true for views the cache builds over its
 // own columns, false for views tests construct over raw arrays.
 // `lane_stride` is the distance in entries between two lanes' columns.
+// `cache`/`set` locate the set in its cache, which draws undrawn ones
+// counts; views over raw arrays have no cache and hold drawn counts only.
 class CacheSetView {
  public:
   CacheSetView(const std::uint64_t* tagv, LineRel* rel, std::size_t ways,
-               bool padded = false, std::size_t lane_stride = 0)
+               bool padded = false, std::size_t lane_stride = 0,
+               SetAssocCache* cache = nullptr, std::size_t set = 0)
       : tagv_(tagv),
         rel_(rel),
         ways_(ways),
         padded_(padded),
-        lane_stride_(lane_stride) {}
+        lane_stride_(lane_stride),
+        cache_(cache),
+        set_(set) {}
 
   // The same set seen through reliability lane `lane`.
   CacheSetView lane(std::size_t lane) const {
-    return {tagv_, rel_ + lane * lane_stride_, ways_, padded_, lane_stride_};
+    return {tagv_, rel_ + lane * lane_stride_, ways_, padded_, lane_stride_,
+            cache_, set_};
   }
 
   std::size_t size() const { return ways_; }
@@ -101,6 +116,16 @@ class CacheSetView {
     return static_cast<std::uint32_t>(tagv_[way] & 1);
   }
   LineRel& rel(std::size_t way) const { return rel_[way]; }
+
+  // The ones count of `way` -- the one way to read LineRel::ones. A fill
+  // leaves the count undrawn (kOnesUndrawn); the first read draws it from
+  // the line's block through the cache's OnesProvider and stores it in
+  // every lane, so a line lifetime draws at most once, whichever lane asks
+  // first. Invalid ways read 0.
+  std::uint32_t ones(std::size_t way) const;
+
+  std::size_t set_index() const { return set_; }
+  std::uint64_t tag(std::size_t way) const { return tagv_[way] >> 1; }
 
   // The policies' shared accumulation walk, whole set per vector:
   // reads_since_check += valid_bit for every way. Value-identical to the
@@ -121,6 +146,8 @@ class CacheSetView {
   std::size_t ways_;
   bool padded_;
   std::size_t lane_stride_;
+  SetAssocCache* cache_;
+  std::size_t set_;
 };
 
 // lru/fifo/random are the classic policies; least_error_rate follows the
@@ -158,22 +185,20 @@ class L2PolicyHooks {
   // not read the data ways, so they cause no concealed reads.
   virtual void on_write_lookup(CacheSetView set, int hit_way) = 0;
 
-  // `rel` belongs to a line that was just filled (ones already set). In a
-  // multi-lane cache it is lane 0's entry; lane l's entry of the same line
-  // is l * lane_stride() entries further on.
-  virtual void on_fill(LineRel& rel) = 0;
+  // Way `way` of the set was just filled (its ones count undrawn). The
+  // view is lane 0's, as for the lookups.
+  virtual void on_fill(CacheSetView set, std::size_t way) = 0;
 
-  // `rel` belongs to a (still valid) line about to be evicted; lane 0's
-  // entry, as for on_fill.
-  virtual void on_evict(LineRel& rel, bool dirty) = 0;
+  // Way `way` of the set holds a (still valid) line about to be evicted.
+  virtual void on_evict(CacheSetView set, std::size_t way, bool dirty) = 0;
 };
 
 // Static hooks that do nothing: the L1 instantiation of the access paths.
 struct NullHooks {
   void on_read_lookup(CacheSetView, int) {}
   void on_write_lookup(CacheSetView, int) {}
-  void on_fill(LineRel&) {}
-  void on_evict(LineRel&, bool) {}
+  void on_fill(CacheSetView, std::size_t) {}
+  void on_evict(CacheSetView, std::size_t, bool) {}
 };
 
 // Adapter presenting an optional runtime observer through the static hooks
@@ -187,24 +212,23 @@ struct VirtualHooks {
   void on_write_lookup(CacheSetView set, int hit_way) {
     if (hooks) hooks->on_write_lookup(set, hit_way);
   }
-  void on_fill(LineRel& rel) {
-    if (hooks) hooks->on_fill(rel);
+  void on_fill(CacheSetView set, std::size_t way) {
+    if (hooks) hooks->on_fill(set, way);
   }
-  void on_evict(LineRel& rel, bool dirty) {
-    if (hooks) hooks->on_evict(rel, dirty);
+  void on_evict(CacheSetView set, std::size_t way, bool dirty) {
+    if (hooks) hooks->on_evict(set, way, dirty);
   }
 };
 
-// Ones-count source for filled lines. A concrete type (not a type-erased
-// std::function) so the fill path is a predictable branch plus a direct
-// call: either a DataValueModel, a fixed count for tests, or the cache's
-// default (half the block bits).
+// Ones-count source for cached lines: either a DataValueModel, a fixed
+// count for tests, or the cache's default (half the block bits).
 //
 // Contract: a provider is a pure function of the address -- the same line
 // address always yields the same count (what makes experiments
-// reproducible from a seed). The cache relies on this: a write hit keeps
-// the count installed at fill instead of re-deriving it, because the
-// re-derivation could only return the same value.
+// reproducible from a seed). The cache relies on this: it draws a line's
+// count only when something reads it, and a write hit keeps the count as
+// it is, drawn or not, because a draw at any other moment could only
+// return the same value.
 class OnesProvider {
  public:
   OnesProvider() = default;
@@ -220,12 +244,6 @@ class OnesProvider {
   std::uint32_t ones_for(std::uint64_t addr, std::uint32_t fallback) const {
     if (model_) return model_->ones_for(addr);
     return has_fixed_ ? fixed_ : fallback;
-  }
-
-  // Software-prefetch whatever ones_for(addr, ...) would probe (the
-  // model's memo slot); a no-op for fixed/default providers.
-  void prefetch(std::uint64_t addr) const {
-    if (model_) model_->prefetch(addr);
   }
 
  private:
@@ -284,8 +302,8 @@ class SetAssocCache {
   void set_hooks(L2PolicyHooks* hooks) { hooks_ = hooks; }
   L2PolicyHooks* hooks() const { return hooks_; }
 
-  // Ones-count provider for filled/rewritten lines; default keeps ones at
-  // half the block bits.
+  // Ones-count provider for cached lines; the default gives half the
+  // block bits.
   void set_ones_provider(OnesProvider provider) { ones_ = provider; }
 
   struct Evicted {
@@ -323,10 +341,9 @@ class SetAssocCache {
   }
 
   // Write lookup. On a hit the line is rewritten in place (dirty,
-  // accumulation cleared). The installed ones count is kept: providers
-  // are address-deterministic (the OnesProvider contract), so re-deriving
-  // it for the same line is the same value -- the hot path skips the
-  // probe. Returns hit.
+  // accumulation cleared). The ones count is kept, drawn or not:
+  // providers are address-deterministic (the OnesProvider contract), so
+  // the rewritten line's count is the same value. Returns hit.
   template <bool kVector = true, class Hooks>
   bool write(std::uint64_t addr, Hooks& hooks) {
     return write_pre<kVector>(set_of(addr), tagv_of(addr), hooks);
@@ -363,7 +380,7 @@ class SetAssocCache {
     const std::size_t idx = set * stride_ + w;
     LineState& st = state_[idx];
     if (st.valid) {
-      hooks.on_evict(rel_[idx], st.dirty);
+      hooks.on_evict(view_of<kVector>(set), w, st.dirty);
       ev.any = true;
       ev.dirty = st.dirty;
       ev.addr = line_addr(tags_[idx] >> 1, set);
@@ -377,13 +394,12 @@ class SetAssocCache {
     tags_[idx] = (tag << 1) | 1;
     st.valid = true;
     st.dirty = dirty;
-    const LineRel filled{ones_.ones_for(addr, default_ones_), 0};
     for (std::size_t l = 0; l < lanes_; ++l)
-      rel_[l * lane_stride_ + idx] = filled;
+      rel_[l * lane_stride_ + idx] = LineRel{kOnesUndrawn, 0};
     st.fill_stamp = ++clock_;
     lru_[idx] = clock_;
     ++stats_.fills;
-    hooks.on_fill(rel_[idx]);
+    hooks.on_fill(view_of<kVector>(set), w);
     return ev;
   }
 
@@ -411,7 +427,8 @@ class SetAssocCache {
 
   // Snapshot of one line for tests and diagnostics; ones and
   // reads_since_check are reliability lane `lane`'s (lane < lanes of the
-  // last reset).
+  // last reset). Reads the ones count like a policy does, so it draws an
+  // undrawn count.
   struct LineInfo {
     bool valid = false;
     bool dirty = false;
@@ -421,8 +438,7 @@ class SetAssocCache {
     std::uint64_t lru_stamp = 0;
     std::uint64_t fill_stamp = 0;
   };
-  LineInfo line_info(std::size_t set, std::size_t way,
-                     std::size_t lane = 0) const;
+  LineInfo line_info(std::size_t set, std::size_t way, std::size_t lane = 0);
 
   std::size_t set_of(std::uint64_t addr) const {
     return (addr >> offset_bits_) & (sets_ - 1);
@@ -458,13 +474,9 @@ class SetAssocCache {
     simd::prefetch(&lru_[base]);
   }
 
-  // Software-prefetch the ones-memo slot that filling/rewriting addr's
-  // block would probe (the data-value model's table is far larger than
-  // the set columns, and a low-locality op stream misses it constantly).
-  // Hint only, like prefetch_set.
-  void prefetch_ones(std::uint64_t addr) const { ones_.prefetch(addr); }
-
  private:
+  friend class CacheSetView;
+
   // The view's padded flag doubles as the accumulate_valid routing switch:
   // scalar-flavor lookups hand the policies a view that accumulates with
   // the scalar walk, vector-flavor lookups one that uses the wide kernel.
@@ -473,8 +485,12 @@ class SetAssocCache {
   CacheSetView view_of(std::size_t set) {
     const std::size_t base = set * stride_;
     return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/kVector,
-            lane_stride_};
+            lane_stride_, this, set};
   }
+
+  // The cold half of CacheSetView::ones: draws the count of the valid line
+  // at (set, way) from its block address and stores it in every lane.
+  std::uint32_t draw_ones(std::size_t set, std::size_t way);
 
   template <bool kVector = true>
   int find_way(std::size_t set, std::uint64_t tagv) const {
@@ -541,5 +557,12 @@ class SetAssocCache {
   std::uint64_t clock_ = 0;
   common::Rng rng_;
 };
+
+inline std::uint32_t CacheSetView::ones(std::size_t way) const {
+  const std::uint32_t ones = rel_[way].ones;
+  if (ones != kOnesUndrawn) return ones;
+  REAP_ASSERT(cache_ != nullptr);
+  return cache_->draw_ones(set_, way);
+}
 
 }  // namespace reap::sim

@@ -130,13 +130,10 @@ class TraceCpu {
                         l2.index_bits(), pre_set_.data(), pre_tagv_.data());
         pre_len_ = buf_len_;
       }
-      // Pull the metadata an op will touch kPrefetchAhead ops from now --
-      // its L2 set columns and its block's ones-memo slot; the
-      // intervening (independent) ops hide the miss latency.
-      if (buf_pos_ + kPrefetchAhead < buf_len_) {
-        const std::size_t ahead = buf_pos_ + kPrefetchAhead;
-        mem_.prefetch_l2(pre_set_[ahead], buf_[ahead].addr);
-      }
+      // Pull the L2 set columns an op will touch kPrefetchAhead ops from
+      // now; the intervening (independent) ops hide the miss latency.
+      if (buf_pos_ + kPrefetchAhead < buf_len_)
+        mem_.prefetch_l2(pre_set_[buf_pos_ + kPrefetchAhead]);
       const trace::MemOp op = buf_[buf_pos_];
       const L2Hint hint{pre_set_[buf_pos_], pre_tagv_[buf_pos_]};
       switch (op.type) {

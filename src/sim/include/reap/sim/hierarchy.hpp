@@ -132,14 +132,10 @@ class MemoryHierarchy {
     return l1_access(l1d_, addr, /*is_store=*/true, l2_hooks, hint);
   }
 
-  // Prefetch the L2-side state an upcoming op may touch (from the batch
-  // pre-decode): the set's metadata columns and the ones-memo slot the
-  // op's block maps to (the fill path probes it on every L2 miss and
-  // write hit). Pure latency hints, no semantic effect.
-  void prefetch_l2(std::size_t set, std::uint64_t addr) const {
-    l2_.prefetch_set(set);
-    l2_.prefetch_ones(addr);
-  }
+  // Prefetch the L2 set an upcoming op may touch (from the batch
+  // pre-decode): its metadata columns. A pure latency hint, no semantic
+  // effect.
+  void prefetch_l2(std::size_t set) const { l2_.prefetch_set(set); }
 
   std::uint64_t inst_fetch(std::uint64_t pc) {
     VirtualHooks h{l2_.hooks()};

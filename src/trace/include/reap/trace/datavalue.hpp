@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "reap/common/bitvec.hpp"
-#include "reap/common/memo.hpp"
 
 namespace reap::trace {
 
@@ -28,42 +27,28 @@ class DataValueModel {
   DataValueModel(OnesDensitySpec spec, std::uint64_t line_bits = 512,
                  std::uint64_t seed = 0xD5EED);
 
-  // Re-points the model at (spec, line_bits, seed), keeping the memo's
-  // storage. The memo is cleared only when that triple changes: an entry
-  // is a pure function of it and the block, so otherwise it stays right.
+  // Re-points the model at (spec, line_bits, seed); afterwards it answers
+  // exactly like a model constructed with them.
   void reseat(OnesDensitySpec spec, std::uint64_t line_bits,
               std::uint64_t seed);
 
   std::uint64_t line_bits() const { return line_bits_; }
 
   // Deterministic ones-count for the line containing `line_addr`
-  // (block-aligned or not; the low 6 bits are ignored for 64B lines).
-  // Sits on the simulator's L2 fill path, so a direct-mapped memo caches
-  // the count per block; the draw is a pure function of the address, so
-  // memoization (and collisions, which just recompute) cannot change any
-  // returned value. Not thread-safe: use one model per experiment.
+  // (block-aligned or not; the low 6 bits are ignored for 64B lines): a
+  // normal draw around the spec's density from an Rng seeded by the block,
+  // so a pure function of (spec, line_bits, seed, block). The simulator
+  // draws it only when a check reads the line (sim::CacheSetView::ones).
   std::uint32_t ones_for(std::uint64_t line_addr) const;
-
-  // Software-prefetch the memo slot ones_for(line_addr) would probe; the
-  // vectorized drive loop issues this a few ops ahead of the access. Pure
-  // latency hint, no semantic effect.
-  void prefetch(std::uint64_t line_addr) const {
-    memo_.prefetch(line_addr >> 6);
-  }
 
   // A concrete payload whose popcount equals ones_for(line_addr); bit
   // positions are deterministic in the address too.
   common::BitVec payload_for(std::uint64_t line_addr) const;
 
  private:
-  std::uint32_t compute_ones(std::uint64_t block) const;
-
   OnesDensitySpec spec_;
   std::uint64_t line_bits_ = 0;
   std::uint64_t seed_ = 0;
-  // Per-block memo (bounded at 768KB — see memo.hpp for why it must stay
-  // cache-resident rather than grow with the footprint).
-  mutable common::DirectMappedMemo<std::uint32_t, 1 << 16> memo_;
 };
 
 }  // namespace reap::trace

@@ -216,7 +216,7 @@ TEST(GroupPass, PoliciesNeverChangeHierarchyState) {
       cpu.run(cfg.instructions);
       return hier;
     };
-    const sim::MemoryHierarchy bare = drive(nullptr);
+    sim::MemoryHierarchy bare = drive(nullptr);
     const reliability::UncorrectableModel model(1e-8, 1, 512);
     for (const PolicyKind kind : all_policies()) {
       SCOPED_TRACE(to_string(kind));
@@ -229,7 +229,7 @@ TEST(GroupPass, PoliciesNeverChangeHierarchyState) {
       ctx.check_on_dirty_eviction = true;
       ctx.scrub_every = 3;
       const auto policy = ReadPathPolicy::make(kind, ctx);
-      const sim::MemoryHierarchy watched = drive(policy.get());
+      sim::MemoryHierarchy watched = drive(policy.get());
       EXPECT_GT(ledger.checks(), 0u);
 
       const sim::HierarchyStats s = watched.stats(), b = bare.stats();
@@ -239,7 +239,7 @@ TEST(GroupPass, PoliciesNeverChangeHierarchyState) {
       EXPECT_EQ(s.l2.dirty_evictions, b.l2.dirty_evictions);
       EXPECT_EQ(s.mem_reads, b.mem_reads);
       EXPECT_EQ(s.mem_writes, b.mem_writes);
-      const sim::SetAssocCache& l2 = watched.l2();
+      sim::SetAssocCache& l2 = watched.l2();
       const std::size_t sets = l2.config().sets();
       for (std::size_t set = 0; set < sets; ++set)
         for (std::size_t way = 0; way < l2.config().ways; ++way) {

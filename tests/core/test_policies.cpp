@@ -265,7 +265,7 @@ TEST_F(PolicyFixture, WriteLookupCountsEncodeOnHit) {
 
 TEST_F(PolicyFixture, FillCountsAsWrite) {
   ReapPolicy p(ctx_);
-  p.on_fill(rel_[3]);
+  p.on_fill(ways(), 3);
   EXPECT_EQ(p.events().way_data_writes, 1u);
   EXPECT_EQ(p.events().ecc_encodes, 1u);
 }
@@ -273,7 +273,7 @@ TEST_F(PolicyFixture, FillCountsAsWrite) {
 TEST_F(PolicyFixture, EvictionCheckOffByDefault) {
   ConventionalParallelPolicy p(ctx_);
   rel_[0].reads_since_check = 100;
-  p.on_evict(rel_[0], /*dirty=*/true);
+  p.on_evict(ways(), 0, /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 0u);
   EXPECT_EQ(p.events().ecc_decodes, 0u);
 }
@@ -282,12 +282,12 @@ TEST_F(PolicyFixture, EvictionCheckExtensionChargesDirtyVictims) {
   ctx_.check_on_dirty_eviction = true;
   ConventionalParallelPolicy p(ctx_);
   rel_[0].reads_since_check = 99;
-  p.on_evict(rel_[0], /*dirty=*/true);
+  p.on_evict(ways(), 0, /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 1u);
   EXPECT_NEAR(ledger_.total_failure_prob(),
               reliability::p_uncorrectable_block_acc(100, 100, kPrd), 1e-18);
   // Clean victims stay free.
-  p.on_evict(rel_[1], /*dirty=*/false);
+  p.on_evict(ways(), 1, /*dirty=*/false);
   EXPECT_EQ(ledger_.checks(), 1u);
 }
 

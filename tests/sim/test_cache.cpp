@@ -117,8 +117,8 @@ TEST(Cache, LerPrefersAccumulationOverRecency) {
       if (hit_way >= 0) set.rel(0).reads_since_check = 100;
     }
     void on_write_lookup(CacheSetView, int) override {}
-    void on_fill(LineRel&) override {}
-    void on_evict(LineRel&, bool) override {}
+    void on_fill(CacheSetView, std::size_t) override {}
+    void on_evict(CacheSetView, std::size_t, bool) override {}
   } bumper;
 
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
@@ -160,9 +160,9 @@ TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   EXPECT_FALSE(c.line_info(0, 0).dirty);
 
   // Providers are address-deterministic (the OnesProvider contract), so a
-  // write hit keeps the count installed at fill rather than re-deriving
-  // the same value -- even across a mid-run provider swap, which real
-  // experiments never do.
+  // write hit keeps the count drawn before it (here by line_info) rather
+  // than re-deriving the same value -- even across a mid-run provider
+  // swap, which real experiments never do.
   c.set_ones_provider(OnesProvider::fixed(200));
   EXPECT_TRUE(c.write(mk_addr(1, 0)));
   EXPECT_TRUE(c.line_info(0, 0).dirty);
@@ -209,10 +209,10 @@ class RecordingHooks : public L2PolicyHooks {
     ++writes;
     last_hit = hit_way;
   }
-  void on_fill(LineRel&) override { ++fills; }
-  void on_evict(LineRel& rel, bool dirty) override {
+  void on_fill(CacheSetView, std::size_t) override { ++fills; }
+  void on_evict(CacheSetView set, std::size_t way, bool dirty) override {
     ++evicts;
-    last_evicted_ones = rel.ones;
+    last_evicted_ones = set.ones(way);
     last_evicted_dirty = dirty;
   }
 
@@ -271,7 +271,7 @@ TEST(Cache, StatsResetKeepsContents) {
 
 // Every way of every set, invalid ways included, in reliability lanes
 // [0, lanes).
-void expect_same_state(const SetAssocCache& a, const SetAssocCache& b,
+void expect_same_state(SetAssocCache& a, SetAssocCache& b,
                        std::size_t lanes = 1) {
   const auto stats = [](const CacheStats& s) {
     return std::tuple(s.read_lookups, s.read_hits, s.write_lookups,
@@ -308,8 +308,8 @@ struct LaneHooks {
     }
   }
   void on_write_lookup(CacheSetView, int) {}
-  void on_fill(LineRel&) {}
-  void on_evict(LineRel&, bool) {}
+  void on_fill(CacheSetView, std::size_t) {}
+  void on_evict(CacheSetView, std::size_t, bool) {}
 };
 
 // Random reads and writes (filling on a miss) over 16 tags x the
