@@ -133,7 +133,21 @@ class JournalWriter {
   explicit JournalWriter(const std::string& path);
 
   bool ok() const;
+
+  // render then append, in one call: callers that already serialize
+  // their rows (the runner's on_result) use this.
   void add(const std::string& key, const std::vector<std::string>& cells);
+
+  // The finished journal line of one row -- body, CRC32C suffix and
+  // newline -- without touching the file. Reads only the column list, so
+  // runner threads may render rows concurrently while one thread appends.
+  std::string render(const std::string& key,
+                     const std::vector<std::string>& cells) const;
+
+  // Lands one line from render() for row `key` (the key names the row to
+  // the journal.write / journal.fsync fault sites). Not thread-safe:
+  // appends must be serialized.
+  void append(const std::string& key, const std::string& line);
 
   // Mirrors every line this writer lands durably -- the header (replayed
   // immediately when one was written by this writer) and then each row,
@@ -143,7 +157,7 @@ class JournalWriter {
   void set_mirror(std::function<void(const std::string&)> fn);
 
   // 0 while appends are landing; the errno (EIO, ENOSPC, ...) of the
-  // first failed append otherwise. Once set, further add() calls are
+  // first failed append otherwise. Once set, further appends are
   // no-ops: the journal ends cleanly at the last durable row and the
   // caller should stop the run (reap_campaign exits kExitJournalIo) so
   // --resume can continue from exactly that boundary.

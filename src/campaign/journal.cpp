@@ -120,10 +120,10 @@ bool JournalRowParser::to_row(const std::vector<std::string>& columns,
   if (fields_.size() != columns.size() + 1 || !has_key()) return false;
   for (std::size_t i = 0; i < columns.size(); ++i)
     if (!fields_[i + 1].name_is(columns[i])) return false;
-  row.key = fields_[0].value_text();
+  fields_[0].value_to(row.key);
   row.cells.resize(columns.size());
   for (std::size_t i = 0; i < columns.size(); ++i)
-    row.cells[i] = fields_[i + 1].value_text();
+    fields_[i + 1].value_to(row.cells[i]);
   return common::parse_u64(row.cells[0], row.index);
 }
 
@@ -179,17 +179,27 @@ void JournalWriter::set_mirror(std::function<void(const std::string&)> fn) {
     mirror_(header_line_);
 }
 
+std::string JournalWriter::render(const std::string& key,
+                                  const std::vector<std::string>& cells) const {
+  std::string line = "{\"key\":\"" + common::json_escape(key) + "\",";
+  line += jsonl_fields(columns_, cells);
+  // The row body is the line so far plus the closing brace.
+  const std::uint32_t crc = common::crc32c(line, "}");
+  line += kCrcSuffix;
+  line += common::fmt_hex32(crc);
+  line += "\"}\n";
+  return line;
+}
+
 void JournalWriter::add(const std::string& key,
                         const std::vector<std::string>& cells) {
+  append(key, render(key, cells));
+}
+
+void JournalWriter::append(const std::string& key, const std::string& line) {
   // Sticky after the first failure: appending past an error would put
   // rows after a hole and break "journal = durable prefix of the run".
   if (!out_ || io_errno_ != 0) return;
-
-  const std::string body = "{\"key\":\"" + common::json_escape(key) + "\"," +
-                           jsonl_fields(columns_, cells) + "}";
-  const std::string line =
-      body.substr(0, body.size() - 1) + std::string(kCrcSuffix) +
-      common::fmt_hex32(common::crc32c(body)) + "\"}\n";
 
   if (const auto f = common::fault::hit("journal.write", key)) {
     if (f->kind == common::fault::Kind::torn_write) {
@@ -390,11 +400,19 @@ std::vector<JournalRow> merge_journal_rows(std::vector<JournalRow> a,
   std::vector<JournalRow> all = std::move(a);
   all.insert(all.end(), std::make_move_iterator(b.begin()),
              std::make_move_iterator(b.end()));
-  std::unordered_set<std::string> seen;
+  // Keys are viewed where they sit, so no row moves until every
+  // duplicate is known.
+  std::vector<bool> first(all.size());
+  {
+    std::unordered_set<std::string_view> seen;
+    seen.reserve(all.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+      first[i] = seen.insert(all[i].key).second;
+  }
   std::vector<JournalRow> unique;
   unique.reserve(all.size());
-  for (auto& row : all)
-    if (seen.insert(row.key).second) unique.push_back(std::move(row));
+  for (std::size_t i = 0; i < all.size(); ++i)
+    if (first[i]) unique.push_back(std::move(all[i]));
   std::stable_sort(unique.begin(), unique.end(),
                    [](const JournalRow& x, const JournalRow& y) {
                      return x.index < y.index;

@@ -378,17 +378,30 @@ int main(int argc, char** argv) {
   }
 
   // Streaming pipeline: rows are journaled (and buffered for the merge)
-  // in completion order the moment each experiment finishes; the runner's
-  // mutex serializes the callback.
+  // in completion order the moment each experiment finishes. The runner
+  // thread that ran a pass renders its rows -- cells and the finished
+  // journal line, CRC included -- into the slots of its points (slot =
+  // position in to_run), in parallel; the runner's mutex serializes only
+  // the append.
+  struct RenderedRow {
+    std::vector<std::string> cells;
+    std::string line;
+  };
+  std::vector<RenderedRow> rendered(to_run.size());
+  const auto slot = [&](const campaign::CampaignPoint& pt) -> RenderedRow& {
+    return rendered[static_cast<std::size_t>(&pt - to_run.data())];
+  };
   std::vector<campaign::JournalRow> fresh;
   fresh.reserve(to_run.size());
   campaign::RunnerOptions opts;
   opts.threads = static_cast<unsigned>(args.get_u64("threads", 0));
   opts.on_result = [&](const campaign::CampaignPoint& pt,
-                       const core::ExperimentResult& r) {
-    auto cells = campaign::result_cells(pt, r);
-    if (journal) journal->add(pt.key, cells);
-    fresh.push_back({pt.key, pt.index, std::move(cells)});
+                       const core::ExperimentResult&) {
+    // Moved out of its slot, so the line's buffer is freed here rather
+    // than kept until the run ends.
+    RenderedRow row = std::move(slot(pt));
+    if (journal) journal->append(pt.key, row.line);
+    fresh.push_back({pt.key, pt.index, std::move(row.cells)});
   };
   // Stop claiming points on SIGTERM/SIGINT or after a journal append
   // fails (EIO/ENOSPC): either way the run ends cleanly at a row
@@ -437,6 +450,16 @@ int main(int argc, char** argv) {
     };
     if (!quiet) progress.watch_trace_cache(&trace_cache->stats());
   }
+  opts.run_pass_fn = [&, run = std::move(opts.run_pass_fn)](
+                         const campaign::Pass& pass) {
+    auto results = run ? run(pass) : campaign::run_pass(pass);
+    for (std::size_t k = 0; k < pass.size() && k < results.size(); ++k) {
+      RenderedRow& row = slot(*pass[k]);
+      row.cells = campaign::result_cells(*pass[k], results[k]);
+      if (journal) row.line = journal->render(pass[k]->key, row.cells);
+    }
+    return results;
+  };
 
   campaign::CampaignRunner runner(opts);
   std::printf("campaign '%s': %zu points on %u threads\n", spec->name.c_str(),

@@ -168,11 +168,19 @@ std::optional<RowTable> load_rows(const std::string& path,
              : rows_from_csv(*text, path, error);
 }
 
-std::string partner_key(std::string_view config) {
+namespace {
+
+using KvViews = std::vector<std::pair<std::string_view, std::string_view>>;
+
+// partner_key with caller-owned buffers: appends the key of `config` to
+// `out`, with `kv` as scratch, so a caller keying many rows stops
+// allocating once both buffers have grown.
+void append_partner_key(std::string_view config, KvViews& kv,
+                        std::string& out) {
   // kv_parse's reading of the string -- whitespace-separated tokens, key
   // before the first '=', a repeated key keeps its last value -- without
   // its std::map and istringstream: views, sorted by key.
-  std::vector<std::pair<std::string_view, std::string_view>> kv;
+  kv.clear();
   const auto is_space = [](char c) {
     return c == ' ' || (c >= '\t' && c <= '\r');
   };
@@ -191,17 +199,26 @@ std::string partner_key(std::string_view config) {
   std::stable_sort(kv.begin(), kv.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
-  std::string out;
-  out.reserve(config.size());
+  bool first = true;
   for (std::size_t i = 0; i < kv.size(); ++i) {
     // Of a run of equal keys only the last counts, as a map assignment.
     if (i + 1 < kv.size() && kv[i + 1].first == kv[i].first) continue;
     if (kv[i].first == "policy") continue;
-    if (!out.empty()) out += ' ';
+    if (!first) out += ' ';
+    first = false;
     out += kv[i].first;
     out += '=';
     out += kv[i].second;
   }
+}
+
+}  // namespace
+
+std::string partner_key(std::string_view config) {
+  KvViews kv;
+  std::string out;
+  out.reserve(config.size());
+  append_partner_key(config, kv, out);
   return out;
 }
 
@@ -218,6 +235,9 @@ std::optional<RowTable> merge_tables(std::vector<RowTable> tables,
     fail(error, "merge: no `index` column");
     return std::nullopt;
   }
+  std::size_t total = 0;
+  for (const auto& t : tables) total += t.rows.size();
+  merged.rows.reserve(total);
   for (auto& t : tables) {
     if (t.header != merged.header) {
       fail(error, "merge: input headers differ");
@@ -316,10 +336,8 @@ std::optional<CampaignAggregates> aggregate_rows(const RowTable& table,
     double energy_j = 0.0;
     double ipc = 0.0;
   };
+  // Each row's numbers, parsed once (after its policy, in pass 1).
   const auto parse = [&](const std::vector<std::string>& row, Parsed& p) {
-    const auto kind = core::policy_from_string(row[c.policy]);
-    if (!kind) return fail(error, "unknown policy in rows: " + row[c.policy]);
-    p.policy = *kind;
     if (!common::parse_u64(row[c.index], p.index) ||
         !common::parse_double(row[c.ipc], p.ipc) ||
         !common::parse_double(row[c.energy], p.energy_j) ||
@@ -332,24 +350,38 @@ std::optional<CampaignAggregates> aggregate_rows(const RowTable& table,
     return true;
   };
 
-  // Pass 1: baseline rows by partner key.
-  std::unordered_map<std::string, std::size_t> baseline_by_key;
-  bool baseline_seen = false;
+  // Pass 1: every row's policy; baseline rows by partner key. The keys sit
+  // back to back in one arena, viewed by the map once it is complete.
+  std::vector<Parsed> parsed(table.rows.size());
+  KvViews kv;
+  std::string arena;
+  std::vector<std::pair<std::size_t, std::size_t>> key_ends;  // (end, row)
   for (std::size_t i = 0; i < table.rows.size(); ++i) {
     const auto kind = core::policy_from_string(table.rows[i][c.policy]);
     if (!kind) {
       fail(error, "unknown policy in rows: " + table.rows[i][c.policy]);
       return std::nullopt;
     }
+    parsed[i].policy = *kind;
     if (*kind != baseline) continue;
-    baseline_seen = true;
-    baseline_by_key.emplace(partner_key(table.rows[i][c.config]), i);
+    append_partner_key(table.rows[i][c.config], kv, arena);
+    key_ends.emplace_back(arena.size(), i);
   }
-  if (!baseline_seen) {
+  if (key_ends.empty()) {
     fail(error, "baseline policy " + core::to_string(baseline) +
                     " has no rows; nothing to normalize against");
     return std::nullopt;
   }
+  std::unordered_map<std::string_view, std::size_t> baseline_by_key;
+  baseline_by_key.reserve(key_ends.size());
+  std::size_t key_begin = 0;
+  for (const auto& [end, row] : key_ends) {
+    baseline_by_key.emplace(
+        std::string_view(arena).substr(key_begin, end - key_begin), row);
+    key_begin = end;
+  }
+  for (std::size_t i = 0; i < table.rows.size(); ++i)
+    if (!parse(table.rows[i], parsed[i])) return std::nullopt;
 
   // Pass 2: comparisons in row (= index) order, plus first-appearance
   // orders. For a row-major expansion first appearance reproduces the
@@ -357,9 +389,10 @@ std::optional<CampaignAggregates> aggregate_rows(const RowTable& table,
   std::vector<AnnotatedComparison> comparisons;
   std::vector<core::PolicyKind> policy_order;
   std::vector<std::string> workload_order;
-  for (const auto& row : table.rows) {
-    Parsed p;
-    if (!parse(row, p)) return std::nullopt;
+  std::string key;
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const auto& row = table.rows[i];
+    const Parsed& p = parsed[i];
     const auto& workload = row[c.workload];
     if (std::find(workload_order.begin(), workload_order.end(), workload) ==
         workload_order.end())
@@ -369,10 +402,11 @@ std::optional<CampaignAggregates> aggregate_rows(const RowTable& table,
         policy_order.end())
       policy_order.push_back(p.policy);
 
-    const auto it = baseline_by_key.find(partner_key(row[c.config]));
+    key.clear();
+    append_partner_key(row[c.config], kv, key);
+    const auto it = baseline_by_key.find(key);
     if (it == baseline_by_key.end()) continue;  // partner in another shard
-    Parsed base;
-    if (!parse(table.rows[it->second], base)) return std::nullopt;
+    const Parsed& base = parsed[it->second];
 
     AnnotatedComparison a;
     a.c = compare_metrics(p.index, base.index, p.mttf, p.energy_j, p.ipc,

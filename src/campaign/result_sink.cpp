@@ -1,7 +1,7 @@
 #include "reap/campaign/result_sink.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 
 #include "reap/common/csv.hpp"
@@ -94,14 +94,15 @@ namespace {
 // emitted unquoted; everything else becomes a JSON string. Two traps this
 // avoids: strtod happily parses "inf"/"nan" (bare inf is invalid JSON),
 // and 64-bit seeds exceed 2^53, so double-based JSON parsers would
-// silently round them -- those go out quoted.
+// silently round them -- those go out quoted. "Plain number" is strtod's
+// reading of the whole cell, which parse_double decides (a from_chars fast
+// path, strtod for whatever it does not accept).
 bool emit_unquoted(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double d = std::strtod(s.c_str(), &end);
-  if (!end || *end != '\0' || !std::isfinite(d)) return false;
+  double d = 0.0;
+  if (!common::parse_double(s, d) || !std::isfinite(d)) return false;
   // Integers above 2^53 are not exactly representable as doubles.
-  if (s.find_first_of(".eE") == std::string::npos) {
+  if (std::none_of(s.begin(), s.end(),
+                   [](char c) { return c == '.' || c == 'e' || c == 'E'; })) {
     std::uint64_t u = 0;
     if (!common::parse_u64(s, u)) return false;
     if (u > (1ULL << 53)) return false;
@@ -113,6 +114,10 @@ bool emit_unquoted(const std::string& s) {
 std::string jsonl_fields(const std::vector<std::string>& header,
                          const std::vector<std::string>& cells) {
   std::string out;
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < cells.size() && i < header.size(); ++i)
+    bytes += header[i].size() + cells[i].size() + 6;
+  out.reserve(bytes);
   for (std::size_t i = 0; i < cells.size() && i < header.size(); ++i) {
     if (i) out += ',';
     out += '"';

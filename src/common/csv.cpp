@@ -1,5 +1,7 @@
 #include "reap/common/csv.hpp"
 
+#include <algorithm>
+
 #include "reap/common/assert.hpp"
 
 namespace reap::common {
@@ -13,8 +15,12 @@ CsvWriter::CsvWriter(const std::string& path,
 
 namespace {
 
+// One pass over the cell (find_first_of would run a memchr over the
+// three specials for every byte).
 bool needs_quoting(const std::string& cell) {
-  return cell.find_first_of(",\"\n") != std::string::npos;
+  return std::any_of(cell.begin(), cell.end(), [](char c) {
+    return c == ',' || c == '"' || c == '\n';
+  });
 }
 
 void append_quoted(std::string& out, const std::string& cell) {

@@ -3,10 +3,13 @@
 // The execution journal suffixes every row with a CRC so a reader can
 // tell a row that was written and later damaged (bit rot, a partial
 // overwrite, a buggy editor) from one that is merely torn at the tail.
-// Software slicing-by-8: journal rows are short, but trace-store bodies
-// are checked in full on every open, so throughput matters there. The
-// checksum is part of the on-disk formats and must never change value
-// (pinned by tests/common/test_crc32c.cpp against a bytewise reference).
+// Journal rows are short, but trace-store bodies are checked in full on
+// every open, so throughput matters there: crc32c runs on the SSE4.2
+// `crc32` instruction (three interleaved chains on long inputs) when the
+// CPU has it, chosen at run time, and on software slicing-by-8 otherwise.
+// The checksum is part of the on-disk formats and must never change value
+// (pinned by tests/common/test_crc32c.cpp: both paths against a bytewise
+// reference and against each other).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,10 @@ std::uint32_t crc32c(std::string_view data);
 // check a journal row body that is its line minus the checksum suffix
 // plus a closing brace in place.
 std::uint32_t crc32c(std::string_view a, std::string_view b);
+
+// The slicing-by-8 table path alone, whatever the CPU: crc32c's fallback,
+// callable directly so a host with SSE4.2 still tests it.
+std::uint32_t crc32c_table(std::string_view data);
 
 // Fixed-width lowercase hex, zero-padded to 8 digits; parse_hex32 accepts
 // exactly that form.

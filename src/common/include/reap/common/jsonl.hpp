@@ -35,6 +35,8 @@ struct JsonlField {
   // The name and the value (the cell text), unescaped.
   std::string name_text() const;
   std::string value_text() const;
+  // value_text into `out`, reusing its capacity.
+  void value_to(std::string& out) const;
 };
 
 // Escapes for embedding in a double-quoted JSON string.

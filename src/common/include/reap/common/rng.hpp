@@ -90,9 +90,13 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
-// Zipf-distributed ranks in [0, n): P(k) ~ 1/(k+1)^s. Uses the rejection
-// sampler of Jason Crease / Hormann which is O(1) per draw, suitable for the
-// hot-set trace primitives where n can be large.
+// Approximately Zipf-distributed ranks in [0, n): P(k) ~ 1/(k+1)^s, O(1)
+// per draw, for the hot-set trace primitives where n can be large. Not an
+// exact sampler (in particular not Hormann-Derflinger rejection-inversion):
+// its acceptance test compares (k/x)^s against a fixed 1.2 bound, and over
+// 2e7 draws at n in {2048, 16384}, s in {0.85, 1.0, 1.1, 1.45} it sits at a
+// total-variation distance of 0.6-1.1% from the exact pmf (P(1)/P(0) is
+// 0.513 against 0.500 at s = 1). Every trace depends on its exact draws.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double s);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +25,17 @@ inline bool parse_u64(const std::string& s, std::uint64_t& out) {
   return end && *end == '\0';
 }
 
+// A whole-string std::from_chars parse accepts a subset of what strtod
+// accepts (no leading space or '+', no hex, nothing out of range) and
+// rounds the same way, so it decides the common case; anything it leaves
+// is strtod's to decide, exactly as before. So is a NaN, whose payload
+// ("nan(1)") only strtod keeps.
 inline bool parse_double(const std::string& s, double& out) {
   if (s.empty()) return false;
+  const char* const last = s.data() + s.size();
+  if (const auto r = std::from_chars(s.data(), last, out);
+      r.ec == std::errc{} && r.ptr == last && !std::isnan(out))
+    return true;
   char* end = nullptr;
   out = std::strtod(s.c_str(), &end);
   return end && *end == '\0';
@@ -38,20 +48,28 @@ inline bool parse_double(const std::string& s, double& out) {
 //
 // The search starts at the shortest round-trip digit count std::to_chars
 // finds (at least 6): no "%.*g" precision below it can round-trip, so the
-// bytes are those of a search from 6, at a fraction of the snprintf and
-// strtod calls (pinned against that search by tests/common/test_util.cpp).
+// bytes are those of a search from 6. Each step formats with
+// to_chars(general, prec), which is "%.*g" by definition, and checks the
+// round trip with from_chars, which rounds as strtod does (a value out of
+// range is a failed round trip for both): the same bytes without a
+// snprintf or strtod call (pinned against that search by
+// tests/common/test_util.cpp).
 inline std::string fmt_double(double v) {
   char buf[64];
-  const auto sci = std::to_chars(buf, buf + sizeof buf, v,
-                                 std::chars_format::scientific);
+  char* const buf_end = buf + sizeof buf;
+  const auto sci =
+      std::to_chars(buf, buf_end, v, std::chars_format::scientific);
   int digits = 0;
   for (const char* p = buf; p != sci.ptr && *p != 'e'; ++p)
     digits += *p >= '0' && *p <= '9';
+  char* end = sci.ptr;
   for (int prec = std::max(6, digits); prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf_end, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    const auto r = std::from_chars(buf, end, back);
+    if (r.ec == std::errc{} && back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 // FNV-1a 64-bit hash. Used where a stable, platform-independent content

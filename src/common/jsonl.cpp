@@ -66,6 +66,13 @@ std::string JsonlField::value_text() const {
   return value_escaped ? unescape(value) : std::string(value);
 }
 
+void JsonlField::value_to(std::string& out) const {
+  if (value_escaped)
+    out = unescape(value);
+  else
+    out.assign(value);
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -111,12 +118,15 @@ bool scan_jsonl_line(std::string_view line, std::vector<JsonlField>& out) {
     } else {
       // Raw token: everything up to the next comma or closing brace. The
       // emitter only writes number tokens here, but the parser does not
-      // care -- the bytes ARE the cell.
-      const auto end = line.find_first_of(",}", i);
-      if (end == std::string_view::npos || end == i) return false;
+      // care -- the bytes ARE the cell. One pass finds the end and
+      // rejects what the subset lacks (nested containers, a stray quote).
+      std::size_t end = i;
+      for (; end < line.size() && line[end] != ',' && line[end] != '}';
+           ++end)
+        if (line[end] == '{' || line[end] == '[' || line[end] == '"')
+          return false;
+      if (end == line.size() || end == i) return false;
       f.value = line.substr(i, end - i);
-      if (f.value.find_first_of("{[\"") != std::string_view::npos)
-        return false;  // nested containers are not in the subset
       i = end;
     }
     out.push_back(f);

@@ -93,7 +93,8 @@ double ZipfSampler::h_inv(double x) const {
 
 std::size_t ZipfSampler::operator()(Rng& rng) const {
   if (n_ == 1) return 0;
-  // Rejection sampling from the continuous envelope (Hormann-style).
+  // Rejection sampling from a continuous envelope; approximate (see
+  // rng.hpp).
   for (;;) {
     const double u = h_x1_ + rng.uniform() * (h_n_ - h_x1_);
     const double x = h_inv(u);

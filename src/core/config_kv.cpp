@@ -1,6 +1,8 @@
 #include "reap/core/config_kv.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "reap/common/strings.hpp"
 #include "reap/trace/spec2006.hpp"
@@ -37,23 +39,35 @@ std::map<std::string, std::string> kv_parse(const std::string& text) {
 std::string to_kv_string(const ExperimentConfig& cfg) {
   const double read_ratio =
       cfg.mtj.read_current.value / cfg.mtj.critical_current.value;
-  std::ostringstream out;
-  out << "workload=" << cfg.workload.name           //
-      << " policy=" << to_string(cfg.policy)        //
-      << " ecc_t=" << cfg.ecc_t                     //
-      << " mtj=" << cfg.mtj.name                    //
-      << " mtj_read_ratio=" << fmt_double(read_ratio)
-      << " instructions=" << cfg.instructions       //
-      << " warmup=" << cfg.warmup_instructions      //
-      << " clock_ghz=" << fmt_double(cfg.clock_ghz) //
-      << " seed=" << cfg.seed                       //
-      << " workload_seed=" << cfg.workload.seed     //
-      << " scrub_every=" << cfg.scrub_every         //
-      << " dirty_check=" << (cfg.check_on_dirty_eviction ? 1 : 0)
-      << " l2_kb=" << cfg.hierarchy.l2.capacity_bytes / 1024
-      << " l2_ways=" << cfg.hierarchy.l2.ways
-      << " block_bytes=" << cfg.hierarchy.l2.block_bytes;
-  return out.str();
+  std::string out;
+  out.reserve(256);
+  const auto put = [&out](const char* key, std::string_view value) {
+    if (!out.empty()) out += ' ';
+    out += key;
+    out += '=';
+    out += value;
+  };
+  const auto put_u64 = [&put](const char* key, std::uint64_t value) {
+    char buf[20];
+    put(key, std::string_view(buf, std::to_chars(buf, buf + sizeof buf,
+                                                 value).ptr - buf));
+  };
+  put("workload", cfg.workload.name);
+  put("policy", to_string(cfg.policy));
+  put_u64("ecc_t", cfg.ecc_t);
+  put("mtj", cfg.mtj.name);
+  put("mtj_read_ratio", fmt_double(read_ratio));
+  put_u64("instructions", cfg.instructions);
+  put_u64("warmup", cfg.warmup_instructions);
+  put("clock_ghz", fmt_double(cfg.clock_ghz));
+  put_u64("seed", cfg.seed);
+  put_u64("workload_seed", cfg.workload.seed);
+  put_u64("scrub_every", cfg.scrub_every);
+  put_u64("dirty_check", cfg.check_on_dirty_eviction ? 1 : 0);
+  put_u64("l2_kb", cfg.hierarchy.l2.capacity_bytes / 1024);
+  put_u64("l2_ways", cfg.hierarchy.l2.ways);
+  put_u64("block_bytes", cfg.hierarchy.l2.block_bytes);
+  return out;
 }
 
 std::optional<ExperimentConfig> config_from_kv(const std::string& text,

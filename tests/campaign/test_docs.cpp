@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <string>
 #include <utility>
@@ -175,6 +177,36 @@ TEST(Docs, ArchitectureCoversEveryLayer) {
         "PoliciesNeverChangeHierarchyState", "test_group_pass"})
     EXPECT_NE(arch.find(token), std::string::npos)
         << "docs/architecture.md does not mention " << token;
+}
+
+// The reverse of the token checks: every `Suite.Name` pin the docs cite
+// must name a TEST (TEST_F, TEST_P) that exists under tests/, so a test
+// deleted or renamed cannot stay cited as a guarantee.
+TEST(Docs, CitedTestPinsExist) {
+  std::string tests;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           kSourceDir + "/tests"))
+    if (entry.path().extension() == ".cpp")
+      tests += read_file(entry.path().string());
+  const std::regex pin("`([A-Z][A-Za-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)`");
+  std::size_t cited = 0;
+  for (const auto& doc :
+       std::filesystem::directory_iterator(kSourceDir + "/docs")) {
+    if (doc.path().extension() != ".md") continue;
+    const auto text = read_file(doc.path().string());
+    for (std::sregex_iterator m(text.begin(), text.end(), pin), end;
+         m != end; ++m) {
+      const std::string args =
+          "(" + (*m)[1].str() + ", " + (*m)[2].str() + ")";
+      ++cited;
+      EXPECT_TRUE(tests.find("TEST" + args) != std::string::npos ||
+                  tests.find("TEST_F" + args) != std::string::npos ||
+                  tests.find("TEST_P" + args) != std::string::npos)
+          << doc.path().filename() << " cites " << m->str()
+          << ", which is no test under tests/";
+    }
+  }
+  EXPECT_GE(cited, 6u);  // architecture.md's invariants 2 and 8 alone
 }
 
 // docs/performance.md must describe the vectorized hot loop in terms

@@ -1,14 +1,17 @@
 // Execution journal: round trip, torn-tail tolerance, per-row CRC
 // classification (torn vs corrupt), v1 compatibility, append/rewrite,
-// compatibility checks, row merging, live tailing, the one row parser
-// against the readers it replaced, and the progress line.
+// compatibility checks, row merging, rendering rows apart from appending
+// them (also across threads and through the CLI), live tailing, the one
+// row parser against the readers it replaced, and the progress line.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <thread>
 
 #include "reap/campaign/journal.hpp"
 #include "reap/campaign/progress.hpp"
@@ -16,8 +19,10 @@
 #include "reap/campaign/spec.hpp"
 #include "reap/common/crc32c.hpp"
 #include "reap/common/fault.hpp"
+#include "reap/common/file.hpp"
 #include "reap/common/jsonl.hpp"
 #include "reap/common/strings.hpp"
+#include "reap/common/subprocess.hpp"
 #include "reap/core/config_kv.hpp"
 #include "reap/core/experiment.hpp"
 
@@ -408,6 +413,87 @@ TEST(Journal, MergeRowsDedupesByKeyAndSortsByIndex) {
   EXPECT_EQ(merged[0].cells, fake_cells(1));  // first occurrence won
   EXPECT_EQ(merged[1].index, 3u);
   EXPECT_EQ(merged[2].index, 5u);
+}
+
+// render + append is add in two steps: the same bytes, also when the
+// lines are rendered on several threads at once and appended in order --
+// how reap_campaign journals rows its runner threads rendered.
+TEST(Journal, RowsRenderedOnManyThreadsAppendAsAddWritesThem) {
+  const auto header = JournalHeader::for_run(small_spec(), 64, 0, 1);
+  const auto key = [](std::size_t i) {
+    return "k\"" + std::to_string(i);  // the quote must be escaped
+  };
+  const auto by_add = temp_path("reap_journal_add.journal");
+  const auto by_parts = temp_path("reap_journal_parts.journal");
+  {
+    JournalWriter w(by_add, header);
+    for (std::size_t i = 0; i < 64; ++i) w.add(key(i), fake_cells(i));
+  }
+  {
+    JournalWriter w(by_parts, header);
+    std::vector<std::string> lines(64);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < lines.size(); i += 4)
+          lines[i] = w.render(key(i), fake_cells(i));
+      });
+    for (auto& th : threads) th.join();
+    for (std::size_t i = 0; i < lines.size(); ++i) w.append(key(i), lines[i]);
+  }
+  const auto add_bytes = common::read_file(by_add);
+  ASSERT_TRUE(add_bytes);
+  EXPECT_EQ(common::read_file(by_parts), add_bytes);
+  const auto j = read_journal(by_parts);
+  ASSERT_TRUE(j);
+  EXPECT_EQ(j->rows.size(), 64u);
+  EXPECT_TRUE(j->corrupt.empty());
+  EXPECT_FALSE(j->truncated_tail);
+  EXPECT_EQ(j->rows[7].key, key(7));
+}
+
+// reap_campaign renders rows on the runner threads that ran them, so a
+// journaled run on four threads must journal the rows of a one-thread run
+// (in another order) and write the same CSV byte for byte.
+TEST(JournalCli, FourThreadsJournalTheRowsAndCsvOfOneThread) {
+  struct Run {
+    std::string header;
+    std::vector<std::string> rows;  // sorted journal row lines
+    std::string csv;
+  };
+  const auto run = [](unsigned threads) {
+    const std::string tag = "reap_journal_cli_t" + std::to_string(threads);
+    const auto journal = temp_path((tag + ".journal").c_str());
+    const auto csv = temp_path((tag + ".csv").c_str());
+    std::remove(journal.c_str());
+    const std::vector<std::string> argv = {
+        REAP_CAMPAIGN_BIN, "--workloads=all", "--policies=all", "--ecc=1,2",
+        "--seeds=0,1,2,3,4,5,6,7", "--instructions=1000", "--warmup=100",
+        "--threads=" + std::to_string(threads), "--journal=" + journal,
+        "--csv=" + csv, "--quiet"};
+    Run out;
+    std::string error;
+    auto child =
+        common::Child::spawn(argv, temp_path((tag + ".log").c_str()), &error);
+    EXPECT_TRUE(child) << error;
+    if (!child) return out;
+    EXPECT_TRUE(child->wait().success());
+    auto lines = file_lines(journal);
+    EXPECT_FALSE(lines.empty());
+    if (lines.empty()) return out;
+    out.header = lines.front();
+    out.rows.assign(lines.begin() + 1, lines.end());
+    std::sort(out.rows.begin(), out.rows.end());
+    out.csv = common::read_file(csv).value_or("");
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  EXPECT_EQ(one.rows.size(), 28u * 5u * 2u * 8u);
+  EXPECT_EQ(four.header, one.header);
+  EXPECT_TRUE(four.rows == one.rows);
+  EXPECT_FALSE(one.csv.empty());
+  EXPECT_TRUE(four.csv == one.csv);
 }
 
 TEST(JournalTailer, ReportsRowsIncrementallyAndHoldsBackTornTail) {

@@ -1,6 +1,7 @@
 // CRC32C is part of the journal's on-disk format: these known-answer
 // vectors pin the function to the standard Castagnoli variant so a
-// refactor can never silently change the checksum of existing journals.
+// refactor can never silently change the checksum of existing journals,
+// and the SSE4.2 path is pinned to the table path byte for byte.
 #include "reap/common/crc32c.hpp"
 
 #include <gtest/gtest.h>
@@ -71,6 +72,56 @@ TEST(Crc32c, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
     const std::string_view v(buf.data() + 1, len);
     EXPECT_EQ(crc32c(v), bytewise_crc32c(v)) << "length " << len;
   }
+}
+
+// The table path, called directly: the fallback of a host without
+// SSE4.2, tested on every host.
+TEST(Crc32c, TablePathMatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937_64 rng(11);
+  std::string buf(1040, '\0');
+  for (auto& ch : buf) ch = static_cast<char>(rng());
+  for (std::size_t start = 0; start < 8; ++start)
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view v(buf.data() + start, len);
+      ASSERT_EQ(crc32c_table(v), bytewise_crc32c(v))
+          << "start " << start << ", length " << len;
+    }
+  EXPECT_EQ(crc32c_table("123456789"), 0xE3069283u);
+}
+
+// crc32c runs the SSE4.2 path where the CPU has it (elsewhere it is the
+// table path, and this holds trivially). Lengths 0-1024 from every offset
+// cover the 8-byte body, the bytewise tail and the three-chain 256-byte
+// blocks; the long lengths straddle the 8 KiB blocks' 24 KiB stride.
+TEST(Crc32c, HardwarePathMatchesTablePathAtEveryLengthAndOffset) {
+  std::mt19937_64 rng(13);
+  std::string buf(3 * 3 * 8192 + 64, '\0');
+  for (auto& ch : buf) ch = static_cast<char>(rng());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::string_view v(buf.data() + start, len);
+      ASSERT_EQ(crc32c(v), crc32c_table(v))
+          << "start " << start << ", length " << len;
+    }
+    for (const std::size_t len :
+         {24575u, 24576u, 24577u, 24576u + 768u, 49152u + 767u, 73728u}) {
+      const std::string_view v(buf.data() + start, len);
+      ASSERT_EQ(crc32c(v), crc32c_table(v))
+          << "start " << start << ", length " << len;
+    }
+  }
+}
+
+// The two-piece form equals the checksum of the concatenation at every
+// split point, on either path.
+TEST(Crc32c, TwoPieceFormEqualsTheConcatenation) {
+  const std::string row =
+      "{\"key\":\"mcf/reap/t1/sc-/rr-/s0\",\"index\":3,\"mttf\":1.5";
+  for (std::size_t cut = 0; cut <= row.size(); ++cut)
+    ASSERT_EQ(crc32c(std::string_view(row).substr(0, cut),
+                     std::string_view(row).substr(cut)),
+              crc32c(row))
+        << "cut " << cut;
 }
 
 TEST(Crc32c, HexFormatRoundTrips) {

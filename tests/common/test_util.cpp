@@ -153,21 +153,76 @@ TEST(Strings, FmtDoubleMatchesTheFullPrecisionSearch) {
   for (const double v :
        {0.0, -0.0, 1.0, -2.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 1e300,
         9007199254740993.0, 123456.0, 1234567.0, 0.75, 171.0, 5e-324,
-        limits::min(), limits::max(), limits::denorm_min(),
-        limits::infinity(), -limits::infinity(), limits::quiet_NaN()})
+        limits::min(), limits::max(), -limits::max(), limits::denorm_min(),
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN(), limits::signaling_NaN()})
     EXPECT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
-  std::mt19937_64 rng(2024);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  for (int i = 0; i < 10000; ++i) {
-    // Arbitrary bit patterns cover every exponent; short decimals and
-    // powers of two cover the cases where few digits suffice or the
-    // round-trip interval is lopsided.
-    const double bits = std::bit_cast<double>(rng());
-    const double short_decimal = std::round(unit(rng) * 1e4) / 1e2;
-    const double power = std::ldexp(1.0, static_cast<int>(rng() % 2000) - 1000);
-    for (const double v : {bits, short_decimal, power, unit(rng) * 1e6})
+  // Every power of two, normal and subnormal, and its neighbours: the
+  // round-trip interval is lopsided there.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, std::nextafter(p, 0.0),
+                           std::nextafter(p, limits::infinity()), -p})
       ASSERT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
   }
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  // Arbitrary bit patterns cover every exponent, both NaN signs and the
+  // subnormals; subnormal mantissas get a share of their own.
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    ASSERT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
+  }
+  for (int i = 0; i < 20'000; ++i) {
+    const double v =
+        std::bit_cast<double>(rng() & 0x800FFFFFFFFFFFFFULL);  // subnormal
+    ASSERT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
+  }
+  for (int i = 0; i < 10000; ++i) {
+    // Short decimals cover the cases where few digits suffice.
+    const double short_decimal = std::round(unit(rng) * 1e4) / 1e2;
+    for (const double v : {short_decimal, unit(rng) * 1e6})
+      ASSERT_EQ(fmt_double(v), fmt_double_full_search(v)) << v;
+  }
+}
+
+// What parse_double was before its from_chars fast path: strtod over the
+// whole string.
+bool parse_double_strtod(const std::string& s, double& out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(s.c_str(), &end);
+  return end && *end == '\0';
+}
+
+void expect_parse_double_matches_strtod(const std::string& s) {
+  double fast = 0.0, slow = 0.0;
+  const bool fast_ok = parse_double(s, fast);
+  ASSERT_EQ(fast_ok, parse_double_strtod(s, slow)) << '"' << s << '"';
+  if (fast_ok) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(fast),
+              std::bit_cast<std::uint64_t>(slow))
+        << '"' << s << '"';
+  }
+}
+
+TEST(Strings, ParseDoubleDecidesAsStrtodDoes) {
+  // Inputs where from_chars and strtod part ways: leading space or '+',
+  // hex, out of range, signed zero, nan/inf spellings, 2^53 and 2^53 + 1,
+  // subnormals, and text after a number.
+  for (const char* s :
+       {" 1", "+1", "0x10", "0X1p3", "1e999", "-1e999", "1e-999", "-0", "0",
+        "nan", "-nan", "NaN", "nan(1)", "inf", "-inf", "Infinity", "infx",
+        "9007199254740992", "9007199254740993", "4.9e-324", "2.4e-324",
+        "2.5e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308", ".5", "5.", "1e", "1e+", "--1", "1 ",
+        "1,5", "", "e5", "0.1e-5", "123456789012345678901234567890"})
+    expect_parse_double_matches_strtod(s);
+  // And every string fmt_double writes, over arbitrary bit patterns.
+  std::mt19937_64 rng(99);
+  for (int i = 0; i < 200'000; ++i)
+    expect_parse_double_matches_strtod(
+        fmt_double(std::bit_cast<double>(rng())));
 }
 
 TEST(Csv, ParseLineInvertsEscape) {
