@@ -1,34 +1,24 @@
 // End-to-end experiment throughput (google-benchmark): instructions/sec of
 // run_experiment per read-path policy on the paper's default Table I
-// configuration, for both dispatch paths:
+// configuration:
 //
 //   E2E/simd/<policy>     -- the production engine: batched trace pulls,
 //                            policy statically dispatched and inlined into
 //                            the cache access path, vectorized drive loop
 //                            (batch pre-decode + prefetch + SIMD set
 //                            scans) (run_experiment)
-//   E2E/static/<policy>   -- the same engine on the plain batched loop,
-//                            no pre-decode/prefetch/SIMD
-//                            (run_experiment_basic)
-//   E2E/replay/<policy>   -- the production engine fed from a
-//                            materialized trace (run_experiment_replay
-//                            over a pre-built arena): the steady-state
-//                            cost of a campaign grid point whose
-//                            trace-cache lookup hits, i.e. every point of
-//                            a paired group after the first. replay/static
-//                            isolates the RNG generation share of the hot
-//                            path
-//   E2E/virtual/<policy>  -- the runtime-dispatch reference loop: per-op
-//                            virtual TraceSource::next + virtual
-//                            L2PolicyHooks (run_experiment_virtual)
+//   E2E/replay/<policy>   -- the same engine fed from a materialized
+//                            trace (run_experiment_replay over a
+//                            pre-built arena): the steady-state cost of a
+//                            campaign grid point whose trace-cache lookup
+//                            hits, i.e. every point of a paired group
+//                            after the first. replay/simd isolates the
+//                            RNG generation share of the hot path
 //
-// The simd/static and static/virtual ratios isolate the vectorization and
-// dispatch + batching wins inside one binary (bench_diff.py --gate holds
-// the floors in CI); comparing BENCH_e2e.json files across commits (tools/
-// bench_diff.py) tracks the full perf trajectory, including substrate
-// changes both paths share. items_per_second is simulated instructions per
-// wall second — the number ROADMAP's "SPEC-length windows become routine"
-// goal moves on.
+// The replay/simd ratio is the trace-replay win inside one binary
+// (bench_diff.py --gate holds its floor in CI); comparing BENCH_e2e.json
+// files across commits (tools/bench_diff.py) tracks the full perf
+// trajectory. items_per_second is simulated instructions per wall second.
 //
 // Emit the JSON artifact with:
 //   bench_e2e --benchmark_out=BENCH_e2e.json --benchmark_out_format=json
@@ -54,12 +44,10 @@ core::ExperimentConfig bench_cfg(core::PolicyKind policy) {
   return cfg;
 }
 
-void run_e2e(benchmark::State& state,
-             core::ExperimentResult (*run)(const core::ExperimentConfig&),
-             core::PolicyKind policy) {
+void run_e2e(benchmark::State& state, core::PolicyKind policy) {
   const auto cfg = bench_cfg(policy);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run(cfg));
+    benchmark::DoNotOptimize(core::run_experiment(cfg));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * cfg.instructions));
@@ -86,25 +74,11 @@ void register_all() {
   for (const core::PolicyKind policy : core::all_policies()) {
     benchmark::RegisterBenchmark(
         ("E2E/simd/" + core::to_string(policy)).c_str(),
-        [policy](benchmark::State& s) {
-          run_e2e(s, core::run_experiment, policy);
-        })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("E2E/static/" + core::to_string(policy)).c_str(),
-        [policy](benchmark::State& s) {
-          run_e2e(s, core::run_experiment_basic, policy);
-        })
+        [policy](benchmark::State& s) { run_e2e(s, policy); })
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         ("E2E/replay/" + core::to_string(policy)).c_str(),
         [policy](benchmark::State& s) { run_e2e_replay(s, policy); })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("E2E/virtual/" + core::to_string(policy)).c_str(),
-        [policy](benchmark::State& s) {
-          run_e2e(s, core::run_experiment_virtual, policy);
-        })
         ->Unit(benchmark::kMillisecond);
   }
 }

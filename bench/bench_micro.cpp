@@ -5,6 +5,7 @@
 
 #include "reap/common/rng.hpp"
 #include "reap/core/experiment.hpp"
+#include "reap/core/policy_impl.hpp"
 #include "reap/ecc/bch.hpp"
 #include "reap/ecc/hamming.hpp"
 #include "reap/ecc/secded.hpp"
@@ -140,8 +141,8 @@ void BM_CacheLookupHit(benchmark::State& state) {
   sim::SetAssocCache cache(
       {.name = "L1", .capacity_bytes = 32 * 1024, .ways = 4,
        .block_bytes = 64});
-  for (std::uint64_t a = 0; a < 32 * 1024; a += 64) cache.fill(a, false);
   sim::NullHooks hooks;
+  for (std::uint64_t a = 0; a < 32 * 1024; a += 64) cache.fill(a, false, hooks);
   std::uint64_t addr = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.read(addr, hooks));
@@ -204,7 +205,7 @@ BENCHMARK(BM_CacheFindWay)
     ->ArgNames({"simd", "ways"});
 
 void BM_BatchAddrDecode(benchmark::State& state) {
-  // The batch pre-pass run_vectorized adds: kBatchOps addresses ->
+  // The batch pre-pass TraceCpu::run adds: kBatchOps addresses ->
   // (set, tagv) against the Table I L2 geometry. items = ops, so
   // items_per_second shows the per-op cost the pre-decode amortizes.
   auto profile = *trace::spec2006_profile("perlbench");
@@ -230,7 +231,8 @@ BENCHMARK(BM_BatchAddrDecode);
 
 void BM_HierarchySimulation(benchmark::State& state) {
   // Steady-state instructions/second through the full hierarchy with the
-  // REAP policy attached (the heaviest hook).
+  // REAP policy attached (the heaviest hook), statically dispatched as in
+  // the experiment engine.
   auto profile = *trace::spec2006_profile("perlbench");
   trace::WorkloadTraceSource src(profile);
   sim::HierarchyConfig hcfg;
@@ -241,13 +243,11 @@ void BM_HierarchySimulation(benchmark::State& state) {
   ctx.model = &model;
   ctx.ledger = &ledger;
   ctx.ways = 8;
-  const auto policy =
-      core::ReadPathPolicy::make(core::PolicyKind::reap, ctx);
-  hier.set_l2_hooks(policy.get());
+  core::ReapPolicyImpl policy(ctx);
   sim::TraceCpu cpu(src, hier);
-  cpu.run(100'000);  // warm
+  cpu.run(100'000, policy);  // warm
   for (auto _ : state) {
-    cpu.run(1'000);
+    cpu.run(1'000, policy);
   }
   state.SetItemsProcessed(state.iterations() * 1'000);
 }

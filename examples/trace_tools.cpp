@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "reap/common/cli.hpp"
-#include "reap/core/read_path.hpp"
+#include "reap/core/policy_impl.hpp"
 #include "reap/reliability/binomial.hpp"
 #include "reap/reliability/ledger.hpp"
 #include "reap/sim/cpu.hpp"
@@ -57,13 +57,11 @@ int main(int argc, char** argv) {
   ctx.model = &model;
   ctx.ledger = &ledger;
   ctx.ways = 8;
-  const auto policy =
-      core::ReadPathPolicy::make(core::PolicyKind::conventional_parallel, ctx);
+  core::ConventionalPolicyImpl policy(ctx);
 
   sim::MemoryHierarchy hier(sim::HierarchyConfig{});
-  hier.set_l2_hooks(policy.get());
   sim::TraceCpu cpu(*reader, hier);
-  cpu.run(ops);  // replays until the trace ends
+  cpu.run(ops, policy);  // replays until the trace ends
 
   const auto s = hier.stats();
   std::printf(

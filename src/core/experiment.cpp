@@ -9,7 +9,6 @@
 
 #include "reap/common/assert.hpp"
 #include "reap/core/policy_impl.hpp"
-#include "reap/core/read_path.hpp"
 #include "reap/ecc/bch.hpp"
 #include "reap/ecc/secded.hpp"
 #include "reap/mtj/read_disturb.hpp"
@@ -301,13 +300,20 @@ void check_config(const ExperimentConfig& cfg) {
   REAP_EXPECTS(!cfg.workload.patterns.empty());
 }
 
-// The one engine: a pass over `cfgs` on this thread's rig. `vectorized`
-// picks the drive loop -- TraceCpu::run_vectorized (batch pre-decode +
-// prefetch + pre-decoded L2 lookups) or the plain batched run. Both
-// produce byte-identical results; the branch is per run, not per op.
-std::vector<ExperimentResult> run_pass(std::span<const ExperimentConfig> cfgs,
-                                       trace::TraceSource* source,
-                                       bool vectorized) {
+}  // namespace
+
+bool shares_pass(const ExperimentConfig& a, const ExperimentConfig& b) {
+  return a.hierarchy.l2.replacement !=
+             sim::ReplacementKind::least_error_rate &&
+         same_shape(a.hierarchy, b.hierarchy) && a.seed == b.seed &&
+         a.instructions == b.instructions &&
+         a.warmup_instructions == b.warmup_instructions &&
+         a.workload == b.workload;
+}
+
+// The one engine: a pass over `cfgs` on this thread's rig.
+std::vector<ExperimentResult> run_experiments(
+    std::span<const ExperimentConfig> cfgs, trace::TraceSource* source) {
   REAP_EXPECTS(!cfgs.empty());
   for (const ExperimentConfig& cfg : cfgs) {
     check_config(cfg);
@@ -321,21 +327,15 @@ std::vector<ExperimentResult> run_pass(std::span<const ExperimentConfig> cfgs,
     policies.emplace_back(cfgs[i].policy, rig.lanes[i].ctx);
   LaneHooks hooks(policies);
 
-  const auto drive = [&](std::uint64_t instructions) {
-    if (vectorized)
-      rig.cpu->run_vectorized(instructions, hooks);
-    else
-      rig.cpu->run(instructions, hooks);
-  };
   const ExperimentConfig& shared = cfgs.front();
   // Warmup: populate caches, then reset all accounting.
   if (shared.warmup_instructions > 0) {
-    drive(shared.warmup_instructions);
+    rig.cpu->run(shared.warmup_instructions, hooks);
     rig.reset_accounting(cfgs.size());
     for (AnyPolicyImpl& p : policies)
       p.visit([](auto& impl) { impl.reset_events(); });
   }
-  drive(shared.instructions);
+  rig.cpu->run(shared.instructions, hooks);
   REAP_ASSERT(rig.lane_cycles(rig.lanes[0]) == rig.cpu->cycles());
 
   std::vector<ExperimentResult> out;
@@ -349,50 +349,13 @@ std::vector<ExperimentResult> run_pass(std::span<const ExperimentConfig> cfgs,
   return out;
 }
 
-}  // namespace
-
-bool shares_pass(const ExperimentConfig& a, const ExperimentConfig& b) {
-  return a.hierarchy.l2.replacement !=
-             sim::ReplacementKind::least_error_rate &&
-         same_shape(a.hierarchy, b.hierarchy) && a.seed == b.seed &&
-         a.instructions == b.instructions &&
-         a.warmup_instructions == b.warmup_instructions &&
-         a.workload == b.workload;
-}
-
-std::vector<ExperimentResult> run_experiments(
-    std::span<const ExperimentConfig> cfgs, trace::TraceSource* source) {
-  return run_pass(cfgs, source, /*vectorized=*/true);
-}
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   return std::move(run_experiments({&cfg, 1}).front());
-}
-
-ExperimentResult run_experiment_basic(const ExperimentConfig& cfg) {
-  return std::move(run_pass({&cfg, 1}, nullptr, /*vectorized=*/false).front());
 }
 
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source) {
   return std::move(run_experiments({&cfg, 1}, &source).front());
-}
-
-ExperimentResult run_experiment_virtual(const ExperimentConfig& cfg) {
-  check_config(cfg);
-  ExperimentRig rig;  // always fresh: the reference reused rigs must match
-  rig.reset({&cfg, 1}, nullptr);
-  const auto policy = ReadPathPolicy::make(cfg.policy, rig.lanes[0].ctx);
-  rig.hier->set_l2_hooks(policy.get());
-  if (cfg.warmup_instructions > 0) {
-    rig.cpu->run(cfg.warmup_instructions);
-    rig.reset_accounting(1);
-    policy->reset_events();
-  }
-  rig.cpu->run(cfg.instructions);
-  // The core's own cycle count, not lane_cycles: this is the reference
-  // the rebuilt counts are checked against.
-  return collect(cfg, rig, rig.lanes[0], rig.cpu->cycles(), policy->events());
 }
 
 PolicyComparison compare_policies(const ExperimentConfig& cfg,

@@ -85,8 +85,9 @@ bool shares_pass(const ExperimentConfig& a, const ExperimentConfig& b);
 // the L2 (SetAssocCache lanes) with its own line code, models, ledger and
 // energy events, and its cycle count is rebuilt exactly from the shared
 // walk's stats at its own L2 hit latency. Every result is byte-identical
-// to running that config alone (pinned by tests/core/test_group_pass.cpp
-// against run_experiment_virtual).
+// to running that config alone, and every lane matches the independent
+// reference model in tests/core/reference_model.hpp (pinned by
+// tests/core/test_group_pass.cpp and tests/core/test_reference_model.cpp).
 //
 // Ops come from `source` when given -- it must yield the byte-identical
 // sequence the configs' generator would (e.g. a trace::ReplayTraceSource
@@ -95,10 +96,10 @@ bool shares_pass(const ExperimentConfig& a, const ExperimentConfig& b);
 //
 // Dispatch is static per lane: the simulator inner loop (trace batch ->
 // L1 -> L2 -> lanes) inlines every policy impl and switches between them
-// per hook call (AnyPolicyImpl), with no virtual calls. The drive loop is
-// the vectorized one (TraceCpu::run_vectorized): batch address
-// pre-decode, software prefetch of upcoming set columns, SIMD set scans
-// where the build enables them (REAP_SIMD).
+// per hook call (AnyPolicyImpl), with no virtual calls. The drive loop
+// (TraceCpu::run) pre-decodes each batch's addresses, prefetches upcoming
+// set columns, and scans sets with SIMD kernels where the build enables
+// them (REAP_SIMD).
 //
 // The experiment rig (caches, memos, models) is kept per thread and reset
 // for each pass instead of allocated; a result depends on its config
@@ -112,29 +113,11 @@ std::vector<ExperimentResult> run_experiments(
 // A pass of one.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-// A pass of one driven by the plain batched loop (TraceCpu::run(n,
-// hooks)): no pre-decode, no prefetch, scalar per-way walks. Kept as
-// bench_e2e's E2E/static baseline -- the simd/static ratio isolates the
-// vectorization win inside one binary -- and as a golden-equivalence
-// midpoint (pinned byte-identical to run_experiment by
-// tests/core/test_static_dispatch.cpp).
-ExperimentResult run_experiment_basic(const ExperimentConfig& cfg);
-
 // A pass of one over `source` (see run_experiments). The campaign trace
 // cache hangs off this: one materialized trace serves every pass of a
 // trace key.
 ExperimentResult run_experiment_replay(const ExperimentConfig& cfg,
                                        trace::TraceSource& source);
-
-// Reference implementation driving the same wiring through the runtime
-// interfaces (per-op virtual TraceSource::next, virtual L2PolicyHooks),
-// on a freshly built single-lane rig every call, taking its cycle count
-// from the core rather than rebuilding it.
-// Kept as the equivalence baseline: for any config it must produce results
-// byte-identical to run_experiment (pinned by
-// tests/core/test_static_dispatch.cpp) and is what bench_e2e reports the
-// static path's speedup against.
-ExperimentResult run_experiment_virtual(const ExperimentConfig& cfg);
 
 // Runs `base` and `other` on the same workload/seed -- as one pass unless
 // the config uses least-error-rate replacement -- and reports the

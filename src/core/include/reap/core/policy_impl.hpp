@@ -1,7 +1,6 @@
 // Concrete, non-virtual read-path policy implementations: the compile-time
 // dispatch targets the experiment engine instantiates the cache/hierarchy
-// access path over. See read_path.hpp for the policy taxonomy and the
-// runtime-dispatch adapter that wraps these for tests.
+// access path over. See read_path.hpp for the policy taxonomy.
 //
 // Each impl has the sim hooks shape (on_read_lookup / on_write_lookup /
 // on_fill / on_evict) plus events(). Shared write/fill/evict bookkeeping
@@ -9,10 +8,8 @@
 // derived check_failure without a vtable.
 //
 // Loops that only bump accumulation counters go through
-// CacheSetView::accumulate_valid — a whole-set vector kernel
-// (sim/simd.hpp) when the view spans the cache's padded columns, the
-// branchless scalar walk (counter += valid_bit) otherwise; both are
-// value-identical. Loops that append ledger entries per way keep the
+// CacheSetView::accumulate_valid — a whole-set kernel (sim/simd.hpp) over
+// the padded columns. Loops that append ledger entries per way keep the
 // branchy form: the ledger's floating-point sum and histogram sequence
 // must stay in exact way order.
 #pragma once
@@ -22,6 +19,7 @@
 #include "reap/common/assert.hpp"
 #include "reap/core/read_path.hpp"
 #include "reap/reliability/binomial.hpp"
+#include "reap/sim/cache.hpp"
 
 namespace reap::core {
 

@@ -15,20 +15,19 @@
 //
 // A policy owns the per-line accumulation bookkeeping, the
 // failure-probability ledger entries, and the energy event counts; the
-// cache supplies the mechanism (tags, LRU, dirty bits). The concrete
+// cache supplies the mechanism (tags, LRU, dirty bits). The
 // implementations live in policy_impl.hpp as non-virtual types the
-// simulator statically dispatches over; ReadPathPolicy is the runtime
-// (virtual) view of the same implementations -- a thin adapter
-// (policies.hpp) for tests and exploratory code.
+// simulator statically dispatches over (AnyPolicyImpl picks one at run
+// time). tests/core/reference_model.cpp restates each policy from the
+// paper, independently, as the oracle the engine is checked against.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "reap/reliability/ledger.hpp"
-#include "reap/sim/cache.hpp"
 
 namespace reap::reliability {
 class UncorrectableModel;
@@ -80,19 +79,6 @@ struct PolicyContext {
   // scrub_piggyback only: one in this many read lookups scrubs its whole
   // set (checks + resets every valid way).
   std::uint64_t scrub_every = 64;
-};
-
-// Runtime-dispatch view of a read-path policy: the virtual L2PolicyHooks
-// interface plus kind/events accessors. make() returns an adapter wrapping
-// the matching policy_impl.hpp implementation.
-class ReadPathPolicy : public sim::L2PolicyHooks {
- public:
-  static std::unique_ptr<ReadPathPolicy> make(PolicyKind kind,
-                                              const PolicyContext& ctx);
-
-  virtual PolicyKind kind() const = 0;
-  virtual const EnergyEvents& events() const = 0;
-  virtual void reset_events() = 0;
 };
 
 }  // namespace reap::core

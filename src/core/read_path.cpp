@@ -1,7 +1,5 @@
 #include "reap/core/read_path.hpp"
 
-#include "reap/core/policies.hpp"
-
 namespace reap::core {
 
 std::string to_string(PolicyKind kind) {
@@ -28,23 +26,6 @@ std::vector<PolicyKind> all_policies() {
   return {PolicyKind::conventional_parallel, PolicyKind::reap,
           PolicyKind::serial_tag_then_data, PolicyKind::disruptive_restore,
           PolicyKind::scrub_piggyback};
-}
-
-std::unique_ptr<ReadPathPolicy> ReadPathPolicy::make(PolicyKind kind,
-                                                     const PolicyContext& ctx) {
-  switch (kind) {
-    case PolicyKind::conventional_parallel:
-      return std::make_unique<ConventionalParallelPolicy>(ctx);
-    case PolicyKind::reap:
-      return std::make_unique<ReapPolicy>(ctx);
-    case PolicyKind::serial_tag_then_data:
-      return std::make_unique<SerialTagThenDataPolicy>(ctx);
-    case PolicyKind::disruptive_restore:
-      return std::make_unique<DisruptiveRestorePolicy>(ctx);
-    case PolicyKind::scrub_piggyback:
-      return std::make_unique<ScrubPiggybackPolicy>(ctx);
-  }
-  return nullptr;
 }
 
 }  // namespace reap::core

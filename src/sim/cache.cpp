@@ -68,7 +68,6 @@ void SetAssocCache::reset(std::uint64_t seed, std::size_t lanes) {
   }
   touched_.clear();
   stats_ = {};
-  hooks_ = nullptr;
   ones_ = {};
   clock_ = 0;
   rng_.reseed(seed);

@@ -1,10 +1,10 @@
-// Set-associative cache with a pluggable read-path observer.
+// Set-associative cache with a statically dispatched read-path observer.
 //
 // The cache implements the *mechanism* shared by every read-path variant:
 // tag match, replacement, dirty tracking, per-line reliability metadata.
 // The *policy* differences the paper studies (who gets ECC-checked when,
-// which reads count as concealed) live in core read-path implementations,
-// which the cache invokes on every access.
+// which reads count as concealed) live in core read-path implementations
+// (core/policy_impl.hpp), which the cache invokes on every access.
 //
 // Storage is structure-of-arrays, split by access temperature:
 //   tags_  -- dense (tag << 1 | valid) uint64 column; the only data
@@ -35,11 +35,10 @@
 // pick victims, so a cache using it has exactly one lane.
 //
 // Dispatch is compile-time: the access paths are templates over a Hooks
-// type with the L2PolicyHooks shape, so a concrete policy inlines into the
-// loop. The runtime L2PolicyHooks interface survives as VirtualHooks, a
-// thin adapter the untemplated convenience overloads route through — tests
-// and exploratory code keep injecting observers dynamically while the
-// campaign engine pays no virtual call per access.
+// type (the NullHooks shape below), so a concrete policy inlines into the
+// loop and no access pays a virtual call. The engine's results are pinned
+// against an independent reference model (tests/core/reference_model.hpp,
+// tests/core/test_reference_model.cpp).
 #pragma once
 
 #include <cstdint>
@@ -82,39 +81,33 @@ struct LineState {
 };
 
 // One set's SoA columns, as handed to the policy hooks: the tag|valid
-// column (read-only) and lane 0's reliability column (mutable). `padded`
-// says both columns are readable/writable up to simd::padded_ways(ways)
-// entries with zeroed padding -- true for views the cache builds over its
-// own columns, false for views tests construct over raw arrays.
+// column (read-only) and lane 0's reliability column (mutable). Both
+// columns must be readable and writable up to simd::padded_ways(ways)
+// entries, with zeroed padding, as the cache's own columns are (tests
+// build their views over arrays of that size).
 // `lane_stride` is the distance in entries between two lanes' columns.
 // `cache`/`set` locate the set in its cache, which draws undrawn ones
 // counts; views over raw arrays have no cache and hold drawn counts only.
 class CacheSetView {
  public:
   CacheSetView(const std::uint64_t* tagv, LineRel* rel, std::size_t ways,
-               bool padded = false, std::size_t lane_stride = 0,
-               SetAssocCache* cache = nullptr, std::size_t set = 0)
+               std::size_t lane_stride = 0, SetAssocCache* cache = nullptr,
+               std::size_t set = 0)
       : tagv_(tagv),
         rel_(rel),
         ways_(ways),
-        padded_(padded),
         lane_stride_(lane_stride),
         cache_(cache),
         set_(set) {}
 
   // The same set seen through reliability lane `lane`.
   CacheSetView lane(std::size_t lane) const {
-    return {tagv_, rel_ + lane * lane_stride_, ways_, padded_, lane_stride_,
-            cache_, set_};
+    return {tagv_, rel_ + lane * lane_stride_, ways_, lane_stride_, cache_,
+            set_};
   }
 
   std::size_t size() const { return ways_; }
   bool valid(std::size_t way) const { return (tagv_[way] & 1) != 0; }
-  // 1 for a valid way, 0 otherwise; lets accumulation loops stay
-  // branchless (counter += valid_bit).
-  std::uint32_t valid_bit(std::size_t way) const {
-    return static_cast<std::uint32_t>(tagv_[way] & 1);
-  }
   LineRel& rel(std::size_t way) const { return rel_[way]; }
 
   // The ones count of `way` -- the one way to read LineRel::ones. A fill
@@ -129,22 +122,15 @@ class CacheSetView {
 
   // The policies' shared accumulation walk, whole set per vector:
   // reads_since_check += valid_bit for every way. Value-identical to the
-  // per-way scalar loop (pinned by tests/sim/test_simd.cpp); the vector
-  // form needs the padded-column guarantee.
+  // per-way scalar loop (pinned by tests/sim/test_simd.cpp).
   void accumulate_valid() const {
-    if (padded_) {
-      simd::accumulate_valid(tagv_, rel_, ways_);
-    } else {
-      for (std::size_t w = 0; w < ways_; ++w)
-        rel_[w].reads_since_check += valid_bit(w);
-    }
+    simd::accumulate_valid(tagv_, rel_, ways_);
   }
 
  private:
   const std::uint64_t* tagv_;
   LineRel* rel_;
   std::size_t ways_;
-  bool padded_;
   std::size_t lane_stride_;
   SetAssocCache* cache_;
   std::size_t set_;
@@ -167,57 +153,23 @@ struct CacheConfig {
   std::size_t sets() const { return capacity_bytes / (ways * block_bytes); }
 };
 
-// Observer for the read path; see core/read_path.hpp for implementations.
-// Concrete (non-virtual) hook types with the same shape plug into the
-// templated access paths directly; this interface is the runtime-dispatch
-// fallback.
-class L2PolicyHooks {
- public:
-  virtual ~L2PolicyHooks() = default;
-
-  // A read lookup touched this set (parallel-access caches physically read
-  // every way). The view spans all k ways, valid or not; hit_way is the
-  // matching index or -1 on a miss.
-  virtual void on_read_lookup(CacheSetView set, int hit_way) = 0;
-
-  // A write lookup (L1 writeback / store update) touched this set; on a hit
-  // the line is about to be rewritten. Write lookups compare tags but do
-  // not read the data ways, so they cause no concealed reads.
-  virtual void on_write_lookup(CacheSetView set, int hit_way) = 0;
-
-  // Way `way` of the set was just filled (its ones count undrawn). The
-  // view is lane 0's, as for the lookups.
-  virtual void on_fill(CacheSetView set, std::size_t way) = 0;
-
-  // Way `way` of the set holds a (still valid) line about to be evicted.
-  virtual void on_evict(CacheSetView set, std::size_t way, bool dirty) = 0;
-};
-
-// Static hooks that do nothing: the L1 instantiation of the access paths.
+// The hooks shape every access path is templated over, as hooks that do
+// nothing (the L1 instantiation). The L2 hooks of a simulation pass are
+// read-path policies (core/policy_impl.hpp):
+//   on_read_lookup(set, hit_way) -- a read lookup touched this set
+//       (parallel-access caches physically read every way); the view spans
+//       all k ways, valid or not; hit_way is the matching index or -1.
+//   on_write_lookup(set, hit_way) -- a write lookup (L1 write-back)
+//       compared tags; on a hit the line is about to be rewritten. Write
+//       lookups read no data ways, so they cause no concealed reads.
+//   on_fill(set, way) -- `way` was just filled (its ones count undrawn).
+//   on_evict(set, way, dirty) -- `way` holds a still valid line about to
+//       be evicted.
 struct NullHooks {
   void on_read_lookup(CacheSetView, int) {}
   void on_write_lookup(CacheSetView, int) {}
   void on_fill(CacheSetView, std::size_t) {}
   void on_evict(CacheSetView, std::size_t, bool) {}
-};
-
-// Adapter presenting an optional runtime observer through the static hooks
-// shape; the untemplated access overloads route through it.
-struct VirtualHooks {
-  L2PolicyHooks* hooks = nullptr;
-
-  void on_read_lookup(CacheSetView set, int hit_way) {
-    if (hooks) hooks->on_read_lookup(set, hit_way);
-  }
-  void on_write_lookup(CacheSetView set, int hit_way) {
-    if (hooks) hooks->on_write_lookup(set, hit_way);
-  }
-  void on_fill(CacheSetView set, std::size_t way) {
-    if (hooks) hooks->on_fill(set, way);
-  }
-  void on_evict(CacheSetView set, std::size_t way, bool dirty) {
-    if (hooks) hooks->on_evict(set, way, dirty);
-  }
 };
 
 // Ones-count source for cached lines: either a DataValueModel, a fixed
@@ -278,7 +230,7 @@ class SetAssocCache {
   void reset_stats() { stats_ = {}; }
 
   // Returns the cache to its just-constructed state under `seed`: every
-  // line invalid, stats and clock zeroed, hooks and ones provider cleared,
+  // line invalid, stats and clock zeroed, ones provider cleared,
   // the replacement RNG re-seeded. Geometry and column storage are kept,
   // so a reset allocates nothing unless `lanes` needs more reliability
   // columns than any earlier reset did. The constructor ends in
@@ -297,11 +249,6 @@ class SetAssocCache {
   // The distance in entries between two reliability lanes' columns.
   std::size_t lane_stride() const { return lane_stride_; }
 
-  // Runtime policy observer; may be null (L1 caches). Used only by the
-  // untemplated access overloads.
-  void set_hooks(L2PolicyHooks* hooks) { hooks_ = hooks; }
-  L2PolicyHooks* hooks() const { return hooks_; }
-
   // Ones-count provider for cached lines; the default gives half the
   // block bits.
   void set_ones_provider(OnesProvider provider) { ones_ = provider; }
@@ -313,27 +260,19 @@ class SetAssocCache {
   };
 
   // Read lookup. Returns hit; does NOT fill on miss (caller decides).
-  //
-  // The lookup paths are templated on a kernel flavor as well as the hooks
-  // type. kVector=true (the default) scans with the build's wide kernels;
-  // kVector=false keeps the pre-vectorization scalar walks. The two
-  // flavors are value-identical (pinned by tests/sim/test_simd.cpp); the
-  // scalar flavor exists so the plain batched drive loop -- bench_e2e's
-  // E2E/static baseline -- stays a faithful reconstruction of the
-  // pre-vectorization engine that the E2E/simd series is gated against.
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool read(std::uint64_t addr, Hooks& hooks) {
-    return read_pre<kVector>(set_of(addr), tagv_of(addr), hooks);
+    return read_pre(set_of(addr), tagv_of(addr), hooks);
   }
 
   // Pre-decoded read lookup: `set`/`tagv` must equal set_of(addr)/
   // tagv_of(addr) for the looked-up address (the batch pre-decode pass
   // hoists that derivation out of the per-access path).
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool read_pre(std::size_t set, std::uint64_t tagv, Hooks& hooks) {
     ++stats_.read_lookups;
-    const int way = find_way<kVector>(set, tagv);
-    hooks.on_read_lookup(view_of<kVector>(set), way);
+    const int way = find_way(set, tagv);
+    hooks.on_read_lookup(view_of(set), way);
     if (way < 0) return false;
     ++stats_.read_hits;
     touch(set * stride_ + static_cast<std::size_t>(way));
@@ -344,17 +283,17 @@ class SetAssocCache {
   // accumulation cleared). The ones count is kept, drawn or not:
   // providers are address-deterministic (the OnesProvider contract), so
   // the rewritten line's count is the same value. Returns hit.
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool write(std::uint64_t addr, Hooks& hooks) {
-    return write_pre<kVector>(set_of(addr), tagv_of(addr), hooks);
+    return write_pre(set_of(addr), tagv_of(addr), hooks);
   }
 
   // Pre-decoded write lookup; same contract as read_pre.
-  template <bool kVector = true, class Hooks>
+  template <class Hooks>
   bool write_pre(std::size_t set, std::uint64_t tagv, Hooks& hooks) {
     ++stats_.write_lookups;
-    const int way = find_way<kVector>(set, tagv);
-    hooks.on_write_lookup(view_of<kVector>(set), way);
+    const int way = find_way(set, tagv);
+    hooks.on_write_lookup(view_of(set), way);
     if (way < 0) return false;
     ++stats_.write_hits;
     const std::size_t idx = set * stride_ + static_cast<std::size_t>(way);
@@ -368,19 +307,18 @@ class SetAssocCache {
 
   // Installs addr's block, evicting if needed; returns the evicted victim.
   // Precondition (validated by tests, not re-scanned here — this is the
-  // hot miss path): addr's block is not already present. kVector flavors
-  // the LRU victim scan, same contract as the lookup paths.
-  template <bool kVector = true, class Hooks>
+  // hot miss path): addr's block is not already present.
+  template <class Hooks>
   Evicted fill(std::uint64_t addr, bool dirty, Hooks& hooks) {
     const std::size_t set = set_of(addr);
     const std::uint64_t tag = tag_of(addr);
 
     Evicted ev;
-    const std::size_t w = victim_way<kVector>(set);
+    const std::size_t w = victim_way(set);
     const std::size_t idx = set * stride_ + w;
     LineState& st = state_[idx];
     if (st.valid) {
-      hooks.on_evict(view_of<kVector>(set), w, st.dirty);
+      hooks.on_evict(view_of(set), w, st.dirty);
       ev.any = true;
       ev.dirty = st.dirty;
       ev.addr = line_addr(tags_[idx] >> 1, set);
@@ -399,22 +337,8 @@ class SetAssocCache {
     st.fill_stamp = ++clock_;
     lru_[idx] = clock_;
     ++stats_.fills;
-    hooks.on_fill(view_of<kVector>(set), w);
+    hooks.on_fill(view_of(set), w);
     return ev;
-  }
-
-  // Untemplated overloads: dispatch through the configured runtime hooks.
-  bool read(std::uint64_t addr) {
-    VirtualHooks h{hooks_};
-    return read(addr, h);
-  }
-  bool write(std::uint64_t addr) {
-    VirtualHooks h{hooks_};
-    return write(addr, h);
-  }
-  Evicted fill(std::uint64_t addr, bool dirty) {
-    VirtualHooks h{hooks_};
-    return fill(addr, dirty, h);
   }
 
   // True if addr's block is present (no stats/hook side effects).
@@ -477,44 +401,30 @@ class SetAssocCache {
  private:
   friend class CacheSetView;
 
-  // The view's padded flag doubles as the accumulate_valid routing switch:
-  // scalar-flavor lookups hand the policies a view that accumulates with
-  // the scalar walk, vector-flavor lookups one that uses the wide kernel.
-  // (The columns themselves are padded either way.)
-  template <bool kVector = true>
   CacheSetView view_of(std::size_t set) {
     const std::size_t base = set * stride_;
-    return {&tags_[base], &rel_[base], cfg_.ways, /*padded=*/kVector,
-            lane_stride_, this, set};
+    return {&tags_[base], &rel_[base], cfg_.ways, lane_stride_, this, set};
   }
 
   // The cold half of CacheSetView::ones: draws the count of the valid line
   // at (set, way) from its block address and stores it in every lane.
   std::uint32_t draw_ones(std::size_t set, std::size_t way);
 
-  template <bool kVector = true>
   int find_way(std::size_t set, std::uint64_t tagv) const {
-    if constexpr (kVector)
-      return simd::find_way(&tags_[set * stride_], cfg_.ways, tagv);
-    else
-      return simd::find_way_scalar(&tags_[set * stride_], cfg_.ways, tagv);
+    return simd::find_way(&tags_[set * stride_], cfg_.ways, tagv);
   }
 
   // Victim selection. LRU is the hot case -- a single min-stamp scan over
-  // the set's lru column -- and is the flavored one. lru/fifo need no
+  // the set's lru column. lru/fifo need no
   // separate invalid-ways pass: an invalid line's stamps are 0 and every
   // valid line's are >= 1 (clock_ pre-increments), so the min-stamp scan
   // already prefers the first invalid way — the same victim the two-pass
   // form picked. random/LER fall through to the cold helper.
-  template <bool kVector = true>
   std::size_t victim_way(std::size_t set) {
     const std::size_t base = set * stride_;
     switch (cfg_.replacement) {
       case ReplacementKind::lru:
-        if constexpr (kVector)
-          return simd::victim_min(&lru_[base], cfg_.ways);
-        else
-          return simd::victim_min_scalar(&lru_[base], cfg_.ways);
+        return simd::victim_min(&lru_[base], cfg_.ways);
       case ReplacementKind::fifo: {
         const LineState* st = &state_[base];
         std::size_t v = 0;
@@ -551,7 +461,6 @@ class SetAssocCache {
   std::vector<std::uint8_t> is_touched_;
   bool cleared_ = false;  // every column has been zeroed at least once
   CacheStats stats_;
-  L2PolicyHooks* hooks_ = nullptr;
   OnesProvider ones_;
   std::uint32_t default_ones_ = 0;
   std::uint64_t clock_ = 0;

@@ -7,11 +7,31 @@
 // paper's setup uses). The L2 read path invokes the L2 policy hooks so
 // read-path policies can track disturbance accumulation.
 //
+// The rules, per access (the reference model in tests/core/reference_model
+// is written from this list):
+//   - Instruction fetches go through a fetch buffer: a fetch in the same
+//     L1I block as the previous fetch does not access the L1I.
+//   - An L1 hit costs nothing beyond the pipelined issue; a store hit
+//     dirties the line.
+//   - An L1 miss reads the block from the L2 (stores allocate too), then
+//     fills the L1 line (dirty for a store). A dirty L1 victim is written
+//     back to the L2 after that fill, and an allocating store then writes
+//     the new L1 line (one more L1 write lookup, a hit).
+//   - An L2 read hit stalls l2_hit_cycles; an L2 read miss reads memory,
+//     stalls mem_cycles and fills the L2 line clean.
+//   - An L2 write (an L1 write-back) that hits dirties the line and closes
+//     its unchecked-read window in every lane; one that misses
+//     write-allocates: a memory read, then a dirty fill. Neither stalls.
+//   - A dirty L2 victim is written to memory.
+//   - Caches pick an invalid way first (lowest index), then by
+//     replacement policy. Random replacement draws from a common::Rng per
+//     cache, seeded from the hierarchy seed s as L1I 3s+1, L1D 5s+2,
+//     L2 7s+3.
+//
 // The access paths are templates over the L2 hooks type: the experiment
-// engine instantiates them with a concrete policy (no virtual dispatch per
-// access), while the untemplated overloads keep the runtime-observer
-// behaviour by routing through VirtualHooks. L1 accesses always use
-// NullHooks — policies observe the L2 only.
+// engine instantiates them with a concrete policy, so no access pays a
+// virtual call. L1 accesses always use NullHooks — policies observe the
+// L2 only.
 #pragma once
 
 #include <cstdint>
@@ -63,14 +83,10 @@ class MemoryHierarchy {
   // Returns every cache to its just-constructed state under the per-cache
   // seeds the constructor derives from `seed`, and clears the memory
   // counters and the fetch buffer. Like SetAssocCache::reset it drops the
-  // L2 hooks and ones provider; the L2 hit-latency override is kept.
+  // L2 ones provider; the L2 hit-latency override is kept.
   // Geometry and storage are kept, so nothing is reallocated. `l2_lanes`
   // is the L2's reliability-lane count (SetAssocCache::reset).
   void reset(std::uint64_t seed, std::size_t l2_lanes = 1);
-
-  // Runtime observer for the L2 read path; used by the untemplated access
-  // overloads.
-  void set_l2_hooks(L2PolicyHooks* hooks) { l2_.set_hooks(hooks); }
 
   // Ones-count provider for L2 lines (the data-value model).
   void set_l2_ones_provider(OnesProvider provider) {
@@ -80,42 +96,16 @@ class MemoryHierarchy {
   // Override the L2 hit latency (read-path policies differ here).
   void set_l2_hit_cycles(std::uint32_t cycles) { cfg_.l2_hit_cycles = cycles; }
 
-  // Each returns stall cycles beyond the 1-cycle pipelined issue. The
-  // templated forms drive the L2 with a concrete policy; the untemplated
-  // forms use the hooks configured via set_l2_hooks.
-  //
-  // The un-hinted forms run the caches' scalar kernel flavor
-  // (cache.hpp): they serve the legacy per-op loop and the plain batched
-  // loop, which together are the pre-vectorization reference engine the
-  // vectorized path is benchmarked against. The hinted forms (below) are
-  // the production path and use the wide kernels. Both flavors are
-  // value-identical.
-  template <class L2Hooks>
-  std::uint64_t inst_fetch(std::uint64_t pc, L2Hooks& l2_hooks) {
-    // Fetch-buffer model: sequential fetches within the current block do
-    // not re-access L1I (a real front end reads a whole fetch group at
-    // once). Shift, not divide: this runs once per instruction, and the
-    // block size is a power of two (the cache constructor enforces it).
-    const std::uint64_t block = pc >> fetch_block_bits_;
-    if (block == last_fetch_block_) return 0;
-    last_fetch_block_ = block;
-    return l1_access<false>(l1i_, pc, /*is_store=*/false, l2_hooks);
-  }
-
-  template <class L2Hooks>
-  std::uint64_t load(std::uint64_t addr, L2Hooks& l2_hooks) {
-    return l1_access<false>(l1d_, addr, /*is_store=*/false, l2_hooks);
-  }
-
-  template <class L2Hooks>
-  std::uint64_t store(std::uint64_t addr, L2Hooks& l2_hooks) {
-    return l1_access<false>(l1d_, addr, /*is_store=*/true, l2_hooks);
-  }
-
-  // Pre-decoded forms: identical behaviour, but an L1 miss looks the L2
-  // up through the hint instead of re-deriving set/tag from the address.
+  // Each returns stall cycles beyond the 1-cycle pipelined issue. `hint`
+  // must be addr's L2Hint: an L1 miss looks the L2 up through it instead
+  // of re-deriving set/tag from the address (TraceCpu pre-decodes a whole
+  // batch of hints at once; a caller going one op at a time builds it
+  // from l2().set_of / l2().tagv_of).
   template <class L2Hooks>
   std::uint64_t inst_fetch(std::uint64_t pc, L2Hooks& l2_hooks, L2Hint hint) {
+    // Fetch buffer. Shift, not divide: this runs once per instruction,
+    // and the block size is a power of two (the cache constructor
+    // enforces it).
     const std::uint64_t block = pc >> fetch_block_bits_;
     if (block == last_fetch_block_) return 0;
     last_fetch_block_ = block;
@@ -137,19 +127,6 @@ class MemoryHierarchy {
   // effect.
   void prefetch_l2(std::size_t set) const { l2_.prefetch_set(set); }
 
-  std::uint64_t inst_fetch(std::uint64_t pc) {
-    VirtualHooks h{l2_.hooks()};
-    return inst_fetch(pc, h);
-  }
-  std::uint64_t load(std::uint64_t addr) {
-    VirtualHooks h{l2_.hooks()};
-    return load(addr, h);
-  }
-  std::uint64_t store(std::uint64_t addr) {
-    VirtualHooks h{l2_.hooks()};
-    return store(addr, h);
-  }
-
   HierarchyStats stats() const;
   void reset_stats();
 
@@ -160,31 +137,8 @@ class MemoryHierarchy {
   const HierarchyConfig& config() const { return cfg_; }
 
  private:
-  // L1 access; on miss goes to L2. Returns stall cycles. kVector picks
-  // the cache kernel flavor for every lookup on the path.
-  template <bool kVector, class L2Hooks>
-  std::uint64_t l1_access(SetAssocCache& l1, std::uint64_t addr, bool is_store,
-                          L2Hooks& l2_hooks) {
-    NullHooks l1_hooks;
-    if (is_store ? l1.write<kVector>(addr, l1_hooks)
-                 : l1.read<kVector>(addr, l1_hooks))
-      return 0;
-
-    // L1 miss: fetch the block from L2 (write-allocate on stores too).
-    const std::uint64_t stall = l2_read<kVector>(addr, l2_hooks);
-    const SetAssocCache::Evicted ev =
-        l1.fill<kVector>(addr, /*dirty=*/is_store, l1_hooks);
-    if (ev.any && ev.dirty) l2_write<kVector>(ev.addr, l2_hooks);
-    if (is_store) {
-      // The allocating store dirties the freshly-filled line.
-      l1.write<kVector>(addr, l1_hooks);
-    }
-    return stall;
-  }
-
-  // Hinted variant: the demand-path L2 lookup goes through the
-  // pre-decoded coordinates; everything else (fills, writebacks, the L1
-  // walk) is the exact same code, on the vector kernel flavor.
+  // L1 access; on miss goes to L2, the demand lookup through the
+  // pre-decoded coordinates. Returns stall cycles.
   template <class L2Hooks>
   std::uint64_t l1_access(SetAssocCache& l1, std::uint64_t addr, bool is_store,
                           L2Hooks& l2_hooks, L2Hint hint) {
@@ -195,25 +149,15 @@ class MemoryHierarchy {
     const std::uint64_t stall = l2_read(addr, l2_hooks, hint);
     const SetAssocCache::Evicted ev =
         l1.fill(addr, /*dirty=*/is_store, l1_hooks);
-    if (ev.any && ev.dirty) l2_write<true>(ev.addr, l2_hooks);
+    if (ev.any && ev.dirty) l2_write(ev.addr, l2_hooks);
     if (is_store) {
+      // The allocating store dirties the freshly-filled line.
       l1.write(addr, l1_hooks);
     }
     return stall;
   }
 
   // L2 read request (from an L1 fill). Returns stall cycles.
-  template <bool kVector, class L2Hooks>
-  std::uint64_t l2_read(std::uint64_t addr, L2Hooks& l2_hooks) {
-    if (l2_.read<kVector>(addr, l2_hooks)) return cfg_.l2_hit_cycles;
-
-    ++mem_reads_;
-    const SetAssocCache::Evicted ev =
-        l2_.fill<kVector>(addr, /*dirty=*/false, l2_hooks);
-    if (ev.any && ev.dirty) ++mem_writes_;
-    return cfg_.mem_cycles;
-  }
-
   template <class L2Hooks>
   std::uint64_t l2_read(std::uint64_t addr, L2Hooks& l2_hooks, L2Hint hint) {
     if (l2_.read_pre(hint.set, hint.tagv, l2_hooks)) return cfg_.l2_hit_cycles;
@@ -225,15 +169,14 @@ class MemoryHierarchy {
   }
 
   // L2 write request (L1 dirty writeback). Off the critical path.
-  template <bool kVector, class L2Hooks>
+  template <class L2Hooks>
   void l2_write(std::uint64_t addr, L2Hooks& l2_hooks) {
-    if (l2_.write<kVector>(addr, l2_hooks)) return;
+    if (l2_.write(addr, l2_hooks)) return;
 
     // Write-allocate: fetch, install dirty. (The fetch is a memory read,
     // not an L2 data-array read, so it does not disturb resident lines.)
     ++mem_reads_;
-    const SetAssocCache::Evicted ev =
-        l2_.fill<kVector>(addr, /*dirty=*/true, l2_hooks);
+    const SetAssocCache::Evicted ev = l2_.fill(addr, /*dirty=*/true, l2_hooks);
     if (ev.any && ev.dirty) ++mem_writes_;
   }
 

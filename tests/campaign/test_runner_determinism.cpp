@@ -297,7 +297,7 @@ TEST(CampaignRunnerEndToEnd, GroupPassesMatchPointByPointRunsOnAnyThreadCount) {
   parallel_opts.threads = 4;
   RunnerOptions point_opts;
   point_opts.threads = 1;
-  point_opts.run_fn = core::run_experiment_virtual;
+  point_opts.run_fn = core::run_experiment;
 
   const std::string serial =
       render_cells(points, CampaignRunner(serial_opts).run(points));

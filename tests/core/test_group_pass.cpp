@@ -1,9 +1,9 @@
 // One simulation pass per trace group: run_experiments walks L1 -> L2 once
 // and runs each config's read-path policy on its own reliability lane.
-// Every lane must equal the config run alone on a fresh rig
-// (run_experiment_virtual, which also takes its cycle count from the core
-// instead of rebuilding it), whatever else shares its pass, in whatever
-// order, after whatever ran before on the thread.
+// Every lane must equal the config run alone on a fresh rig, whatever else
+// shares its pass, in whatever order, after whatever ran before on the
+// thread -- and match the independent reference model, which counts every
+// cycle itself instead of rebuilding lane cycles from shared stats.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +12,7 @@
 
 #include "expect_identical.hpp"
 #include "reap/core/experiment.hpp"
-#include "reap/core/read_path.hpp"
+#include "reap/core/policy_impl.hpp"
 #include "reap/mtj/mtj_params.hpp"
 #include "reap/mtj/read_disturb.hpp"
 #include "reap/reliability/binomial.hpp"
@@ -24,6 +24,8 @@ namespace reap::core {
 namespace {
 
 using testutil::expect_identical;
+using testutil::expect_matches_reference;
+using testutil::run_on_fresh_rig;
 
 // A shortened run on a 128 KB L2, so the window sees plenty of evictions
 // (dirty ones included) and the dirty-eviction check has work to do.
@@ -94,7 +96,8 @@ TEST_P(GroupPassByReplacement, EveryLaneMatchesAFreshRigRun) {
   ASSERT_EQ(results.size(), group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     SCOPED_TRACE(lane_name(group[i]));
-    expect_identical(results[i], run_experiment_virtual(group[i]));
+    expect_identical(results[i], run_on_fresh_rig(group[i]));
+    expect_matches_reference(results[i], group[i]);
   }
   // The shared walk does see dirty evictions, so the dirty-eviction lanes
   // were exercised.
@@ -160,8 +163,8 @@ TEST(GroupPass, ComparePoliciesMatchesTwoSeparateRuns) {
     ExperimentConfig base = cfg, other = cfg;
     base.policy = PolicyKind::conventional_parallel;
     other.policy = PolicyKind::reap;
-    expect_identical(c.base, run_experiment_virtual(base));
-    expect_identical(c.other, run_experiment_virtual(other));
+    expect_identical(c.base, run_on_fresh_rig(base));
+    expect_identical(c.other, run_on_fresh_rig(other));
   }
 }
 
@@ -208,15 +211,15 @@ TEST(GroupPass, PoliciesNeverChangeHierarchyState) {
        {sim::ReplacementKind::lru, sim::ReplacementKind::fifo,
         sim::ReplacementKind::random_repl}) {
     const ExperimentConfig cfg = base_config(repl);
-    const auto drive = [&](sim::L2PolicyHooks* hooks) {
+    const auto drive = [&](auto& hooks) {
       sim::MemoryHierarchy hier(cfg.hierarchy, cfg.seed);
-      hier.set_l2_hooks(hooks);
       trace::WorkloadTraceSource source(cfg.workload);
       sim::TraceCpu cpu(source, hier);
-      cpu.run(cfg.instructions);
+      cpu.run(cfg.instructions, hooks);
       return hier;
     };
-    sim::MemoryHierarchy bare = drive(nullptr);
+    sim::NullHooks no_policy;
+    sim::MemoryHierarchy bare = drive(no_policy);
     const reliability::UncorrectableModel model(1e-8, 1, 512);
     for (const PolicyKind kind : all_policies()) {
       SCOPED_TRACE(to_string(kind));
@@ -228,8 +231,9 @@ TEST(GroupPass, PoliciesNeverChangeHierarchyState) {
       ctx.write_fail_per_cell = 1e-9;
       ctx.check_on_dirty_eviction = true;
       ctx.scrub_every = 3;
-      const auto policy = ReadPathPolicy::make(kind, ctx);
-      sim::MemoryHierarchy watched = drive(policy.get());
+      AnyPolicyImpl policy(kind, ctx);
+      sim::MemoryHierarchy watched =
+          policy.visit([&](auto& impl) { return drive(impl); });
       EXPECT_GT(ledger.checks(), 0u);
 
       const sim::HierarchyStats s = watched.stats(), b = bare.stats();

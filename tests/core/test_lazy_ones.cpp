@@ -15,8 +15,9 @@
 //     the lines the policies read: the hit way of a read lookup, every
 //     valid way of a scrub access, a dirty victim under the eviction
 //     check.
-// run_experiment_virtual shares the cache code, so comparing against it
-// could not catch a resolver that draws at the wrong time.
+// The reference model (test_reference_model.cpp) pins every count a check
+// reads, but it computes counts on demand and has no notion of when one is
+// drawn; this suite pins the timing.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -231,12 +232,14 @@ void drive(sim::MemoryHierarchy& hier, CheckingHooks& hooks, Trace trace,
                                    ? hammer.next(rng)
                                    : 0x1000'0000 + rng.below(footprint);
     const double kind = rng.uniform();
+    const sim::L2Hint hint{static_cast<std::uint32_t>(hier.l2().set_of(addr)),
+                           hier.l2().tagv_of(addr)};
     if (kind < 0.1)
-      hier.inst_fetch(addr, hooks);
+      hier.inst_fetch(addr, hooks, hint);
     else if (kind < 0.4)
-      hier.store(addr, hooks);
+      hier.store(addr, hooks, hint);
     else
-      hier.load(addr, hooks);
+      hier.load(addr, hooks, hint);
   }
 }
 

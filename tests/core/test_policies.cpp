@@ -1,16 +1,23 @@
-// Unit tests driving the read-path policies directly on synthetic cache
-// sets, verifying the accumulation bookkeeping, ledger entries, and energy
-// event counts of each policy.
-#include "reap/core/policies.hpp"
+// Unit tests driving the read-path policy impls directly on synthetic
+// cache sets, verifying the accumulation bookkeeping, ledger entries, and
+// energy event counts of each policy.
+#include "reap/core/policy_impl.hpp"
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "reap/reliability/binomial.hpp"
+#include "reap/sim/simd.hpp"
 
 namespace reap::core {
 namespace {
 
 constexpr double kPrd = 1e-8;
+
+// A 4-way set's columns, sized like the cache's own (padded to the
+// vector width).
+constexpr std::size_t kCols = sim::simd::padded_ways(4);
 
 class PolicyFixture : public ::testing::Test {
  protected:
@@ -32,15 +39,17 @@ class PolicyFixture : public ::testing::Test {
   reliability::UncorrectableModel model_;
   reliability::FailureLedger ledger_;
   PolicyContext ctx_;
-  std::uint64_t tagv_[4] = {0, 0, 0, 0};
-  sim::LineRel rel_[4];
+  std::uint64_t tagv_[kCols] = {};
+  sim::LineRel rel_[kCols];
 };
 
 TEST_F(PolicyFixture, FactoryProducesAllKinds) {
   for (const PolicyKind k : all_policies()) {
-    const auto p = ReadPathPolicy::make(k, ctx_);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->kind(), k);
+    AnyPolicyImpl p(k, ctx_);
+    EXPECT_EQ(p.visit([](auto& impl) {
+                return std::remove_reference_t<decltype(impl)>::kKind;
+              }),
+              k);
   }
 }
 
@@ -56,7 +65,7 @@ TEST_F(PolicyFixture, PolicyNamesRoundTrip) {
 // ----------------------------------------------------------- conventional
 
 TEST_F(PolicyFixture, ConventionalConcealedReadsAccumulate) {
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), /*hit_way=*/0);
   EXPECT_EQ(rel_[0].reads_since_check, 0u);  // checked
   EXPECT_EQ(rel_[1].reads_since_check, 1u);  // concealed
@@ -69,7 +78,7 @@ TEST_F(PolicyFixture, ConventionalConcealedReadsAccumulate) {
 }
 
 TEST_F(PolicyFixture, ConventionalChecksOnlyHitWay) {
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 1);
   EXPECT_EQ(ledger_.checks(), 1u);
   EXPECT_EQ(p.events().ecc_decodes, 1u);
@@ -79,7 +88,7 @@ TEST_F(PolicyFixture, ConventionalChecksOnlyHitWay) {
 }
 
 TEST_F(PolicyFixture, ConventionalFailureUsesEq3) {
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   // Accumulate 5 concealed reads on way 1 (6 misses would also bump others).
   for (int i = 0; i < 5; ++i) p.on_read_lookup(ways(), 0);
   ledger_.reset();
@@ -90,7 +99,7 @@ TEST_F(PolicyFixture, ConventionalFailureUsesEq3) {
 }
 
 TEST_F(PolicyFixture, ConventionalReadsAllWaysEvenOnMiss) {
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), -1);
   EXPECT_EQ(p.events().way_data_reads, 4u);
   EXPECT_EQ(p.events().tag_reads, 1u);
@@ -100,7 +109,7 @@ TEST_F(PolicyFixture, ConventionalReadsAllWaysEvenOnMiss) {
 // ------------------------------------------------------------------- reap
 
 TEST_F(PolicyFixture, ReapDecodesEveryWayEveryAccess) {
-  ReapPolicy p(ctx_);
+  ReapPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
   EXPECT_EQ(p.events().ecc_decodes, 4u);
   p.on_read_lookup(ways(), -1);
@@ -108,7 +117,7 @@ TEST_F(PolicyFixture, ReapDecodesEveryWayEveryAccess) {
 }
 
 TEST_F(PolicyFixture, ReapFailureUsesEq6) {
-  ReapPolicy p(ctx_);
+  ReapPolicyImpl p(ctx_);
   for (int i = 0; i < 5; ++i) p.on_read_lookup(ways(), 0);
   ledger_.reset();
   p.on_read_lookup(ways(), 1);
@@ -117,15 +126,15 @@ TEST_F(PolicyFixture, ReapFailureUsesEq6) {
 }
 
 TEST_F(PolicyFixture, ReapStrictlyBeatsConventionalOnAccumulatedLines) {
-  ConventionalParallelPolicy pc(ctx_);
+  ConventionalPolicyImpl pc(ctx_);
   reliability::FailureLedger ledger2;
   PolicyContext ctx2 = ctx_;
   ctx2.ledger = &ledger2;
-  ReapPolicy pr(ctx2);
+  ReapPolicyImpl pr(ctx2);
 
-  std::uint64_t tagv2[4];
-  sim::LineRel rel2[4];
-  for (int w = 0; w < 4; ++w) {
+  std::uint64_t tagv2[kCols];
+  sim::LineRel rel2[kCols];
+  for (std::size_t w = 0; w < kCols; ++w) {
     tagv2[w] = tagv_[w];
     rel2[w] = rel_[w];
   }
@@ -142,14 +151,14 @@ TEST_F(PolicyFixture, ReapStrictlyBeatsConventionalOnAccumulatedLines) {
 // ----------------------------------------------------------------- serial
 
 TEST_F(PolicyFixture, SerialNeverCreatesConcealedReads) {
-  SerialTagThenDataPolicy p(ctx_);
+  SerialPolicyImpl p(ctx_);
   for (int i = 0; i < 10; ++i) p.on_read_lookup(ways(), 0);
   EXPECT_EQ(rel_[1].reads_since_check, 0u);
   EXPECT_EQ(rel_[2].reads_since_check, 0u);
 }
 
 TEST_F(PolicyFixture, SerialReadsOnlyHitWay) {
-  SerialTagThenDataPolicy p(ctx_);
+  SerialPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 2);
   EXPECT_EQ(p.events().way_data_reads, 1u);
   p.on_read_lookup(ways(), -1);
@@ -157,7 +166,7 @@ TEST_F(PolicyFixture, SerialReadsOnlyHitWay) {
 }
 
 TEST_F(PolicyFixture, SerialFailureIsSingleRead) {
-  SerialTagThenDataPolicy p(ctx_);
+  SerialPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
   EXPECT_NEAR(ledger_.total_failure_prob(),
               reliability::p_uncorrectable_block(100, kPrd), 1e-20);
@@ -166,27 +175,27 @@ TEST_F(PolicyFixture, SerialFailureIsSingleRead) {
 // ---------------------------------------------------------------- restore
 
 TEST_F(PolicyFixture, RestoreWritesEveryValidWay) {
-  DisruptiveRestorePolicy p(ctx_);
+  RestorePolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
   EXPECT_EQ(p.events().way_data_writes, 3u);  // 3 valid ways restored
   EXPECT_EQ(p.events().way_data_reads, 4u);
 }
 
 TEST_F(PolicyFixture, RestoreClearsAccumulationEverywhere) {
-  DisruptiveRestorePolicy p(ctx_);
+  RestorePolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
   for (const auto& line : rel_) EXPECT_EQ(line.reads_since_check, 0u);
 }
 
 TEST_F(PolicyFixture, RestoreChargesWriteFailures) {
-  DisruptiveRestorePolicy p(ctx_);
-  EXPECT_GT(p.impl().restore_failure_prob(), 0.0);
+  RestorePolicyImpl p(ctx_);
+  EXPECT_GT(p.restore_failure_prob(), 0.0);
   p.on_read_lookup(ways(), 0);
   // 1 checked read (single-read formula) + 3 restore failures... the hit
   // way's entry already folds its own restore failure in.
   const double expected =
       reliability::p_uncorrectable_block(100, kPrd) +
-      3.0 * p.impl().restore_failure_prob();
+      3.0 * p.restore_failure_prob();
   EXPECT_NEAR(ledger_.total_failure_prob(), expected, expected * 1e-9);
 }
 
@@ -194,25 +203,25 @@ TEST_F(PolicyFixture, RestoreChargesWriteFailures) {
 
 TEST_F(PolicyFixture, ScrubEveryOneMatchesReapDecodeCount) {
   ctx_.scrub_every = 1;
-  ScrubPiggybackPolicy p(ctx_);
+  ScrubPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
   EXPECT_EQ(p.events().ecc_decodes, 4u);  // all ways, like REAP
-  EXPECT_EQ(p.impl().scrubs_performed(), 1u);
+  EXPECT_EQ(p.scrubs_performed(), 1u);
   for (const auto& line : rel_) EXPECT_EQ(line.reads_since_check, 0u);
 }
 
 TEST_F(PolicyFixture, ScrubPeriodicityHonored) {
   ctx_.scrub_every = 4;
-  ScrubPiggybackPolicy p(ctx_);
+  ScrubPolicyImpl p(ctx_);
   for (int i = 0; i < 8; ++i) p.on_read_lookup(ways(), 0);
-  EXPECT_EQ(p.impl().scrubs_performed(), 2u);
+  EXPECT_EQ(p.scrubs_performed(), 2u);
   // Non-scrub accesses decode only the hit way: 6 x 1 + 2 x 4.
   EXPECT_EQ(p.events().ecc_decodes, 6u + 8u);
 }
 
 TEST_F(PolicyFixture, ScrubClosesConcealedWindowsEarly) {
   ctx_.scrub_every = 3;
-  ScrubPiggybackPolicy p(ctx_);
+  ScrubPolicyImpl p(ctx_);
   // Two conventional lookups accumulate on ways 1 and 2; the third scrubs.
   p.on_read_lookup(ways(), 0);
   p.on_read_lookup(ways(), 0);
@@ -232,15 +241,17 @@ TEST_F(PolicyFixture, ScrubBetweenConventionalAndReap) {
     PolicyContext ctx = ctx_;
     ctx.ledger = &ledger;
     ctx.scrub_every = every;
-    auto policy = ReadPathPolicy::make(kind, ctx);
-    std::uint64_t tagv[4];
-    sim::LineRel rel[4];
-    for (int w = 0; w < 4; ++w) {
+    AnyPolicyImpl policy(kind, ctx);
+    std::uint64_t tagv[kCols];
+    sim::LineRel rel[kCols];
+    for (std::size_t w = 0; w < kCols; ++w) {
       tagv[w] = tagv_[w];
       rel[w] = rel_[w];
     }
     for (int i = 0; i < 200; ++i) {
-      policy->on_read_lookup({tagv, rel, 4}, i % 50 == 0 ? 1 : 0);
+      policy.visit([&](auto& p) {
+        p.on_read_lookup({tagv, rel, 4}, i % 50 == 0 ? 1 : 0);
+      });
     }
     return ledger.total_failure_prob();
   };
@@ -254,7 +265,7 @@ TEST_F(PolicyFixture, ScrubBetweenConventionalAndReap) {
 // ------------------------------------------------------- shared behaviour
 
 TEST_F(PolicyFixture, WriteLookupCountsEncodeOnHit) {
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   p.on_write_lookup(ways(), 1);
   EXPECT_EQ(p.events().way_data_writes, 1u);
   EXPECT_EQ(p.events().ecc_encodes, 1u);
@@ -264,14 +275,14 @@ TEST_F(PolicyFixture, WriteLookupCountsEncodeOnHit) {
 }
 
 TEST_F(PolicyFixture, FillCountsAsWrite) {
-  ReapPolicy p(ctx_);
+  ReapPolicyImpl p(ctx_);
   p.on_fill(ways(), 3);
   EXPECT_EQ(p.events().way_data_writes, 1u);
   EXPECT_EQ(p.events().ecc_encodes, 1u);
 }
 
 TEST_F(PolicyFixture, EvictionCheckOffByDefault) {
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   rel_[0].reads_since_check = 100;
   p.on_evict(ways(), 0, /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 0u);
@@ -280,7 +291,7 @@ TEST_F(PolicyFixture, EvictionCheckOffByDefault) {
 
 TEST_F(PolicyFixture, EvictionCheckExtensionChargesDirtyVictims) {
   ctx_.check_on_dirty_eviction = true;
-  ConventionalParallelPolicy p(ctx_);
+  ConventionalPolicyImpl p(ctx_);
   rel_[0].reads_since_check = 99;
   p.on_evict(ways(), 0, /*dirty=*/true);
   EXPECT_EQ(ledger_.checks(), 1u);
@@ -292,7 +303,7 @@ TEST_F(PolicyFixture, EvictionCheckExtensionChargesDirtyVictims) {
 }
 
 TEST_F(PolicyFixture, ResetEventsZeroes) {
-  ReapPolicy p(ctx_);
+  ReapPolicyImpl p(ctx_);
   p.on_read_lookup(ways(), 0);
   p.reset_events();
   EXPECT_EQ(p.events().ecc_decodes, 0u);

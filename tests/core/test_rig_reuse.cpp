@@ -1,10 +1,10 @@
-// Rig reuse: run_experiment, run_experiment_basic and run_experiment_replay
-// reset one per-thread experiment rig for every config instead of building
-// a new one (core/experiment.cpp). A result must depend on its config
-// alone, never on what ran before it on the same thread (architecture
-// invariant 2). These tests interleave configs that change each part the
-// reset rebuilds or keeps, and compare every result with
-// run_experiment_virtual, which builds a fresh rig on each call.
+// Rig reuse: run_experiment and run_experiment_replay reset one per-thread
+// experiment rig for every config instead of building a new one
+// (core/experiment.cpp). A result must depend on its config alone, never
+// on what ran before it on the same thread (architecture invariant 2).
+// These tests interleave configs that change each part the reset rebuilds
+// or keeps, and compare every result with the config run on a new thread,
+// whose rig is freshly built (testutil::run_on_fresh_rig).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,6 +23,7 @@ namespace reap::core {
 namespace {
 
 using testutil::expect_identical;
+using testutil::run_on_fresh_rig;
 
 ExperimentConfig config_a() {
   ExperimentConfig cfg;
@@ -71,11 +72,11 @@ std::vector<std::pair<std::string, ExperimentConfig>> variants(
 
 TEST(RigReuse, ResultsDoNotDependOnEarlierRunsOnTheThread) {
   const ExperimentConfig a = config_a();
-  const ExperimentResult reference = run_experiment_virtual(a);
+  const ExperimentResult reference = run_on_fresh_rig(a);
   expect_identical(run_experiment(a), reference);
   for (const auto& [name, v] : variants(a)) {
     SCOPED_TRACE(name);
-    expect_identical(run_experiment(v), run_experiment_virtual(v));
+    expect_identical(run_experiment(v), run_on_fresh_rig(v));
     expect_identical(run_experiment(a), reference);
   }
 }
@@ -83,13 +84,13 @@ TEST(RigReuse, ResultsDoNotDependOnEarlierRunsOnTheThread) {
 TEST(RigReuse, BackToBackVariantsMatchFreshRigs) {
   for (const auto& [name, v] : variants(config_a())) {
     SCOPED_TRACE(name);
-    expect_identical(run_experiment(v), run_experiment_virtual(v));
+    expect_identical(run_experiment(v), run_on_fresh_rig(v));
   }
 }
 
 TEST(RigReuse, ReplayRunLeavesNothingBehind) {
   const ExperimentConfig a = config_a();
-  const ExperimentResult reference = run_experiment_virtual(a);
+  const ExperimentResult reference = run_on_fresh_rig(a);
   ExperimentConfig other = a;
   other.workload.seed += 1;
   trace::WorkloadTraceSource gen(other.workload);
@@ -97,9 +98,8 @@ TEST(RigReuse, ReplayRunLeavesNothingBehind) {
       gen, other.warmup_instructions + other.instructions);
   trace::ReplayTraceSource source(arena);
   expect_identical(run_experiment_replay(other, source),
-                   run_experiment_virtual(other));
+                   run_on_fresh_rig(other));
   expect_identical(run_experiment(a), reference);
-  expect_identical(run_experiment_basic(a), reference);
 }
 
 TEST(RigReuse, FourThreadCampaignOverMixedGeometriesMatchesOneThread) {
@@ -142,7 +142,7 @@ TEST(RigReuse, FourThreadCampaignOverMixedGeometriesMatchesOneThread) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     SCOPED_TRACE(points[i].key);
     expect_identical(parallel[i], serial[i]);
-    expect_identical(serial[i], run_experiment_virtual(points[i].config));
+    expect_identical(serial[i], run_on_fresh_rig(points[i].config));
   }
 }
 

@@ -24,6 +24,21 @@ std::uint64_t mk_addr(std::uint64_t tag, std::uint64_t set) {
   return (tag << (6 + 2)) | (set << 6);
 }
 
+// Accesses with no observer.
+bool read(SetAssocCache& c, std::uint64_t addr) {
+  NullHooks h;
+  return c.read(addr, h);
+}
+bool write(SetAssocCache& c, std::uint64_t addr) {
+  NullHooks h;
+  return c.write(addr, h);
+}
+SetAssocCache::Evicted fill(SetAssocCache& c, std::uint64_t addr,
+                            bool dirty) {
+  NullHooks h;
+  return c.fill(addr, dirty, h);
+}
+
 TEST(Cache, GeometryChecks) {
   SetAssocCache c(small_cfg());
   EXPECT_EQ(c.config().sets(), 4u);
@@ -35,9 +50,9 @@ TEST(Cache, GeometryChecks) {
 TEST(Cache, ColdMissesThenHits) {
   SetAssocCache c(small_cfg());
   const auto a = mk_addr(1, 0);
-  EXPECT_FALSE(c.read(a));
-  c.fill(a, false);
-  EXPECT_TRUE(c.read(a));
+  EXPECT_FALSE(read(c, a));
+  fill(c, a, false);
+  EXPECT_TRUE(read(c, a));
   EXPECT_EQ(c.stats().read_lookups, 2u);
   EXPECT_EQ(c.stats().read_hits, 1u);
   EXPECT_EQ(c.stats().fills, 1u);
@@ -45,17 +60,17 @@ TEST(Cache, ColdMissesThenHits) {
 
 TEST(Cache, OffsetBitsIgnored) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), false);
-  EXPECT_TRUE(c.read(mk_addr(1, 0) + 63));
+  fill(c, mk_addr(1, 0), false);
+  EXPECT_TRUE(read(c, mk_addr(1, 0) + 63));
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
   SetAssocCache c(small_cfg());
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);
-  c.fill(b, false);
-  EXPECT_TRUE(c.read(a));  // a is now MRU
-  const auto ev = c.fill(d, false);
+  fill(c, a, false);
+  fill(c, b, false);
+  EXPECT_TRUE(read(c, a));  // a is now MRU
+  const auto ev = fill(c, d, false);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, b);  // b was LRU
   EXPECT_TRUE(c.probe(a));
@@ -68,10 +83,10 @@ TEST(Cache, FifoEvictsOldestFill) {
   cfg.replacement = ReplacementKind::fifo;
   SetAssocCache c(cfg);
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);
-  c.fill(b, false);
-  EXPECT_TRUE(c.read(a));  // touching does not save a under FIFO
-  const auto ev = c.fill(d, false);
+  fill(c, a, false);
+  fill(c, b, false);
+  EXPECT_TRUE(read(c, a));  // touching does not save a under FIFO
+  const auto ev = fill(c, d, false);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, a);
 }
@@ -80,9 +95,9 @@ TEST(Cache, RandomReplacementEvictsSomething) {
   CacheConfig cfg = small_cfg();
   cfg.replacement = ReplacementKind::random_repl;
   SetAssocCache c(cfg, 99);
-  c.fill(mk_addr(1, 0), false);
-  c.fill(mk_addr(2, 0), false);
-  const auto ev = c.fill(mk_addr(3, 0), false);
+  fill(c, mk_addr(1, 0), false);
+  fill(c, mk_addr(2, 0), false);
+  const auto ev = fill(c, mk_addr(3, 0), false);
   EXPECT_TRUE(ev.any);
   EXPECT_TRUE(ev.addr == mk_addr(1, 0) || ev.addr == mk_addr(2, 0));
 }
@@ -92,15 +107,15 @@ TEST(Cache, LerEvictsMostAccumulatedLine) {
   cfg.replacement = ReplacementKind::least_error_rate;
   SetAssocCache c(cfg);
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);
-  c.fill(b, false);
+  fill(c, a, false);
+  fill(c, b, false);
   // Simulate accumulation via a hooks-free read pattern: directly bump the
   // counter through repeated reads is not possible without hooks, so use
   // the public surface: reads touch LRU only. Force distinct accumulation
   // through a policy-style mutation is internal; instead verify the LRU
   // tie-break first (equal counters -> LRU victim).
-  EXPECT_TRUE(c.read(a));  // a becomes MRU; counters equal (0)
-  const auto ev = c.fill(d, false);
+  EXPECT_TRUE(read(c, a));  // a becomes MRU; counters equal (0)
+  const auto ev = fill(c, d, false);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, b);  // tie on accumulation -> LRU (b) leaves
 }
@@ -110,42 +125,36 @@ TEST(Cache, LerPrefersAccumulationOverRecency) {
   cfg.replacement = ReplacementKind::least_error_rate;
   SetAssocCache c(cfg);
 
-  // Attach a hook that marks way 0 as heavily accumulated.
-  class Bumper : public L2PolicyHooks {
-   public:
-    void on_read_lookup(CacheSetView set, int hit_way) override {
+  // A hook that marks way 0 as heavily accumulated.
+  struct Bumper : NullHooks {
+    void on_read_lookup(CacheSetView set, int hit_way) {
       if (hit_way >= 0) set.rel(0).reads_since_check = 100;
     }
-    void on_write_lookup(CacheSetView, int) override {}
-    void on_fill(CacheSetView, std::size_t) override {}
-    void on_evict(CacheSetView, std::size_t, bool) override {}
   } bumper;
 
   const auto a = mk_addr(1, 0), b = mk_addr(2, 0), d = mk_addr(3, 0);
-  c.fill(a, false);  // way 0
-  c.fill(b, false);  // way 1
-  c.set_hooks(&bumper);
-  EXPECT_TRUE(c.read(a));  // bumps way 0's accumulation, a is MRU
-  c.set_hooks(nullptr);
+  fill(c, a, false);  // way 0
+  fill(c, b, false);  // way 1
+  EXPECT_TRUE(c.read(a, bumper));  // bumps way 0's accumulation, a is MRU
 
   // LRU would evict b; LER must evict the accumulated a despite recency.
-  const auto ev = c.fill(d, false);
+  const auto ev = fill(c, d, false);
   ASSERT_TRUE(ev.any);
   EXPECT_EQ(ev.addr, a);
 }
 
 TEST(Cache, InvalidWaysFillFirst) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), false);
-  const auto ev = c.fill(mk_addr(2, 0), false);
+  fill(c, mk_addr(1, 0), false);
+  const auto ev = fill(c, mk_addr(2, 0), false);
   EXPECT_FALSE(ev.any);  // second way was free
 }
 
 TEST(Cache, DirtyEvictionReported) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), true);
-  c.fill(mk_addr(2, 0), false);
-  const auto ev = c.fill(mk_addr(3, 0), false);
+  fill(c, mk_addr(1, 0), true);
+  fill(c, mk_addr(2, 0), false);
+  const auto ev = fill(c, mk_addr(3, 0), false);
   ASSERT_TRUE(ev.any);
   EXPECT_TRUE(ev.dirty);
   EXPECT_EQ(ev.addr, mk_addr(1, 0));
@@ -155,7 +164,7 @@ TEST(Cache, DirtyEvictionReported) {
 TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   SetAssocCache c(small_cfg());
   c.set_ones_provider(OnesProvider::fixed(100));
-  c.fill(mk_addr(1, 0), false);
+  fill(c, mk_addr(1, 0), false);
   EXPECT_EQ(c.line_info(0, 0).ones, 100u);
   EXPECT_FALSE(c.line_info(0, 0).dirty);
 
@@ -164,20 +173,20 @@ TEST(Cache, WriteHitDirtiesClearsAccumulationAndKeepsOnes) {
   // than re-deriving the same value -- even across a mid-run provider
   // swap, which real experiments never do.
   c.set_ones_provider(OnesProvider::fixed(200));
-  EXPECT_TRUE(c.write(mk_addr(1, 0)));
+  EXPECT_TRUE(write(c, mk_addr(1, 0)));
   EXPECT_TRUE(c.line_info(0, 0).dirty);
   EXPECT_EQ(c.line_info(0, 0).ones, 100u);
   EXPECT_EQ(c.line_info(0, 0).reads_since_check, 0u);
 
   // The next fill of the line derives from the current provider.
   c.invalidate(mk_addr(1, 0));
-  c.fill(mk_addr(1, 0), false);
+  fill(c, mk_addr(1, 0), false);
   EXPECT_EQ(c.line_info(0, 0).ones, 200u);
 }
 
 TEST(Cache, WriteMissDoesNotAllocate) {
   SetAssocCache c(small_cfg());
-  EXPECT_FALSE(c.write(mk_addr(1, 0)));
+  EXPECT_FALSE(write(c, mk_addr(1, 0)));
   EXPECT_FALSE(c.probe(mk_addr(1, 0)));
   EXPECT_EQ(c.stats().write_lookups, 1u);
   EXPECT_EQ(c.stats().write_hits, 0u);
@@ -185,7 +194,7 @@ TEST(Cache, WriteMissDoesNotAllocate) {
 
 TEST(Cache, InvalidateClearsLine) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), true);
+  fill(c, mk_addr(1, 0), true);
   EXPECT_TRUE(c.invalidate(mk_addr(1, 0)));  // was dirty
   EXPECT_FALSE(c.probe(mk_addr(1, 0)));
   EXPECT_FALSE(c.invalidate(mk_addr(1, 0)));
@@ -193,24 +202,23 @@ TEST(Cache, InvalidateClearsLine) {
 
 TEST(Cache, DefaultOnesIsHalfBlockBits) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 2), false);
+  fill(c, mk_addr(1, 2), false);
   EXPECT_EQ(c.line_info(2, 0).ones, 256u);
 }
 
 // Hook recording for interface verification.
-class RecordingHooks : public L2PolicyHooks {
- public:
-  void on_read_lookup(CacheSetView set, int hit_way) override {
+struct RecordingHooks {
+  void on_read_lookup(CacheSetView set, int hit_way) {
     ++reads;
     last_ways = set.size();
     last_hit = hit_way;
   }
-  void on_write_lookup(CacheSetView, int hit_way) override {
+  void on_write_lookup(CacheSetView, int hit_way) {
     ++writes;
     last_hit = hit_way;
   }
-  void on_fill(CacheSetView, std::size_t) override { ++fills; }
-  void on_evict(CacheSetView set, std::size_t way, bool dirty) override {
+  void on_fill(CacheSetView, std::size_t) { ++fills; }
+  void on_evict(CacheSetView set, std::size_t way, bool dirty) {
     ++evicts;
     last_evicted_ones = set.ones(way);
     last_evicted_dirty = dirty;
@@ -226,25 +234,23 @@ class RecordingHooks : public L2PolicyHooks {
 TEST(CacheHooks, ReadLookupSeesAllWaysAndHitIndex) {
   SetAssocCache c(small_cfg());
   RecordingHooks h;
-  c.set_hooks(&h);
-  c.read(mk_addr(1, 0));
+  c.read(mk_addr(1, 0), h);
   EXPECT_EQ(h.reads, 1);
   EXPECT_EQ(h.last_ways, 2u);
   EXPECT_EQ(h.last_hit, -1);
-  c.fill(mk_addr(1, 0), false);
+  c.fill(mk_addr(1, 0), false, h);
   EXPECT_EQ(h.fills, 1);
-  c.read(mk_addr(1, 0));
+  c.read(mk_addr(1, 0), h);
   EXPECT_EQ(h.last_hit, 0);
 }
 
 TEST(CacheHooks, EvictFiresBeforeInvalidation) {
   SetAssocCache c(small_cfg());
   RecordingHooks h;
-  c.set_hooks(&h);
   c.set_ones_provider(OnesProvider::fixed(77));
-  c.fill(mk_addr(1, 0), false);
-  c.fill(mk_addr(2, 0), false);
-  c.fill(mk_addr(3, 0), false);  // evicts one
+  c.fill(mk_addr(1, 0), false, h);
+  c.fill(mk_addr(2, 0), false, h);
+  c.fill(mk_addr(3, 0), false, h);  // evicts one
   EXPECT_EQ(h.evicts, 1);
   EXPECT_EQ(h.last_evicted_ones, 77u);  // still populated at evict time
   EXPECT_FALSE(h.last_evicted_dirty);
@@ -254,16 +260,15 @@ TEST(CacheHooks, EvictFiresBeforeInvalidation) {
 TEST(CacheHooks, WriteLookupFiresOnMissToo) {
   SetAssocCache c(small_cfg());
   RecordingHooks h;
-  c.set_hooks(&h);
-  c.write(mk_addr(9, 1));
+  c.write(mk_addr(9, 1), h);
   EXPECT_EQ(h.writes, 1);
   EXPECT_EQ(h.last_hit, -1);
 }
 
 TEST(Cache, StatsResetKeepsContents) {
   SetAssocCache c(small_cfg());
-  c.fill(mk_addr(1, 0), false);
-  c.read(mk_addr(1, 0));
+  fill(c, mk_addr(1, 0), false);
+  read(c, mk_addr(1, 0));
   c.reset_stats();
   EXPECT_EQ(c.stats().read_lookups, 0u);
   EXPECT_TRUE(c.probe(mk_addr(1, 0)));  // contents survive
@@ -370,8 +375,6 @@ TEST(CacheReset, IndistinguishableFromAFreshCache) {
       for (auto& pass : passes) pass.first = 1;
 
     SetAssocCache used(cfg, 7);
-    RecordingHooks recorder;
-    used.set_hooks(&recorder);
     used.set_ones_provider(OnesProvider::fixed(100));
     SetAssocCache fresh(cfg, 7);
     fresh.set_ones_provider(OnesProvider::fixed(100));
@@ -392,7 +395,6 @@ TEST(CacheReset, IndistinguishableFromAFreshCache) {
       // dropped provider.
       ++seed;
       used.reset(seed, next_lanes);
-      EXPECT_EQ(used.hooks(), nullptr);
       fresh = SetAssocCache(cfg, seed);
       fresh.reset(seed, next_lanes);
       expect_same_state(used, fresh, next_lanes);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "reap/trace/trace_io.hpp"
 
 namespace reap::sim {
@@ -27,7 +30,8 @@ TEST(TraceCpu, CountsInstructionsNotDataOps) {
   });
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  EXPECT_EQ(cpu.run(100), 3u);
+  NullHooks hooks;
+  EXPECT_EQ(cpu.run(100, hooks), 3u);
   EXPECT_EQ(cpu.instructions(), 3u);
 }
 
@@ -38,9 +42,10 @@ TEST(TraceCpu, StopsAtInstructionBudget) {
   trace::VectorTraceSource src(ops);
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  EXPECT_EQ(cpu.run(30), 30u);
-  EXPECT_EQ(cpu.run(30), 30u);
-  EXPECT_EQ(cpu.run(100), 40u);  // trace exhausted
+  NullHooks hooks;
+  EXPECT_EQ(cpu.run(30, hooks), 30u);
+  EXPECT_EQ(cpu.run(30, hooks), 30u);
+  EXPECT_EQ(cpu.run(100, hooks), 40u);  // trace exhausted
 }
 
 TEST(TraceCpu, CyclesIncludeMemoryStalls) {
@@ -50,7 +55,8 @@ TEST(TraceCpu, CyclesIncludeMemoryStalls) {
   });
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  cpu.run(10);
+  NullHooks hooks;
+  cpu.run(10, hooks);
   // 1 cycle for the instruction + I-fetch cold miss (100) + load cold miss
   // (100).
   EXPECT_EQ(cpu.cycles(), 201u);
@@ -64,7 +70,8 @@ TEST(TraceCpu, PerfectL1GivesIpcNearOne) {
   trace::VectorTraceSource src(ops);
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  cpu.run(1000);
+  NullHooks hooks;
+  cpu.run(1000, hooks);
   EXPECT_GT(cpu.ipc(), 0.9);
 }
 
@@ -72,7 +79,8 @@ TEST(TraceCpu, SecondsUsesClock) {
   trace::VectorTraceSource src({{trace::OpType::inst_fetch, 0x400000}});
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem, /*clock_ghz=*/1.0);
-  cpu.run(1);
+  NullHooks hooks;
+  cpu.run(1, hooks);
   // 1 + 100 cycles at 1 GHz = 101 ns.
   EXPECT_NEAR(cpu.seconds(), 101e-9, 1e-12);
 }
@@ -86,95 +94,103 @@ TEST(TraceCpu, ResetCountersKeepsCacheState) {
   });
   MemoryHierarchy mem(tiny_cfg());
   TraceCpu cpu(src, mem);
-  cpu.run(1);  // first instruction + cold load
+  NullHooks hooks;
+  cpu.run(1, hooks);  // first instruction + cold load
   cpu.reset_counters();
   EXPECT_EQ(cpu.instructions(), 0u);
-  cpu.run(1);  // second instruction: warm load, few cycles
+  cpu.run(1, hooks);  // second instruction: warm load, few cycles
   EXPECT_LT(cpu.cycles(), 10u);
 }
 
-// A pseudo-random but deterministic op mix that misses, hits, and writes
-// back across both L1s and the L2 -- enough traffic that a divergence in
-// the drive loops would show up in cycles or hierarchy stats.
-std::vector<trace::MemOp> mixed_ops(std::size_t n) {
+// `instructions` instructions of `ops_per_inst` ops each (a fetch, then
+// loads and stores), over addresses that miss, hit and write back across
+// both L1s and the L2.
+std::vector<trace::MemOp> mixed_ops(std::size_t instructions,
+                                    unsigned ops_per_inst) {
   std::vector<trace::MemOp> ops;
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto next = [&] {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    const std::uint64_t addr = (x % 64) * 64;
-    if (i % 3 == 0)
-      ops.push_back({trace::OpType::inst_fetch, 0x400000u + (x % 512) * 4});
-    else if (i % 3 == 1)
-      ops.push_back({trace::OpType::load, addr});
-    else
-      ops.push_back({trace::OpType::store, addr + 0x8000});
+    return x;
+  };
+  for (std::size_t i = 0; i < instructions; ++i) {
+    ops.push_back({trace::OpType::inst_fetch, 0x400000u + (next() % 512) * 4});
+    for (unsigned d = 1; d < ops_per_inst; ++d) {
+      const std::uint64_t addr = (next() % 64) * 64;
+      if (next() % 3 == 0)
+        ops.push_back({trace::OpType::store, addr + 0x8000});
+      else
+        ops.push_back({trace::OpType::load, addr});
+    }
   }
   return ops;
 }
 
-void expect_same_run(const TraceCpu& a, const MemoryHierarchy& ma,
-                     const TraceCpu& b, const MemoryHierarchy& mb) {
-  EXPECT_EQ(a.instructions(), b.instructions());
-  EXPECT_EQ(a.cycles(), b.cycles());
-  const HierarchyStats sa = ma.stats();
-  const HierarchyStats sb = mb.stats();
-  EXPECT_EQ(sa.l2.read_lookups, sb.l2.read_lookups);
-  EXPECT_EQ(sa.l2.read_hits, sb.l2.read_hits);
-  EXPECT_EQ(sa.l2.write_lookups, sb.l2.write_lookups);
-  EXPECT_EQ(sa.l2.fills, sb.l2.fills);
-  EXPECT_EQ(sa.l2.evictions, sb.l2.evictions);
-  EXPECT_EQ(sa.mem_reads, sb.mem_reads);
-  EXPECT_EQ(sa.mem_writes, sb.mem_writes);
+void expect_same_stats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.read_lookups, b.read_lookups);
+  EXPECT_EQ(a.read_hits, b.read_hits);
+  EXPECT_EQ(a.write_lookups, b.write_lookups);
+  EXPECT_EQ(a.write_hits, b.write_hits);
+  EXPECT_EQ(a.fills, b.fills);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
 }
 
-TEST(TraceCpu, VectorizedLoopMatchesBatchedLoop) {
-  const auto ops = mixed_ops(20'000);
-  trace::VectorTraceSource src_a(ops), src_b(ops);
-  MemoryHierarchy mem_a(tiny_cfg()), mem_b(tiny_cfg());
-  TraceCpu cpu_a(src_a, mem_a), cpu_b(src_b, mem_b);
+// Runs `ops` through successive run() calls with `budgets` and through one
+// call with their sum: every call returns its budget while the trace
+// lasts, and the two end with the same instructions, cycles and stats.
+void expect_split_matches_one_run(const std::vector<trace::MemOp>& ops,
+                                  const std::vector<std::uint64_t>& budgets) {
+  trace::VectorTraceSource src_split(ops), src_one(ops);
+  MemoryHierarchy mem_split(tiny_cfg()), mem_one(tiny_cfg());
+  TraceCpu split(src_split, mem_split), one(src_one, mem_one);
   NullHooks hooks;
-  EXPECT_EQ(cpu_a.run(100'000, hooks), cpu_b.run_vectorized(100'000, hooks));
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
+  const auto in_trace = static_cast<std::uint64_t>(
+      std::count_if(ops.begin(), ops.end(), [](const trace::MemOp& op) {
+        return op.type == trace::OpType::inst_fetch;
+      }));
+  std::uint64_t total = 0;
+  for (const std::uint64_t budget : budgets) {
+    const std::uint64_t left = in_trace - split.instructions();
+    EXPECT_EQ(split.run(budget, hooks), std::min(budget, left));
+    total += budget;
+    EXPECT_EQ(split.instructions(), std::min(total, in_trace));
+  }
+  EXPECT_EQ(one.run(total, hooks), split.instructions());
+  EXPECT_EQ(split.cycles(), one.cycles());
+  const HierarchyStats a = mem_split.stats(), b = mem_one.stats();
+  expect_same_stats(a.l1i, b.l1i);
+  expect_same_stats(a.l1d, b.l1d);
+  expect_same_stats(a.l2, b.l2);
+  EXPECT_EQ(a.mem_reads, b.mem_reads);
+  EXPECT_EQ(a.mem_writes, b.mem_writes);
+  EXPECT_GT(b.l2.read_hits, 0u);
+  EXPECT_GT(b.mem_writes, 0u);
+}
+
+// Two-op instructions: 2048 of them fill one kBatchOps batch exactly, so
+// the budget ends on the boundary and the next call starts on a fresh
+// batch.
+TEST(TraceCpu, BudgetEndingOnABatchBoundary) {
+  static_assert(TraceCpu::kBatchOps == 4096);
+  const auto ops = mixed_ops(3 * 2048 + 10, 2);
+  expect_split_matches_one_run(ops, {2048, 2048, 2048, 10});
+}
+
+TEST(TraceCpu, BudgetStraddlingBatches) {
+  // 3000 three-op instructions span three batches.
+  const auto ops = mixed_ops(7'000, 3);
+  expect_split_matches_one_run(ops, {3'000, 3'000, 1'000});
 }
 
 TEST(TraceCpu, VectorizedLoopHonoursInstructionBudget) {
-  const auto ops = mixed_ops(20'000);
-  trace::VectorTraceSource src_a(ops), src_b(ops);
-  MemoryHierarchy mem_a(tiny_cfg()), mem_b(tiny_cfg());
-  TraceCpu cpu_a(src_a, mem_a), cpu_b(src_b, mem_b);
-  NullHooks hooks;
-  EXPECT_EQ(cpu_a.run(1'000, hooks), cpu_b.run_vectorized(1'000, hooks));
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
-  // Resume both to trace end.
-  EXPECT_EQ(cpu_a.run(100'000, hooks), cpu_b.run_vectorized(100'000, hooks));
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
-}
-
-TEST(TraceCpu, BatchedStylesHandOffMidBatch) {
-  // The two batched styles share the batch buffer; switching styles with a
-  // partially consumed batch must lose no ops and change no result. (The
-  // vectorized loop re-decodes an inherited batch; the plain loop just
-  // ignores the decode arrays.)
-  const auto ops = mixed_ops(20'000);
-  trace::VectorTraceSource src_a(ops), src_b(ops);
-  MemoryHierarchy mem_a(tiny_cfg()), mem_b(tiny_cfg());
-  TraceCpu cpu_a(src_a, mem_a), cpu_b(src_b, mem_b);
-  NullHooks hooks;
-  std::uint64_t done_a = 0, done_b = 0;
-  // 100-instruction slices are far smaller than kBatchOps, so every switch
-  // happens mid-batch.
-  for (int slice = 0; ; ++slice) {
-    const std::uint64_t got_b = (slice % 2 == 0)
-                                    ? cpu_b.run(100, hooks)
-                                    : cpu_b.run_vectorized(100, hooks);
-    done_a += cpu_a.run(100, hooks);
-    done_b += got_b;
-    if (got_b == 0) break;
-  }
-  EXPECT_EQ(done_a, done_b);
-  expect_same_run(cpu_a, mem_a, cpu_b, mem_b);
+  // Several calls, from one instruction to several batches, then one past
+  // the end of the trace.
+  const auto ops = mixed_ops(20'000, 3);
+  expect_split_matches_one_run(ops,
+                               {1, 1, 999, 4'096, 1'365, 7'000, 20'000});
 }
 
 }  // namespace

@@ -16,6 +16,24 @@ HierarchyConfig tiny_cfg() {
   return cfg;
 }
 
+// One op at a time, with no L2 observer.
+L2Hint hint(const MemoryHierarchy& h, std::uint64_t addr) {
+  return {static_cast<std::uint32_t>(h.l2().set_of(addr)),
+          h.l2().tagv_of(addr)};
+}
+std::uint64_t load(MemoryHierarchy& h, std::uint64_t addr) {
+  NullHooks hooks;
+  return h.load(addr, hooks, hint(h, addr));
+}
+std::uint64_t store(MemoryHierarchy& h, std::uint64_t addr) {
+  NullHooks hooks;
+  return h.store(addr, hooks, hint(h, addr));
+}
+std::uint64_t inst_fetch(MemoryHierarchy& h, std::uint64_t pc) {
+  NullHooks hooks;
+  return h.inst_fetch(pc, hooks, hint(h, pc));
+}
+
 TEST(Hierarchy, TableOneDefaults) {
   const HierarchyConfig cfg;
   EXPECT_EQ(cfg.l1i.capacity_bytes, 32u * 1024u);
@@ -29,7 +47,7 @@ TEST(Hierarchy, TableOneDefaults) {
 
 TEST(Hierarchy, ColdLoadMissesToMemory) {
   MemoryHierarchy h(tiny_cfg());
-  const auto stall = h.load(0x10000);
+  const auto stall = load(h, 0x10000);
   EXPECT_EQ(stall, 100u);  // mem_cycles
   const auto s = h.stats();
   EXPECT_EQ(s.l1d.read_lookups, 1u);
@@ -40,9 +58,9 @@ TEST(Hierarchy, ColdLoadMissesToMemory) {
 
 TEST(Hierarchy, SecondLoadHitsL1) {
   MemoryHierarchy h(tiny_cfg());
-  h.load(0x10000);
-  EXPECT_EQ(h.load(0x10000), 0u);
-  EXPECT_EQ(h.load(0x10020), 0u);  // same block
+  load(h, 0x10000);
+  EXPECT_EQ(load(h, 0x10000), 0u);
+  EXPECT_EQ(load(h, 0x10020), 0u);  // same block
   const auto s = h.stats();
   EXPECT_EQ(s.l1d.read_hits, 2u);
   EXPECT_EQ(s.l2.read_lookups, 1u);  // only the first miss
@@ -51,49 +69,49 @@ TEST(Hierarchy, SecondLoadHitsL1) {
 TEST(Hierarchy, L1EvictionHitsL2) {
   MemoryHierarchy h(tiny_cfg());
   // L1D: 2 sets. Addresses with the same L1 set: stride 128.
-  h.load(0x0000);
-  h.load(0x0080);
-  h.load(0x0100);  // evicts 0x0000 from L1 (clean): no L2 write
+  load(h, 0x0000);
+  load(h, 0x0080);
+  load(h, 0x0100);  // evicts 0x0000 from L1 (clean): no L2 write
   EXPECT_EQ(h.stats().l2.write_lookups, 0u);
   // Re-load 0x0000: L1 miss, L2 must still hold it if L2 retained it.
-  const auto stall = h.load(0x0000);
+  const auto stall = load(h, 0x0000);
   EXPECT_EQ(stall, 10u);  // L2 hit
 }
 
 TEST(Hierarchy, DirtyL1EvictionWritesBackToL2) {
   MemoryHierarchy h(tiny_cfg());
-  h.store(0x0000);  // dirty in L1
-  h.load(0x0080);
-  h.load(0x0100);  // evicts dirty 0x0000 -> L2 write
+  store(h, 0x0000);  // dirty in L1
+  load(h, 0x0080);
+  load(h, 0x0100);  // evicts dirty 0x0000 -> L2 write
   const auto s = h.stats();
   EXPECT_GE(s.l2.write_lookups, 1u);
 }
 
 TEST(Hierarchy, StoreAllocatesAndDirties) {
   MemoryHierarchy h(tiny_cfg());
-  const auto stall = h.store(0x4000);
+  const auto stall = store(h, 0x4000);
   EXPECT_EQ(stall, 100u);  // cold miss
-  EXPECT_EQ(h.store(0x4000), 0u);
+  EXPECT_EQ(store(h, 0x4000), 0u);
   EXPECT_EQ(h.stats().l1d.write_hits, 2u);  // allocate-then-write + hit
 }
 
 TEST(Hierarchy, InstFetchSequentialBlocksCoalesce) {
   MemoryHierarchy h(tiny_cfg());
-  h.inst_fetch(0x400000);
+  inst_fetch(h, 0x400000);
   const auto before = h.stats().l1i.read_lookups;
   // 15 more fetches within the same 64B block: no further L1I lookups.
-  for (int i = 1; i < 16; ++i) h.inst_fetch(0x400000 + i * 4);
+  for (int i = 1; i < 16; ++i) inst_fetch(h, 0x400000 + i * 4);
   EXPECT_EQ(h.stats().l1i.read_lookups, before);
-  h.inst_fetch(0x400040);  // next block
+  inst_fetch(h, 0x400040);  // next block
   EXPECT_EQ(h.stats().l1i.read_lookups, before + 1);
 }
 
 TEST(Hierarchy, L2MissFillsAndEvicts) {
   MemoryHierarchy h(tiny_cfg());
   // L2: 4 sets, 2 ways. Same L2 set: stride 256. Fill 3 blocks in set 0.
-  h.load(0x0000);
-  h.load(0x0100);
-  h.load(0x0200);  // L2 set 0 overflows: eviction
+  load(h, 0x0000);
+  load(h, 0x0100);
+  load(h, 0x0200);  // L2 set 0 overflows: eviction
   const auto s = h.stats();
   EXPECT_EQ(s.l2.fills, 3u);
   EXPECT_EQ(s.l2.evictions, 1u);
@@ -102,14 +120,14 @@ TEST(Hierarchy, L2MissFillsAndEvicts) {
 TEST(Hierarchy, WriteAllocateOnL2WriteMiss) {
   MemoryHierarchy h(tiny_cfg());
   // Dirty a line in L1, then force its eviction after L2 also evicted it.
-  h.store(0x0000);
+  store(h, 0x0000);
   // Thrash L2 set 0 (stride = 256 for 4-set L2) so 0x0000 leaves L2.
-  h.load(0x0100);
-  h.load(0x0200);
-  h.load(0x0300);
+  load(h, 0x0100);
+  load(h, 0x0200);
+  load(h, 0x0300);
   // Now push 0x0000 out of L1 (L1 stride 128, set 0).
-  h.load(0x0080);
-  h.load(0x0100);
+  load(h, 0x0080);
+  load(h, 0x0100);
   // The dirty writeback of 0x0000 missed L2 -> write-allocate: mem read.
   const auto s = h.stats();
   EXPECT_GT(s.mem_reads, 4u);
@@ -119,22 +137,22 @@ TEST(Hierarchy, WriteAllocateOnL2WriteMiss) {
 
 TEST(Hierarchy, L2DirtyEvictionReachesMemory) {
   MemoryHierarchy h(tiny_cfg());
-  h.store(0x0000);
+  store(h, 0x0000);
   // Evict 0x0000 from L1 so L2 holds it dirty.
-  h.store(0x0080);
-  h.store(0x0100);
+  store(h, 0x0080);
+  store(h, 0x0100);
   // 0x0000 written back to L2 (dirty). Now thrash L2 set 0.
-  h.load(0x0200);
-  h.load(0x0300);
-  h.load(0x0400);
+  load(h, 0x0200);
+  load(h, 0x0300);
+  load(h, 0x0400);
   EXPECT_GE(h.stats().mem_writes, 1u);
 }
 
 TEST(Hierarchy, ResetStatsZeroesEverything) {
   MemoryHierarchy h(tiny_cfg());
-  h.load(0x10000);
-  h.store(0x20000);
-  h.inst_fetch(0x400000);
+  load(h, 0x10000);
+  store(h, 0x20000);
+  inst_fetch(h, 0x400000);
   h.reset_stats();
   const auto s = h.stats();
   EXPECT_EQ(s.l1d.read_lookups, 0u);
@@ -146,7 +164,7 @@ TEST(Hierarchy, ResetStatsZeroesEverything) {
 TEST(Hierarchy, OnesModelAppliedToL2Lines) {
   MemoryHierarchy h(tiny_cfg());
   h.set_l2_ones_provider(OnesProvider::fixed(123));
-  h.load(0x0000);
+  load(h, 0x0000);
   bool found = false;
   for (std::size_t w = 0; w < h.l2().config().ways; ++w) {
     const auto line = h.l2().line_info(0, w);
@@ -161,10 +179,10 @@ TEST(Hierarchy, OnesModelAppliedToL2Lines) {
 TEST(Hierarchy, L2HitLatencyOverride) {
   MemoryHierarchy h(tiny_cfg());
   h.set_l2_hit_cycles(33);
-  h.load(0x0000);
-  h.load(0x0080);
-  h.load(0x0100);       // evict 0x0000 from L1 (clean)
-  EXPECT_EQ(h.load(0x0000), 33u);  // L2 hit at the overridden latency
+  load(h, 0x0000);
+  load(h, 0x0080);
+  load(h, 0x0100);       // evict 0x0000 from L1 (clean)
+  EXPECT_EQ(load(h, 0x0000), 33u);  // L2 hit at the overridden latency
 }
 
 }  // namespace

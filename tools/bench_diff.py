@@ -18,8 +18,7 @@ and exits 0. Pass --require-baseline to turn that case into a hard
 failure (exit 2) once a baseline is expected to exist.
 
 Gate mode:
-    tools/bench_diff.py BENCH.json --gate replay/static=1.3 \\
-                                   --gate simd/static=1.0
+    tools/bench_diff.py BENCH.json --gate replay/simd=1.2
 
 Each --gate NUM/DEN=MIN pairs the E2E/<NUM>/<policy> and E2E/<DEN>/<policy>
 benchmarks of one file by policy, computes the per-policy
@@ -63,7 +62,7 @@ def fmt_rate(value):
 
 
 def parse_gate(spec):
-    """'replay/static=1.3' -> ('replay', 'static', 1.3)."""
+    """'replay/simd=1.2' -> ('replay', 'simd', 1.2)."""
     pair, eq, floor = spec.partition("=")
     num, slash, den = pair.partition("/")
     if not (eq and slash and num and den):
