@@ -3,6 +3,7 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -725,14 +726,35 @@ DispatchResult Dispatcher::run() {
 
 std::optional<RowTable> merge_dispatch_journals(
     const std::vector<std::string>& journal_paths, std::string* error) {
-  std::vector<RowTable> tables;
-  tables.reserve(journal_paths.size());
-  for (const auto& path : journal_paths) {
-    auto table = load_rows(path, error);
-    if (!table) return std::nullopt;
-    tables.push_back(std::move(*table));
+  // Journals load in parallel, one per thread up to the core count
+  // (load_rows shares no state); the verdicts are then read in path order,
+  // so the error is the first failing path's, as a sequential load would
+  // report it.
+  const std::size_t n = journal_paths.size();
+  std::vector<std::optional<RowTable>> tables(n);
+  std::vector<std::string> errors(n);
+  std::atomic<std::size_t> next{0};
+  const auto load = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < n;)
+      tables[i] = load_rows(journal_paths[i], &errors[i]);
+  };
+  {
+    const std::size_t threads = std::min<std::size_t>(
+        n, std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(load);
+    load();
   }
-  return merge_tables(std::move(tables), error);
+  std::vector<RowTable> loaded;
+  loaded.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!tables[i]) {
+      if (error) *error = std::move(errors[i]);
+      return std::nullopt;
+    }
+    loaded.push_back(std::move(*tables[i]));
+  }
+  return merge_tables(std::move(loaded), error);
 }
 
 }  // namespace reap::campaign

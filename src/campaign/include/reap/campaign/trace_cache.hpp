@@ -10,7 +10,9 @@
 // several passes -- least-error-rate replacement runs each point alone --
 // and for mapped store files. The runner schedules a key's passes back to
 // back, so a cap of roughly one trace per worker thread already serves a
-// whole campaign.
+// whole campaign. The campaign CLIs no longer use it (no spec key selects
+// least-error-rate replacement, and a store file replays its mapping
+// directly); perfbench/tool.cpp still does.
 //
 // Memory discipline: the cache accounts the real arena bytes of every
 // trace it retains and evicts least-recently-used idle entries to stay

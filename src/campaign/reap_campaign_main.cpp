@@ -150,8 +150,9 @@ int main(int argc, char** argv) {
   const bool sharded = shard_count > 1;
   const auto mine = campaign::shard(points, shard_index, shard_count);
 
-  // Trace replay: 0 (default) = off, generate per point exactly as before.
-  const std::uint64_t trace_cache_mb = args.get_u64("trace-cache-mb", 0);
+  // --trace-cache-mb is accepted and has no effect: every pass generates
+  // its own op stream (see docs/campaign.md, "Trace replay and sharding").
+  args.has("trace-cache-mb");
   // Trace store: keys that resolve to a .reaptrace file in this directory
   // replay the mmapped file instead of generating (see docs/campaign.md,
   // "Trace store").
@@ -164,26 +165,11 @@ int main(int argc, char** argv) {
       std::printf("shard %zu/%zu: %zu points\n", shard_index, shard_count,
                   mine.size());
     // The trace-group plan, next to the shard plan: how many distinct
-    // traces this (shard of the) grid replays and the estimated peak of
-    // materialized bytes — with grouped scheduling, one trace per worker
-    // thread is live at a time, plus whatever the cache retains.
+    // traces this (shard of the) grid generates and the largest one's
+    // materialized size (what a reap_trace store file of it holds).
     const auto plan = campaign::trace_plan(mine);
-    campaign::RunnerOptions thread_probe;
-    thread_probe.threads = static_cast<unsigned>(args.get_u64("threads", 0));
-    const unsigned threads =
-        campaign::CampaignRunner(thread_probe).effective_threads(mine.size());
-    if (trace_cache_mb > 0)
-      std::printf(
-          "trace groups: %zu (largest ~%.1f MB; est. peak ~%.1f MB "
-          "materialized on %u threads, cache cap %llu MB)\n",
-          plan.groups, mb(plan.largest_bytes),
-          mb(plan.largest_bytes * threads), threads,
-          static_cast<unsigned long long>(trace_cache_mb));
-    else
-      std::printf(
-          "trace groups: %zu (largest ~%.1f MB; replay off — enable with "
-          "--trace-cache-mb=N)\n",
-          plan.groups, mb(plan.largest_bytes));
+    std::printf("trace groups: %zu (largest ~%.1f MB)\n",
+                plan.groups, mb(plan.largest_bytes));
     if (!trace_dir.empty()) {
       std::unordered_set<std::string> keys, found;
       for (const auto& pt : mine) {
@@ -418,41 +404,14 @@ int main(int argc, char** argv) {
       progress(d, t);
     };
 
-  // Trace replay: every pass of a trace group already shares one op
-  // stream, so the cache pays off when a key spans several passes
-  // (least-error-rate replacement splits a group into one pass per point)
-  // and for store files. The first pass of a key materializes it; every
-  // later pass replays the byte-identical stream from the cache instead of
-  // regenerating it. Keys with a store file replay the mmapped arena
-  // instead: borrowed traces account zero bytes, so the cache retains them
-  // for free even at cap 0 (--trace-dir alone, no --trace-cache-mb).
-  std::optional<campaign::TraceCache> trace_cache;
-  if (trace_cache_mb > 0 || !mapped_traces.empty()) {
-    trace_cache.emplace(static_cast<std::size_t>(trace_cache_mb) << 20);
-    opts.run_pass_fn = [&cache = *trace_cache, &mapped_traces,
-                        trace_cache_mb](const campaign::Pass& pass) {
-      const campaign::CampaignPoint& pt = *pass.front();
-      const auto it = mapped_traces.find(pt.trace_key);
-      if (it == mapped_traces.end() && trace_cache_mb == 0) {
-        // --trace-dir without a cache: keys with no store file generate,
-        // exactly the default path.
-        return campaign::run_pass(pass);
-      }
-      const auto trace = cache.acquire(pt.trace_key, [&] {
-        if (it != mapped_traces.end()) return it->second;  // shares the mmap
-        const std::uint64_t budget =
-            pt.config.warmup_instructions + pt.config.instructions;
-        trace::WorkloadTraceSource gen(pt.config.workload);
-        return trace::MaterializedTrace::materialize(gen, budget);
-      });
-      trace::ReplayTraceSource source(*trace);
-      return campaign::run_pass(pass, &source);
-    };
-    if (!quiet) progress.watch_trace_cache(&trace_cache->stats());
-  }
-  opts.run_pass_fn = [&, run = std::move(opts.run_pass_fn)](
-                         const campaign::Pass& pass) {
-    auto results = run ? run(pass) : campaign::run_pass(pass);
+  // A pass whose trace key has a store file replays the mapped arena;
+  // every other pass generates its op stream. Either way the runner thread
+  // that ran the pass renders its rows.
+  opts.run_pass_fn = [&](const campaign::Pass& pass) {
+    const auto stored = mapped_traces.find(pass.front()->trace_key);
+    std::optional<trace::ReplayTraceSource> replay;
+    if (stored != mapped_traces.end()) replay.emplace(stored->second);
+    auto results = campaign::run_pass(pass, replay ? &*replay : nullptr);
     for (std::size_t k = 0; k < pass.size() && k < results.size(); ++k) {
       RenderedRow& row = slot(*pass[k]);
       row.cells = campaign::result_cells(*pass[k], results[k]);

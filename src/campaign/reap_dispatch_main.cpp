@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -23,7 +25,7 @@
 #include "reap/campaign/exit_codes.hpp"
 #include "reap/campaign/progress.hpp"
 #include "reap/campaign/result_sink.hpp"
-#include "reap/campaign/trace_cache.hpp"
+#include "reap/campaign/trace_cache.hpp"  // trace_plan
 #include "reap/campaign/transport.hpp"
 #include "reap/campaign/version.hpp"
 #include "reap/common/cli.hpp"
@@ -174,25 +176,11 @@ int main(int argc, char** argv) {
         plan->workers, std::min(plan->workers, plan->n_shards));
     std::printf("work dir: %s\n", opts.work_dir.c_str());
     // Trace-group plan next to the shard plan. Index striping scatters a
-    // trace group's points across every shard, so each worker
-    // materializes its shard's groups independently (caches are
-    // per-process).
+    // trace group's points across every shard, so each worker generates
+    // its shard's groups independently.
     const auto tplan = campaign::trace_plan(points);
-    const double largest_mb =
-        static_cast<double>(tplan.largest_bytes) / (1024.0 * 1024.0);
-    if (opts.trace_cache_mb > 0)
-      std::printf(
-          "trace groups: %zu (largest ~%.1f MB; est. peak ~%.1f MB "
-          "materialized per worker, cache cap %zu MB each)\n",
-          tplan.groups, largest_mb,
-          largest_mb * static_cast<double>(
-                           std::max<std::size_t>(1, opts.worker_threads)),
-          opts.trace_cache_mb);
-    else
-      std::printf(
-          "trace groups: %zu (largest ~%.1f MB; replay off — enable with "
-          "--trace-cache-mb=N)\n",
-          tplan.groups, largest_mb);
+    std::printf("trace groups: %zu (largest ~%.1f MB)\n", tplan.groups,
+                static_cast<double>(tplan.largest_bytes) / (1024.0 * 1024.0));
     for (std::size_t i = 0; i < plan->n_shards; ++i)
       std::printf("  shard %zu/%zu: %zu points  (%s --shard=%zu/%zu ...)\n",
                   i, plan->n_shards,
@@ -320,6 +308,23 @@ int main(int argc, char** argv) {
                  "column schema than this binary\n");
     return campaign::kDispatchError;
   }
+  // The aggregates read only the merged table, so a second thread computes
+  // and renders them while the sinks write it. Every exit below waits for
+  // it (the future's destructor joins), and it is joined before anything
+  // is printed, so stdout keeps its order.
+  struct Aggregated {
+    std::optional<campaign::CampaignAggregates> agg;
+    std::string text;
+    std::string error;
+  };
+  std::future<Aggregated> aggregated;
+  if (baseline && run.quarantined.empty())
+    aggregated = std::async(std::launch::async, [&merged, &baseline] {
+      Aggregated out;
+      out.agg = campaign::aggregate_rows(*merged, *baseline, &out.error);
+      if (out.agg) out.text = out.agg->render();
+      return out;
+    });
   const auto emit_merged = [&](campaign::ResultSink& sink, bool ok,
                                const char* what, const std::string& path) {
     if (!ok) {
@@ -355,13 +360,14 @@ int main(int argc, char** argv) {
   }
 
   std::optional<campaign::CampaignAggregates> agg;
-  if (baseline) {
-    agg = campaign::aggregate_rows(*merged, *baseline, &error);
-    if (!agg) {
-      std::fprintf(stderr, "no aggregates: %s\n", error.c_str());
+  if (aggregated.valid()) {
+    Aggregated done = aggregated.get();
+    if (!done.agg) {
+      std::fprintf(stderr, "no aggregates: %s\n", done.error.c_str());
       return campaign::kDispatchError;
     }
-    std::printf("\n%s", agg->render().c_str());
+    agg = std::move(done.agg);
+    std::printf("\n%s", done.text.c_str());
   }
   if (want_figures) {
     const auto written =

@@ -6,10 +6,12 @@
 // and let us confirm REAP's "no performance impact" claim via the L2
 // latency each policy reports).
 //
-// One drive loop, run(n, policy): ops are pulled kBatchOps at a time and
-// the hierarchy is instantiated over the concrete policy type, so the
-// whole instruction -> L1 -> L2 -> policy path inlines with no per-op
-// virtual dispatch. Each batch gets a vectorizable pre-pass
+// One drive loop, run(n, policy): each refill pulls batch_cap(left) ops --
+// up to kBatchOps, but no more than the instructions still left in the
+// budget can use, so a short pass does not generate a full batch it never
+// executes -- and the hierarchy is instantiated over the concrete policy
+// type, so the whole instruction -> L1 -> L2 -> policy path inlines with
+// no per-op virtual dispatch. Each batch gets a vectorizable pre-pass
 // (simd::predecode: every op's L2 set/tagv into flat arrays), the loop
 // prefetches the set columns a fixed distance ahead, and L2 demand
 // lookups go through the pre-decoded coordinates (L2Hint) instead of
@@ -18,6 +20,7 @@
 // (tests/core/test_reference_model.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -37,8 +40,19 @@ class TraceCpu {
   // start; the batch and pre-decode buffers keep their allocations.
   void rebind(trace::TraceSource& source, double clock_ghz);
 
-  // Ops pulled per TraceSource::next_batch call in the batched loop.
+  // The most ops one TraceSource::next_batch call pulls.
   static constexpr std::size_t kBatchOps = 4096;
+
+  // Ops a refill pulls when `left` instructions of the budget remain:
+  // about 1.5 ops per instruction plus a few for the data ops that follow
+  // the last fetch, at most kBatchOps. Any span that holds one
+  // instruction group is correct -- a short refill is simply followed by
+  // another, and sources emit the same stream whatever the span size.
+  static constexpr std::size_t batch_cap(std::uint64_t left) {
+    return left >= kBatchOps ? kBatchOps
+                             : std::min<std::size_t>(
+                                   kBatchOps, left + left / 2 + 8);
+  }
 
   // How many ops ahead run prefetches the L2 set columns.
   // Far enough that the lines arrive before the op needs them (several
@@ -62,7 +76,8 @@ class TraceCpu {
     std::uint64_t executed = 0;
     for (;;) {
       if (buf_pos_ == buf_len_) {
-        buf_len_ = source_->next_batch({buf_.data(), buf_.size()});
+        buf_len_ = source_->next_batch(
+            {buf_.data(), batch_cap(max_instructions - executed)});
         buf_pos_ = 0;
         if (buf_len_ == 0) break;  // end of trace
         // The pre-pass: pure shifts/masks over the fresh batch, hoisting

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
+#include "reap/trace/replay.hpp"
+#include "reap/trace/spec2006.hpp"
 #include "reap/trace/trace_io.hpp"
+#include "reap/trace/workload.hpp"
 
 namespace reap::sim {
 namespace {
@@ -191,6 +195,122 @@ TEST(TraceCpu, VectorizedLoopHonoursInstructionBudget) {
   const auto ops = mixed_ops(20'000, 3);
   expect_split_matches_one_run(ops,
                                {1, 1, 999, 4'096, 1'365, 7'000, 20'000});
+}
+
+// Serves another source's ops and counts them: what a run pulled.
+class CountingSource final : public trace::TraceSource {
+ public:
+  explicit CountingSource(trace::TraceSource& inner) : inner_(inner) {}
+
+  bool next(trace::MemOp& op) override {
+    const bool ok = inner_.next(op);
+    served_ += ok ? 1 : 0;
+    return ok;
+  }
+  std::size_t next_batch(std::span<trace::MemOp> out) override {
+    const std::size_t n = inner_.next_batch(out);
+    served_ += n;
+    return n;
+  }
+  void reset() override {
+    inner_.reset();
+    served_ = 0;
+  }
+  std::uint64_t served() const { return served_; }
+
+ private:
+  trace::TraceSource& inner_;
+  std::uint64_t served_ = 0;
+};
+
+trace::WorkloadProfile budget_profile() {
+  auto profile = *trace::spec2006_profile("mcf");
+  profile.seed = 7;
+  return profile;
+}
+
+// Ops a core executes for `instructions` instructions of `profile`: every
+// op before the next instruction's fetch.
+std::uint64_t ops_consumed(const trace::WorkloadProfile& profile,
+                           std::uint64_t instructions) {
+  trace::WorkloadTraceSource gen(profile);
+  std::uint64_t ops = 0, fetches = 0;
+  for (trace::MemOp op; gen.next(op); ++ops)
+    if (op.type == trace::OpType::inst_fetch && ++fetches > instructions)
+      break;
+  return ops;
+}
+
+// Runs a warmup of `warmup` instructions (counters reset after it, as an
+// experiment does) and then `instructions` more over `src`.
+struct BudgetRun {
+  std::uint64_t executed = 0;
+  std::uint64_t cycles = 0;
+  HierarchyStats stats;
+};
+
+BudgetRun run_budget(trace::TraceSource& src, std::uint64_t warmup,
+                     std::uint64_t instructions) {
+  MemoryHierarchy mem(tiny_cfg());
+  TraceCpu cpu(src, mem);
+  NullHooks hooks;
+  if (warmup > 0) {
+    EXPECT_EQ(cpu.run(warmup, hooks), warmup);
+    cpu.reset_counters();
+    mem.reset_stats();
+  }
+  BudgetRun r;
+  r.executed = cpu.run(instructions, hooks);
+  r.cycles = cpu.cycles();
+  r.stats = mem.stats();
+  return r;
+}
+
+// A run over the live generator, pulled through a counting wrapper, and
+// the same budget replayed from a materialized arena end identical.
+void expect_same_run(const BudgetRun& a, const BudgetRun& b) {
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.cycles, b.cycles);
+  expect_same_stats(a.stats.l1i, b.stats.l1i);
+  expect_same_stats(a.stats.l1d, b.stats.l1d);
+  expect_same_stats(a.stats.l2, b.stats.l2);
+  EXPECT_EQ(a.stats.mem_reads, b.stats.mem_reads);
+  EXPECT_EQ(a.stats.mem_writes, b.stats.mem_writes);
+}
+
+BudgetRun replayed_run(const trace::WorkloadProfile& profile,
+                       std::uint64_t warmup, std::uint64_t instructions) {
+  trace::WorkloadTraceSource gen(profile);
+  const auto arena =
+      trace::MaterializedTrace::materialize(gen, warmup + instructions);
+  trace::ReplayTraceSource replay(arena);
+  return run_budget(replay, warmup, instructions);
+}
+
+TEST(TraceCpu, OneInstructionPullsOneCappedRefill) {
+  const auto profile = budget_profile();
+  trace::WorkloadTraceSource gen(profile);
+  CountingSource counted(gen);
+  const BudgetRun run = run_budget(counted, 0, 1);
+  EXPECT_EQ(run.executed, 1u);
+  EXPECT_LE(counted.served(), TraceCpu::batch_cap(1));
+  EXPECT_LT(TraceCpu::batch_cap(1), TraceCpu::kBatchOps);
+  EXPECT_GE(counted.served(), ops_consumed(profile, 1));
+  expect_same_run(run, replayed_run(profile, 0, 1));
+}
+
+TEST(TraceCpu, WarmupAndRunPullWhatTheyConsumePlusOneRefillSlack) {
+  const auto profile = budget_profile();
+  trace::WorkloadTraceSource gen(profile);
+  CountingSource counted(gen);
+  const BudgetRun run = run_budget(counted, 100, 1'000);
+  EXPECT_EQ(run.executed, 1'000u);
+  // The last refill happens with at most 1,000 instructions left, and what
+  // remains after it executes at least one op per instruction.
+  const std::uint64_t consumed = ops_consumed(profile, 1'100);
+  EXPECT_GE(counted.served(), consumed);
+  EXPECT_LE(counted.served(), consumed + TraceCpu::batch_cap(1'000) - 1'000);
+  expect_same_run(run, replayed_run(profile, 100, 1'000));
 }
 
 }  // namespace
