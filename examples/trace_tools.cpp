@@ -1,12 +1,16 @@
 // Trace tooling: generate a synthetic trace to a file, read it back, and
 // replay it through the hierarchy -- the workflow for users who want to
 // bring their own (e.g. gem5-captured) traces instead of the built-in
-// generators.
+// generators. `text` writes one op per line; `reaptrace` writes a checked
+// .reaptrace store file (versioned header, CRC32C over header and body)
+// and replays it from its read-only mapping.
 //
-//   ./trace_tools [--workload=gcc] [--ops=200000] [--file=/tmp/reap.trace]
-//                 [--format=text|binary]
+//   ./trace_tools [--workload=gcc] [--ops=200000] [--file=PATH]
+//                 [--format=text|reaptrace]
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "reap/common/cli.hpp"
 #include "reap/core/policy_impl.hpp"
@@ -14,7 +18,9 @@
 #include "reap/reliability/ledger.hpp"
 #include "reap/sim/cpu.hpp"
 #include "reap/trace/spec2006.hpp"
+#include "reap/trace/replay.hpp"
 #include "reap/trace/trace_io.hpp"
+#include "reap/trace/trace_store.hpp"
 
 using namespace reap;
 
@@ -22,8 +28,15 @@ int main(int argc, char** argv) {
   common::CliArgs args(argc, argv);
   const std::string name = args.get_string("workload", "gcc");
   const std::uint64_t ops = args.get_u64("ops", 200'000);
-  const std::string path = args.get_string("file", "/tmp/reap_example.trace");
-  const std::string format = args.get_string("format", "binary");
+  const std::string format = args.get_string("format", "reaptrace");
+  const bool text = format == "text";
+  if (!text && format != "reaptrace") {
+    std::fprintf(stderr, "unknown --format '%s' (text or reaptrace)\n",
+                 format.c_str());
+    return 1;
+  }
+  const std::string path = args.get_string(
+      "file", text ? "/tmp/reap_example.trace" : "/tmp/reap_example.reaptrace");
 
   const auto profile = trace::spec2006_profile(name);
   if (!profile) {
@@ -33,10 +46,26 @@ int main(int argc, char** argv) {
 
   // 1. Generate and persist a trace.
   trace::WorkloadTraceSource gen(*profile);
-  const bool ok = format == "text" ? trace::write_text_trace(path, gen, ops)
-                                   : trace::write_binary_trace(path, gen, ops);
+  std::string error;
+  bool ok = false;
+  if (text) {
+    ok = trace::write_text_trace(path, gen, ops);
+  } else {
+    std::vector<std::uint64_t> packed;
+    std::uint64_t fetches = 0;
+    trace::MemOp op;
+    while (packed.size() < ops && gen.next(op)) {
+      packed.push_back(trace::MaterializedTrace::pack(op));
+      fetches += op.type == trace::OpType::inst_fetch;
+    }
+    // A replay stops on the fetch that begins the instruction after its
+    // budget, so the file covers one instruction less than it fetches.
+    ok = trace::write_trace_file(path, packed, fetches > 0 ? fetches - 1 : 0,
+                                 name, {}, &error);
+  }
   if (!ok) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    std::fprintf(stderr, "failed to write %s\n",
+                 error.empty() ? path.c_str() : error.c_str());
     return 1;
   }
   std::printf("wrote %llu ops of '%s' to %s (%s format)\n",
@@ -45,11 +74,20 @@ int main(int argc, char** argv) {
 
   // 2. Read it back and replay it through the Table I hierarchy with the
   //    conventional policy attached, collecting concealed-read stats.
+  //    A store file is fully verified (both CRCs) when it is opened.
   std::unique_ptr<trace::TraceSource> reader;
-  if (format == "text")
+  trace::MaterializedTrace stored;
+  if (text) {
     reader = std::make_unique<trace::TextTraceReader>(path);
-  else
-    reader = std::make_unique<trace::BinaryTraceReader>(path);
+  } else {
+    const auto mapped = trace::MappedTraceFile::open(path, &error);
+    if (!mapped) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    stored = mapped->borrow(mapped);
+    reader = std::make_unique<trace::ReplayTraceSource>(stored);
+  }
 
   reliability::UncorrectableModel model(1e-8, 1, 512);
   reliability::FailureLedger ledger;

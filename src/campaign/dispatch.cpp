@@ -25,7 +25,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+using Kind = DispatchEvent::Kind;
+
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+// Ceiling on the restart backoff (see DispatchOptions::backoff_base).
+constexpr std::chrono::milliseconds kBackoffMax{10000};
 
 // Supervisor-side view of one shard.
 struct ShardState {
@@ -248,11 +253,24 @@ DispatchResult Dispatcher::run() {
     for (std::size_t k = 0; k < transports[t]->slots(); ++k)
       slot_owner.push_back(t);
 
+  // The one emission point: `fill` sets the kind's fields, and nothing is
+  // built when no one listens.
+  const auto emit = [this](Kind kind, const auto& fill) {
+    if (!opts_.on_event) return;
+    DispatchEvent e;
+    e.kind = kind;
+    fill(e);
+    opts_.on_event(e);
+  };
+
   const auto lose_host = [&](std::size_t t, const std::string& reason) {
     if (hosts[t].dead) return;
     hosts[t].dead = true;
     result.lost_hosts.push_back(transports[t]->host());
-    if (opts_.on_host_lost) opts_.on_host_lost(transports[t]->host(), reason);
+    emit(Kind::host_lost, [&](DispatchEvent& e) {
+      e.host = transports[t]->host();
+      e.text = reason;
+    });
   };
 
   // One machine-level failure against host `t`; enough of them in a row
@@ -268,13 +286,15 @@ DispatchResult Dispatcher::run() {
   // fleet skew would hide exactly the divergence it causes.
   for (std::size_t t = 0; t < transports.size(); ++t) {
     std::string note;
-    const auto hs = transports[t]->handshake(opts_.expected_worker_version,
-                                             opts_.trace_dir, &error, &note);
+    const auto hs = transports[t]->handshake(opts_.trace_dir, &error, &note);
     if (hs == HandshakeStatus::mismatch)
       return fail(error, DispatchStatus::error);
     if (hs == HandshakeStatus::unreachable) lose_host(t, error);
-    if (!note.empty() && opts_.on_host_note)
-      opts_.on_host_note(transports[t]->host(), note);
+    if (!note.empty())
+      emit(Kind::host_note, [&](DispatchEvent& e) {
+        e.host = transports[t]->host();
+        e.text = note;
+      });
   }
   {
     bool any_live = false;
@@ -340,7 +360,11 @@ DispatchResult Dispatcher::run() {
         << "\",\"index\":" << index << ",\"shard\":" << shard_i
         << ",\"reason\":\"" << common::json_escape(reason) << "\"}\n";
     out.flush();
-    if (opts_.on_quarantine) opts_.on_quarantine(key, index, shard_i);
+    emit(Kind::quarantine, [&](DispatchEvent& e) {
+      e.shard = shard_i;
+      e.key = key;
+      e.index = index;
+    });
   };
 
   // Worker launch plan: the resolved spec as flags (workers parse the
@@ -414,13 +438,12 @@ DispatchResult Dispatcher::run() {
     if (s.no_progress == 0) return std::chrono::milliseconds{0};
     const std::size_t exp = std::min<std::size_t>(s.no_progress - 1, 16);
     auto delay = opts_.backoff_base * (1LL << exp);
-    if (delay > opts_.backoff_max) delay = opts_.backoff_max;
+    if (delay > kBackoffMax) delay = kBackoffMax;
     if (delay.count() > 0) {
-      // Deterministic jitter: same seed/shard/attempt -> same delay, so
-      // chaos tests replay exactly while real fleets de-synchronize.
+      // Deterministic jitter: same shard/attempt -> same delay, so chaos
+      // tests replay exactly while real fleets de-synchronize.
       const std::uint64_t j =
-          splitmix64(opts_.backoff_seed ^
-                     (static_cast<std::uint64_t>(shard_i) << 32) ^
+          splitmix64((static_cast<std::uint64_t>(shard_i) << 32) ^
                      static_cast<std::uint64_t>(s.attempts));
       delay += std::chrono::milliseconds(
           j % static_cast<std::uint64_t>(delay.count() / 2 + 1));
@@ -447,14 +470,21 @@ DispatchResult Dispatcher::run() {
     return result;
   };
 
-  std::size_t last_reported = static_cast<std::size_t>(-1);
-  const auto report_progress = [&] {
-    std::size_t done = 0;
-    for (const auto& s : shards) done += s.tailer->rows_seen();
-    if (opts_.on_progress && done != last_reported) {
-      last_reported = done;
-      opts_.on_progress(done, points.size());
-    }
+  // Tails one shard's journal: records the keys that landed (the
+  // quarantine bisect navigates by them) and reports the growth.
+  std::size_t rows_done = 0;  // across every shard
+  const auto tail = [&](std::size_t shard_i) {
+    auto& s = shards[shard_i];
+    const auto fresh = s.tailer->poll();
+    if (fresh.empty()) return;
+    for (const auto& k : fresh) s.done_keys.insert(k);
+    rows_done += fresh.size();
+    emit(Kind::rows, [&](DispatchEvent& e) {
+      e.shard = shard_i;
+      e.rows = s.tailer->rows_seen();
+      e.done = rows_done;
+      e.total = points.size();
+    });
   };
 
   while (remaining > 0) {
@@ -515,8 +545,12 @@ DispatchResult Dispatcher::run() {
         }
         continue;
       }
-      if (opts_.on_spawn)
-        opts_.on_spawn(shard_i, s.attempts, slot_i, worker->pid());
+      emit(Kind::spawn, [&](DispatchEvent& e) {
+        e.shard = shard_i;
+        e.attempt = s.attempts;
+        e.slot = slot_i;
+        e.pid = worker->pid();
+      });
       s.last_slot = slot_i;
       slots[slot_i].emplace(Slot{std::move(worker), shard_i, t, s.attempts,
                                  s.tailer->rows_seen(), s.tailer->offset(),
@@ -543,17 +577,9 @@ DispatchResult Dispatcher::run() {
     for (auto& slot : slots)
       if (slot) slot->worker->pump();
 
-    // Tail journals for live progress (and the done_keys bookkeeping the
-    // quarantine bisect navigates by).
-    for (auto& s : shards) {
-      if (s.completed || s.abandoned) continue;
-      const auto fresh = s.tailer->poll();
-      for (const auto& k : fresh) s.done_keys.insert(k);
-      if (!fresh.empty() && opts_.on_shard_rows)
-        opts_.on_shard_rows(std::size_t(&s - shards.data()),
-                            s.tailer->rows_seen());
-    }
-    report_progress();
+    // Tail journals for live progress.
+    for (std::size_t i = 0; i < n_shards; ++i)
+      if (!shards[i].completed && !shards[i].abandoned) tail(i);
 
     // Watchdog: a worker whose journal offset has not moved within
     // stall_timeout gets SIGTERM (graceful row-boundary exit), then
@@ -569,7 +595,10 @@ DispatchResult Dispatcher::run() {
       if (opts_.stall_timeout.count() > 0 && !slot->term_at &&
           now - slot->last_change >= opts_.stall_timeout) {
         result.stalls++;
-        if (opts_.on_stall) opts_.on_stall(slot->shard, slot->attempt);
+        emit(Kind::stall, [&](DispatchEvent& e) {
+          e.shard = slot->shard;
+          e.attempt = slot->attempt;
+        });
         slot->worker->kill(SIGTERM);
         slot->term_at = now;
       }
@@ -585,8 +614,7 @@ DispatchResult Dispatcher::run() {
       slot->worker->drain();  // stream remainder -> local journal
       auto& s = shards[slot->shard];
       s.attempts++;
-      for (const auto& k : s.tailer->poll())  // rows landed just before exit
-        s.done_keys.insert(k);
+      tail(slot->shard);  // rows that landed just before the exit
       const std::size_t rows = s.tailer->rows_seen();
       const bool progressed = rows > slot->rows_at_spawn;
 
@@ -599,9 +627,17 @@ DispatchResult Dispatcher::run() {
         if (!s.quarantined.count(k)) ++covered;
       const bool done = status->success() && covered >= s.expected;
 
+      const auto report_exit = [&](bool ok, bool will_retry) {
+        emit(Kind::worker_exit, [&](DispatchEvent& e) {
+          e.shard = slot->shard;
+          e.attempt = slot->attempt;
+          e.ok = ok;
+          e.will_retry = will_retry;
+        });
+      };
+
       if (done) {
-        if (opts_.on_worker_exit)
-          opts_.on_worker_exit(slot->shard, slot->attempt, true, false);
+        report_exit(true, false);
         s.completed = true;
         s.probing = false;
         --remaining;
@@ -619,8 +655,7 @@ DispatchResult Dispatcher::run() {
           slot->worker->host_failure(*status)) {
         host_fail(slot->transport,
                   "worker " + status->describe() + " (connection lost)");
-        if (opts_.on_worker_exit)
-          opts_.on_worker_exit(slot->shard, slot->attempt, false, true);
+        report_exit(false, true);
         result.restarts++;
         s.eligible_at = now + backoff_delay(slot->shard);
         queue.push_back(slot->shard);
@@ -670,14 +705,14 @@ DispatchResult Dispatcher::run() {
         }
       } else if (s.no_progress >= opts_.max_attempts) {
         // The shard is failing without progress. Bisect for a poisoned
-        // point when allowed and possible; abandon otherwise. No
-        // journal at all means the worker never even started a run --
-        // skipping rows cannot fix that.
+        // point when possible; abandon otherwise. No journal at all
+        // means the worker never even started a run -- skipping rows
+        // cannot fix that.
         std::error_code jec;
         const bool has_journal =
             std::filesystem::exists(s.journal_path, jec) && !jec;
         std::vector<std::string> fresh_suspects;
-        if (!opts_.fail_fast && has_journal)
+        if (has_journal)
           for (const auto* p : members[slot->shard])
             if (!s.done_keys.count(p->key) && !s.quarantined.count(p->key))
               fresh_suspects.push_back(p->key);
@@ -696,9 +731,7 @@ DispatchResult Dispatcher::run() {
         }
       }
 
-      const bool will_retry = !give_up;
-      if (opts_.on_worker_exit)
-        opts_.on_worker_exit(slot->shard, slot->attempt, false, will_retry);
+      report_exit(false, !give_up);
       if (give_up) {
         abandon(slot->shard, std::move(give_up_msg));
       } else {
@@ -712,7 +745,6 @@ DispatchResult Dispatcher::run() {
     if (remaining > 0) wait_for_workers(slots, opts_.poll_interval);
   }
 
-  report_progress();
   bool any_abandoned = false;
   for (const auto& s : shards) any_abandoned = any_abandoned || s.abandoned;
   if (any_abandoned)

@@ -1,17 +1,16 @@
-// Dispatcher: automatic shard distribution over a local worker pool.
+// Dispatcher: automatic shard distribution over a pool of worker slots.
 //
-// PR 3 made a campaign a durable, partitionable artifact (--shard,
-// --journal, --resume); the dispatcher turns that into a one-command
-// distributed run. It expands the spec, splits the grid into N shards,
-// and keeps K `reap_campaign --shard=i/N --journal=... --resume` worker
-// processes busy until every shard's journal is complete:
+// A campaign is a durable, partitionable artifact (--shard, --journal,
+// --resume); the dispatcher turns that into a one-command distributed
+// run. It expands the spec, splits the grid into N shards, and keeps K
+// `reap_campaign --shard=i/N` workers busy until every shard's journal is
+// complete:
 //
 //   - a worker that crashes (or is killed) is restarted on the same
 //     journal; --resume skips the rows that already landed, so no work
 //     is lost and no row runs twice;
 //   - a shard whose worker dies repeatedly is reassigned to a different
-//     worker slot (and given up on, with its log path, after
-//     max_attempts failures);
+//     worker slot;
 //   - the per-shard journals are live-tailed (JournalTailer) into one
 //     aggregated rows-done count for a single progress line;
 //   - on completion the shard journals merge through the report layer
@@ -23,7 +22,7 @@
 // resumable: re-running it with the same spec and work_dir re-launches
 // the workers, which skip every journaled row.
 //
-// PR 6 extends supervision beyond crash faults:
+// Supervision goes beyond crash faults:
 //
 //   - a progress *watchdog* (stall_timeout): each worker's heartbeat is
 //     its journal tailer offset; a worker whose journal stops growing
@@ -31,28 +30,32 @@
 //     row boundary), then SIGKILL after kill_grace, and restarts as an
 //     ordinary failed attempt;
 //   - *exponential backoff* between restarts of a shard that is failing
-//     without progress, with deterministic seeded jitter so a fleet of
-//     crashing workers does not restart in lockstep (and test runs
-//     replay exactly);
+//     without progress, capped at 10 s, with deterministic jitter per
+//     (shard, attempt) so a fleet of crashing workers does not restart
+//     in lockstep (and test runs replay exactly);
 //   - *point quarantine*: a shard that keeps dying without journaling a
 //     new row has a poisoned point. Instead of abandoning the whole
 //     shard, the dispatcher bisects -- relaunching with --skip-rows over
 //     halves of the un-journaled keys -- until the poison is pinned to a
 //     single point, records it in work_dir/quarantine.jsonl, and lets
-//     the rest of the shard complete. --fail-fast restores the old
-//     abandon-at-max_attempts behavior;
-//   - *graceful degradation*: an abandoned shard no longer aborts the
+//     the rest of the shard complete. A shard whose worker never wrote a
+//     journal has nothing to bisect and is abandoned;
+//   - *graceful degradation*: an abandoned shard does not abort the
 //     dispatch; the other shards finish and the result reports the
 //     worst condition seen (see DispatchStatus / exit_codes.hpp).
 //
-// This PR abstracts *where* workers run behind WorkerTransport
-// (transport.hpp): the slot pool is the concatenation of every
-// transport's slots, remote workers stream their journal rows into the
-// local shard journals, and machine-level failures (lost connection,
-// stalled stream, unreachable host) are counted per *host* -- a host
-// that fails host_max_failures times in a row is lost (drained from the
-// pool, its shards redistributed to the survivors), and a run that
-// finished despite losing hosts reports DispatchStatus::host_lost.
+// WorkerTransport (transport.hpp) abstracts *where* workers run: the slot
+// pool is the concatenation of every transport's slots, remote workers
+// stream their journal rows into the local shard journals, and
+// machine-level failures (lost connection, stalled stream, unreachable
+// host) are counted per *host* -- a host that fails host_max_failures
+// times in a row is lost (drained from the pool, its shards redistributed
+// to the survivors), and a run that finished despite losing hosts reports
+// DispatchStatus::host_lost.
+//
+// Everything the supervisor does or sees -- launches, exits, journal
+// growth, stalls, quarantines, host incidents -- is reported through one
+// callback, DispatchOptions::on_event, as a DispatchEvent.
 #pragma once
 
 #include <chrono>
@@ -69,6 +72,42 @@
 #include "reap/campaign/transport.hpp"
 
 namespace reap::campaign {
+
+// One thing the supervisor did or saw. Flat: each kind sets the fields
+// listed with it and leaves the rest at their defaults.
+struct DispatchEvent {
+  enum class Kind {
+    spawn,        // shard, attempt (0 = first try), slot, pid
+    worker_exit,  // shard, attempt, ok, will_retry. `ok` means "exited 0
+                  // with a complete shard journal"; on failure
+                  // `will_retry` tells a restart from an abandoned shard
+    rows,         // shard, rows: tailing saw the shard's journal grow to
+                  // `rows` rows; done, total: rows journaled across the
+                  // grid (monotone) and the full grid size
+    stall,        // shard, attempt: the watchdog declared the worker
+                  // stalled (before its SIGTERM)
+    quarantine,   // shard, key, index: a point pinned as poisoned and
+                  // recorded in work_dir/quarantine.jsonl
+    host_lost,    // host, text (why): the host is drained from the pool
+                  // (handshake failure or exhausted failure budget)
+    host_note,    // host, text: a per-host warning worth one stderr line
+                  // (e.g. a missing remote trace store)
+  };
+  Kind kind = Kind::spawn;
+  std::size_t shard = 0;
+  std::size_t attempt = 0;
+  std::size_t slot = 0;
+  long pid = 0;
+  bool ok = false;
+  bool will_retry = false;
+  std::size_t rows = 0;
+  std::size_t done = 0;
+  std::size_t total = 0;
+  std::string host;
+  std::string key;
+  std::uint64_t index = 0;
+  std::string text;
+};
 
 struct DispatchOptions {
   // The reap_campaign binary each worker runs. Required.
@@ -108,7 +147,7 @@ struct DispatchOptions {
 
   // A shard's failure budget: after this many *consecutive* failed
   // attempts that journal no new row, the shard is given up on --
-  // quarantine-probed when possible (see fail_fast), abandoned
+  // quarantine-probed when it has a journal to bisect, abandoned
   // otherwise. Attempts that make progress reset the count: a worker
   // that crashes midway but lands rows is converging, not failing.
   std::size_t max_attempts = 3;
@@ -126,19 +165,11 @@ struct DispatchOptions {
   std::chrono::milliseconds kill_grace{2000};
 
   // Restart backoff for shards failing without progress: delay
-  // min(backoff_base * 2^(n-1), backoff_max) after the n-th consecutive
+  // min(backoff_base * 2^(n-1), 10 s) after the n-th consecutive
   // no-progress failure, plus deterministic jitter (up to half the
-  // delay, derived from backoff_seed, the shard, and the attempt) so
-  // restarts de-synchronize reproducibly.
+  // delay, derived from the shard and the attempt) so restarts
+  // de-synchronize reproducibly.
   std::chrono::milliseconds backoff_base{100};
-  std::chrono::milliseconds backoff_max{10000};
-  std::uint64_t backoff_seed = 0;
-
-  // When true, a shard that exhausts max_attempts is abandoned
-  // immediately (pre-PR6 behavior). When false, the dispatcher first
-  // bisects for a poisoned point and quarantines it, abandoning only
-  // when no single point is to blame.
-  bool fail_fast = false;
 
   // Abandon a shard rather than quarantine more than this many points:
   // a campaign shedding rows wholesale is broken, not poisoned.
@@ -158,44 +189,10 @@ struct DispatchOptions {
   // losing the dispatcher's own machine is not a recoverable event.
   std::size_t host_max_failures = 3;
 
-  // When non-empty, every remote transport's handshake must see the
-  // worker binary answer --version with exactly this line; a mismatch
-  // aborts the dispatch up front (fleet skew corrupts merges).
-  std::string expected_worker_version;
-
-  // Host-level observability. on_host_lost fires once when a host is
-  // declared lost (handshake failure or exhausted failure budget);
-  // on_host_note carries per-host warnings worth one stderr line (e.g.
-  // a missing remote trace store).
-  std::function<void(const std::string& host, const std::string& reason)>
-      on_host_lost;
-  std::function<void(const std::string& host, const std::string& note)>
-      on_host_note;
-
-  // Aggregated progress: (rows done across all shards, full grid size).
-  // Called from the supervisor loop, monotone in `done`.
-  std::function<void(std::size_t done, std::size_t total)> on_progress;
-
-  // Observability / test seams. on_spawn fires for every worker launch
-  // (attempt 0 is the first try); on_worker_exit fires when one ends --
-  // `ok` means "exited 0 with a complete shard journal", and on failure
-  // `will_retry` distinguishes a restart from the shard being abandoned;
-  // on_shard_rows fires when tailing observes a shard's journal growing.
-  std::function<void(std::size_t shard, std::size_t attempt,
-                     std::size_t slot, long pid)>
-      on_spawn;
-  std::function<void(std::size_t shard, std::size_t attempt, bool ok,
-                     bool will_retry)>
-      on_worker_exit;
-  std::function<void(std::size_t shard, std::size_t rows)> on_shard_rows;
-
-  // Watchdog and quarantine observability. on_stall fires when a worker
-  // is declared stalled (before the SIGTERM); on_quarantine fires when a
-  // point is pinned as poisoned and recorded in the sidecar.
-  std::function<void(std::size_t shard, std::size_t attempt)> on_stall;
-  std::function<void(const std::string& key, std::uint64_t index,
-                     std::size_t shard)>
-      on_quarantine;
+  // Everything the supervisor reports, in the order it happens (see
+  // DispatchEvent). Called on the thread running Dispatcher::run. Unset =
+  // no events are built.
+  std::function<void(const DispatchEvent&)> on_event;
 };
 
 // How a dispatch ended, worst condition wins; exit_codes.hpp maps these

@@ -11,19 +11,20 @@
 // into the ordinary sinks, producing output byte-identical to an
 // uninterrupted run.
 //
-// Format v2 ("reap-journal-v2") suffixes every row with a CRC32C over the
-// row body (the line up to but excluding the `,"crc":"..."` suffix, with
-// the closing brace restored), so a reader can tell three states apart:
-//   ok      the row parses and its checksum matches (v1 rows, which carry
-//           no checksum, parse-check only);
+// The format ("reap-journal-v2", the header's `format` tag) suffixes every
+// row with a CRC32C over the row body (the line up to but excluding the
+// `,"crc":"..."` suffix, with the closing brace restored), so a reader can
+// tell three states apart:
+//   ok      the row parses and its checksum matches;
 //   torn    the *final* line is an unparseable prefix -- the signature of a
 //           mid-write kill; the row re-runs on resume;
-//   corrupt anything else -- an unparseable line before the tail, or a
-//           parseable row whose checksum does not match (bit rot, partial
-//           overwrite). Corrupt rows are reported, skipped, and healed by
-//           the next rewrite; they never abort a read.
-// Readers accept v1 and v2 files, and mixed rows: each row is
-// self-describing by the presence of its "crc" field.
+//   corrupt anything else -- an unparseable line before the tail, a
+//           complete row without a checksum, or a parseable row whose
+//           checksum does not match (bit rot, partial overwrite). Corrupt
+//           rows are reported, skipped, and healed by the next rewrite;
+//           they never abort a read.
+// Readers refuse any other format tag, the checksum-less
+// "reap-journal-v1" included.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +42,11 @@
 
 namespace reap::campaign {
 
+// The header's format tag: the only one readers accept.
+inline constexpr char kJournalFormat[] = "reap-journal-v2";
+
 struct JournalHeader {
-  std::string format = "reap-journal-v2";
+  std::string format = kJournalFormat;
   std::string name;                 // campaign name
   std::uint64_t spec_hash = 0;      // campaign::spec_hash of the spec
   std::uint64_t points = 0;         // full-grid point count
@@ -69,8 +73,9 @@ enum class RowVerdict {
   ok,         // parses, and its checksum (when it carries one) matches
   malformed,  // does not parse: a torn tail when it is the last line,
               // corruption anywhere else
-  bad_crc,    // carries a checksum suffix that does not match its body:
-              // corruption wherever it sits
+  bad_crc,    // carries a checksum suffix that does not match its body
+              // or, read as a journal row, carries none: corruption
+              // wherever it sits
 };
 
 // The one journal-row parser. read_journal, JournalTailer::poll and
@@ -83,10 +88,16 @@ class JournalRowParser {
  public:
   // Classifies `line`. The checksum suffix is checked first: a complete
   // line whose checksum fails is bad_crc even when its body would not
-  // parse. On ok, fields() views the line's fields without the checksum
-  // field; the views stay valid while `line` does.
+  // parse. A line without a suffix (a journal header, a JSONL sink row)
+  // is ok when it parses. On ok, fields() views the line's fields without
+  // the checksum field; the views stay valid while `line` does.
   RowVerdict scan(std::string_view line);
   const std::vector<common::JsonlField>& fields() const { return fields_; }
+
+  // Whether the scanned line ends in a well-formed checksum suffix. Every
+  // journal row does; a torn write leaves a prefix, which never parses, so
+  // a journal row that parses without one is damage.
+  bool has_crc() const { return has_crc_; }
 
   // Whether the scanned line leads with a "key" field -- a row rather
   // than a header line.
@@ -98,13 +109,14 @@ class JournalRowParser {
   // name, with a numeric grid index in column 0 ("index"). Fills `row`.
   bool to_row(const std::vector<std::string>& columns, JournalRow& row) const;
 
-  // scan + to_row: read_journal's verdict on a row line (a line of the
-  // wrong shape is malformed).
+  // scan + to_row: read_journal's verdict on a row line (a line without
+  // a checksum is bad_crc; one of the wrong shape is malformed).
   RowVerdict parse(std::string_view line,
                    const std::vector<std::string>& columns, JournalRow& row);
 
  private:
   std::vector<common::JsonlField> fields_;
+  bool has_crc_ = false;
 };
 
 // One line read_journal could not accept as a row: where and why. Corrupt
@@ -112,7 +124,8 @@ class JournalRowParser {
 // the damage (skip, report, re-run that point), not to refuse the file.
 struct CorruptLine {
   std::size_t line_no = 0;  // 1-based line number in the file
-  std::string reason;       // "malformed row" / "CRC mismatch (...)"
+  std::string reason;       // "malformed row" / "CRC mismatch" /
+                            // "missing CRC"
 };
 
 struct Journal {
@@ -175,7 +188,8 @@ class JournalWriter {
 // kill) is dropped and flagged, and damaged lines before the tail are
 // collected in `corrupt` (the rows they carried re-run on resume);
 // neither aborts the read. Returns nullopt and sets `error` only when
-// the file itself is unusable: unopenable, empty, or a bad header line.
+// the file itself is unusable: unopenable, empty, or a bad header line
+// (one without the kJournalFormat tag among them).
 std::optional<Journal> read_journal(const std::string& path,
                                     std::string* error = nullptr);
 

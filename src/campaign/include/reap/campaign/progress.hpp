@@ -10,7 +10,9 @@ namespace reap::campaign {
 // the line when `out` is a terminal-ish stream. Rate-limited so a fast
 // grid does not flood the log, with the limiter check first so the
 // mutex-held common path stays cheap. Call from the runner's on_progress
-// hook (already serialized by the runner).
+// hook (already serialized by the runner) or on the dispatcher's rows
+// events. Elapsed time and rate count from construction, so construct it
+// just before the work starts.
 class ProgressReporter {
  public:
   explicit ProgressReporter(std::FILE* out = stderr) : out_(out) {}
@@ -22,7 +24,6 @@ class ProgressReporter {
   std::FILE* out_;
   Clock::time_point start_ = Clock::now();
   Clock::time_point last_print_{};
-  bool started_ = false;
 };
 
 }  // namespace reap::campaign

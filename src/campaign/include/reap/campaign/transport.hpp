@@ -135,13 +135,13 @@ class WorkerTransport {
   virtual bool local() const = 0;
 
   // Pre-flight check, once per dispatch. Remote transports verify the
-  // worker binary answers --version with `expected_version` (empty =
-  // don't check) and probe `trace_dir` (empty = don't probe); a missing
-  // trace dir is reported once through `note` and the transport launches
-  // workers without --trace-dir (falling back to generation) instead of
-  // silently diverging. `error` is set for both failure statuses.
-  virtual HandshakeStatus handshake(const std::string& expected_version,
-                                    const std::string& trace_dir,
+  // worker binary answers --version with this build's
+  // build_info_line("reap_campaign") and probe `trace_dir` (empty = don't
+  // probe); a missing trace dir is reported once through `note` and the
+  // transport launches workers without --trace-dir (falling back to
+  // generation) instead of silently diverging. `error` is set for both
+  // failure statuses.
+  virtual HandshakeStatus handshake(const std::string& trace_dir,
                                     std::string* error,
                                     std::string* note) = 0;
 
@@ -161,8 +161,8 @@ class LocalTransport final : public WorkerTransport {
   const std::string& host() const override { return host_; }
   std::size_t slots() const override { return slots_; }
   bool local() const override { return true; }
-  HandshakeStatus handshake(const std::string&, const std::string&,
-                            std::string*, std::string*) override {
+  HandshakeStatus handshake(const std::string&, std::string*,
+                            std::string*) override {
     return HandshakeStatus::ok;
   }
   std::unique_ptr<WorkerHandle> launch(const WorkerPlan& plan,
@@ -185,8 +185,7 @@ class SshTransport final : public WorkerTransport {
   const std::string& host() const override { return spec_.name; }
   std::size_t slots() const override { return spec_.slots; }
   bool local() const override { return false; }
-  HandshakeStatus handshake(const std::string& expected_version,
-                            const std::string& trace_dir, std::string* error,
+  HandshakeStatus handshake(const std::string& trace_dir, std::string* error,
                             std::string* note) override;
   std::unique_ptr<WorkerHandle> launch(const WorkerPlan& plan,
                                        std::string* error,

@@ -1,8 +1,8 @@
 // Build identity for the campaign fleet.
 //
-// Every CLI answers --version with build_info_line(), and the dispatcher
-// compares a remote worker's line against its own expectation before
-// handing it shards: a fleet whose hosts run skewed binaries would merge
+// Every CLI answers --version with build_info_line(), and a remote
+// transport's handshake compares the worker's line against this build's
+// before the dispatcher hands it shards: a fleet whose hosts run skewed binaries would merge
 // journals produced under different semantics, which is exactly the kind
 // of silent divergence the byte-identical merge guarantee exists to rule
 // out. The line names the journal format and the stream frame version so

@@ -64,9 +64,10 @@ bool parse_header(const std::string& line, JournalHeader& h,
     }
     // Unknown header fields are ignored: newer writers may add metadata.
   }
-  if (!saw_format ||
-      (h.format != "reap-journal-v1" && h.format != "reap-journal-v2"))
-    return fail(error, "journal: not a reap-journal file");
+  if (!saw_format) return fail(error, "journal: not a reap-journal file");
+  if (h.format != kJournalFormat)
+    return fail(error, "journal: unsupported format " + h.format +
+                           " (this build reads " + kJournalFormat + ")");
   if (h.columns.empty()) return fail(error, "journal: header lists no columns");
   return true;
 }
@@ -82,34 +83,34 @@ struct Fd {
   int fd;
 };
 
-// The checksum suffix of a v2 row: `,"crc":"xxxxxxxx"}` closes the line.
-// The CRC covers the row body -- the line with that suffix removed and the
-// closing brace restored, i.e. exactly the v1 serialization of the row.
+// The checksum suffix of a row: `,"crc":"xxxxxxxx"}` closes the line. The
+// CRC covers the row body -- the line with that suffix removed and the
+// closing brace restored.
 constexpr std::string_view kCrcSuffix = ",\"crc\":\"";
 
 }  // namespace
 
 RowVerdict JournalRowParser::scan(std::string_view line) {
   fields_.clear();
-  // A line ending in the checksum suffix is a v2 row; anything else is
-  // read as a v1 row, which simply has no checksum to verify.
-  bool has_crc = false;
+  // A line ending in the checksum suffix is a journal row; anything else
+  // has no checksum to verify.
+  has_crc_ = false;
   if (const auto pos = line.rfind(kCrcSuffix); pos != std::string_view::npos) {
     const auto tail = line.substr(pos + kCrcSuffix.size());
     if (tail.size() == 10 && tail.substr(8) == "\"}") {
       std::uint32_t stored = 0;
       if (!common::parse_hex32(tail.substr(0, 8), stored))
         return RowVerdict::malformed;
+      has_crc_ = true;
       if (common::crc32c(line.substr(0, pos), "}") != stored)
         return RowVerdict::bad_crc;
-      has_crc = true;
     }
   }
   if (!common::scan_jsonl_line(line, fields_)) return RowVerdict::malformed;
   // The whole line parses exactly when its body does, and then its last
   // field is the checksum: the suffix's quote after a comma cannot sit
   // inside a string or a raw token of a line that parses.
-  if (has_crc) fields_.pop_back();
+  if (has_crc_) fields_.pop_back();
   return RowVerdict::ok;
 }
 
@@ -132,6 +133,7 @@ RowVerdict JournalRowParser::parse(std::string_view line,
                                    JournalRow& row) {
   const RowVerdict v = scan(line);
   if (v != RowVerdict::ok) return v;
+  if (!has_crc_) return RowVerdict::bad_crc;
   return to_row(columns, row) ? RowVerdict::ok : RowVerdict::malformed;
 }
 
@@ -265,9 +267,10 @@ std::optional<Journal> read_journal(const std::string& path,
         }
         break;
       case RowVerdict::bad_crc:
-        // A complete line whose checksum fails is damage, not a tear --
-        // even on the last line.
-        j.corrupt.push_back({i + 1, "CRC mismatch"});
+        // A complete line whose checksum fails (or is missing) is
+        // damage, not a tear -- even on the last line.
+        j.corrupt.push_back(
+            {i + 1, parser.has_crc() ? "CRC mismatch" : "missing CRC"});
         break;
     }
   }
@@ -296,11 +299,8 @@ bool rewrite_journal(const std::string& path, const Journal& j,
   const std::string tmp = path + ".tmp";
   {
     // Only parsed rows are re-serialized, so a rewrite heals corrupt
-    // lines along with the torn tail -- and upgrades v1 files to v2,
-    // since the writer always emits checksummed rows.
-    JournalHeader header = j.header;
-    header.format = "reap-journal-v2";
-    JournalWriter writer(tmp, header);
+    // lines along with the torn tail.
+    JournalWriter writer(tmp, j.header);
     for (const auto& row : j.rows) writer.add(row.key, row.cells);
     if (!writer.ok()) return fail(error, "cannot write " + tmp);
   }
@@ -382,11 +382,11 @@ std::vector<std::string> JournalTailer::poll() {
     const auto line = text.substr(pos, nl - pos);
     pos = nl + 1;
     // Rows lead with a "key" field; the header line (and any malformed
-    // mid-flight content) does not and is skipped. A checksummed row
-    // that fails to verify is damage, not progress: skip it unseen so
-    // the supervisor still counts that point as outstanding.
+    // mid-flight content) does not and is skipped. A row whose checksum
+    // fails or is missing is damage, not progress: skip it unseen so the
+    // supervisor still counts that point as outstanding.
     if (line.empty() || parser_.scan(line) != RowVerdict::ok ||
-        !parser_.has_key())
+        !parser_.has_crc() || !parser_.has_key())
       continue;
     auto key = parser_.fields()[0].value_text();
     if (seen_.insert(key).second) fresh.push_back(std::move(key));

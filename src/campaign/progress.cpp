@@ -4,10 +4,6 @@ namespace reap::campaign {
 
 void ProgressReporter::operator()(std::size_t done, std::size_t total) {
   const auto now = Clock::now();
-  if (!started_) {
-    start_ = now;
-    started_ = true;
-  }
   // Rate-limit to ~5 updates/second (but always print the final one) and
   // return before any formatting: this runs under the runner's progress
   // mutex, so the common path must stay a clock read and a compare.

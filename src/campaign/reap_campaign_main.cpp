@@ -429,11 +429,11 @@ int main(int argc, char** argv) {
   if (!prior.empty())
     std::printf("resuming: %zu of %zu rows already journaled, %zu to run\n",
                 prior.size(), mine.size(), to_run.size());
-  const auto results = runner.run(to_run);
+  runner.run(to_run);
 
   // An aborted run stops here: the journal holds every completed row
-  // (flushed per row, no torn tail), the in-memory results are partial,
-  // and the distinct exit codes tell a supervisor which case this is.
+  // (flushed per row, no torn tail), and the distinct exit codes tell a
+  // supervisor which case this is.
   if (journal && journal->io_errno() != 0) {
     std::fprintf(stderr,
                  "journal append failed (%s); stopped at a row boundary, "
@@ -471,29 +471,24 @@ int main(int argc, char** argv) {
                    baseline_name.c_str());
       return 1;
     }
-    std::optional<campaign::CampaignAggregates> agg;
-    if (to_run.size() == points.size()) {
-      // Fresh full run: every result is in memory, indexed by grid index.
-      agg = campaign::aggregate(*spec, points, results, *baseline);
-    } else {
-      // Resumed run: journaled rows stand in for re-running; the offline
-      // row aggregation reproduces the in-memory numbers exactly.
-      campaign::RowTable table;
-      table.header = campaign::result_header();
-      table.expected_points = points.size();
-      for (const auto& row : merged) table.rows.push_back(row.cells);
-      if (campaign::covers_all_indices(table)) {
-        agg = campaign::aggregate_rows(table, *baseline, &error);
-        if (!agg) std::printf("\n(no aggregates: %s)\n", error.c_str());
-      } else {
-        std::printf("\n(journal covers a partial grid; no aggregates)\n");
-      }
-    }
-    if (agg) {
+    // Fresh and resumed runs alike aggregate the merged rows: journaled
+    // rows stand in for re-running, and the row aggregation reproduces
+    // the in-memory numbers exactly.
+    campaign::RowTable table;
+    table.header = campaign::result_header();
+    table.expected_points = points.size();
+    for (const auto& row : merged) table.rows.push_back(row.cells);
+    if (!campaign::covers_all_indices(table)) {
+      std::printf("\n(journal covers a partial grid; no aggregates)\n");
+    } else if (const auto agg =
+                   campaign::aggregate_rows(table, *baseline, &error)) {
       std::printf("\n%s", agg->render().c_str());
     } else if (to_run.size() == points.size()) {
+      // A fresh run's rows fail to aggregate only for want of a baseline.
       std::printf("\n(baseline %s not in the grid; no aggregates)\n",
                   baseline_name.c_str());
+    } else {
+      std::printf("\n(no aggregates: %s)\n", error.c_str());
     }
   }
 

@@ -104,12 +104,12 @@ int main(int argc, char** argv) {
       std::chrono::milliseconds(args.get_u64("stall-timeout", 0) * 1000);
   opts.backoff_base =
       std::chrono::milliseconds(args.get_u64("backoff-ms", 100));
-  opts.fail_fast = args.has("fail-fast");
   opts.max_quarantine = std::size_t(args.get_u64("max-quarantine", 4));
 
   // --hosts: multi-host dispatch. The file's transports replace the
-  // default local pool; the handshake refuses hosts whose reap_campaign
-  // answers --version with a different build line (fleet skew).
+  // default local pool; the ssh handshake refuses hosts whose
+  // reap_campaign answers --version with a different build line (fleet
+  // skew).
   if (args.has("hosts")) {
     const auto hosts_path = args.get_string("hosts", "");
     const auto hosts = campaign::parse_hosts_file(hosts_path, &error);
@@ -130,16 +130,7 @@ int main(int argc, char** argv) {
       opts.transports.push_back(
           std::make_shared<campaign::SshTransport>(std::move(h)));
     }
-    opts.expected_worker_version =
-        campaign::build_info_line("reap_campaign");
   }
-  opts.on_host_lost = [](const std::string& host, const std::string& why) {
-    std::fprintf(stderr, "\nlost host: %s (%s); redistributing its shards\n",
-                 host.c_str(), why.c_str());
-  };
-  opts.on_host_note = [](const std::string&, const std::string& note) {
-    std::fprintf(stderr, "note: %s\n", note.c_str());
-  };
 
   // Consume every real flag before --dry-run can exit, so the unused-flag
   // typo warning never fires on flags the full run would honor.
@@ -190,20 +181,37 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Host incidents always reach stderr; progress and worker deaths only
+  // without --quiet.
   campaign::ProgressReporter progress;
-  if (!quiet) {
-    opts.on_progress = [&progress](std::size_t done, std::size_t total) {
-      progress(done, total);
-    };
-    opts.on_worker_exit = [](std::size_t shard, std::size_t attempt,
-                             bool ok, bool will_retry) {
-      if (ok) return;
-      std::fprintf(stderr, "\nworker for shard %zu died (attempt %zu); %s\n",
-                   shard, attempt + 1,
-                   will_retry ? "restarting with --resume"
-                              : "giving up on this shard");
-    };
-  }
+  opts.on_event = [&progress, quiet](const campaign::DispatchEvent& e) {
+    using Kind = campaign::DispatchEvent::Kind;
+    switch (e.kind) {
+      case Kind::host_lost:
+        std::fprintf(stderr,
+                     "\nlost host: %s (%s); redistributing its shards\n",
+                     e.host.c_str(), e.text.c_str());
+        break;
+      case Kind::host_note:
+        std::fprintf(stderr, "note: %s\n", e.text.c_str());
+        break;
+      case Kind::rows:
+        if (!quiet) progress(e.done, e.total);
+        break;
+      case Kind::worker_exit:
+        if (!quiet && !e.ok)
+          std::fprintf(stderr,
+                       "\nworker for shard %zu died (attempt %zu); %s\n",
+                       e.shard, e.attempt + 1,
+                       e.will_retry ? "restarting with --resume"
+                                    : "giving up on this shard");
+        break;
+      case Kind::spawn:
+      case Kind::stall:
+      case Kind::quarantine:
+        break;
+    }
+  };
   // Validate the post-run flags and warn about typos up front: a bad
   // baseline name must not surface only after hours of simulation.
   std::optional<core::PolicyKind> baseline;

@@ -102,6 +102,8 @@ std::optional<RowTable> rows_from_jsonl(std::string_view text,
     // A journal header line carries the column schema and the grid size;
     // keep the size so the completeness check can catch a dense prefix.
     if (!fields.empty() && fields[0].name_is("format")) {
+      if (fields[0].value_text() != kJournalFormat)
+        return at("unsupported journal format");
       for (const auto& f : fields) {
         std::uint64_t n = 0;
         if (f.name_is("points") && common::parse_u64(f.value_text(), n)) {
@@ -114,9 +116,10 @@ std::optional<RowTable> rows_from_jsonl(std::string_view text,
       return true;
     }
     // In a journal every other line is a row and gets read_journal's
-    // verdict: the wrong shape is a malformed row, which on the last line
-    // is a torn tail.
+    // verdict: a row without its checksum is damage; the wrong shape is a
+    // malformed row, which on the last line is a torn tail.
     if (journal) {
+      if (!parser.has_crc()) return at("row without CRC");
       if (!parser.to_row(table.header, row))
         return torn_or("inconsistent columns");
       table.rows.push_back(std::move(row.cells));

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <thread>
 
+#include "reap/campaign/version.hpp"
 #include "reap/common/fault.hpp"
 #include "reap/common/frame.hpp"
 #include "reap/common/strings.hpp"
@@ -309,8 +310,7 @@ std::vector<std::string> SshTransport::ssh_argv(
   return argv;
 }
 
-HandshakeStatus SshTransport::handshake(const std::string& expected_version,
-                                        const std::string& trace_dir,
+HandshakeStatus SshTransport::handshake(const std::string& trace_dir,
                                         std::string* error,
                                         std::string* note) {
   bool garble = false;
@@ -370,10 +370,11 @@ HandshakeStatus SshTransport::handshake(const std::string& expected_version,
     }
     if (version.empty() && !line.empty()) version = line;
   }
-  if (!expected_version.empty() && version != expected_version) {
+  const auto expected = build_info_line("reap_campaign");
+  if (version != expected) {
     fail(error, "host " + spec_.name + ": worker version skew: host runs '" +
-                    version + "' but this dispatcher expects '" +
-                    expected_version + "'");
+                    version + "' but this dispatcher expects '" + expected +
+                    "'");
     return HandshakeStatus::mismatch;
   }
   if (trace_dir_missing_ && note)

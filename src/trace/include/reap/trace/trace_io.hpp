@@ -1,8 +1,12 @@
-// Trace file formats: users can bring externally-captured traces (e.g. from
-// a real gem5 run) instead of the synthetic generators.
+// The text trace format: users can bring externally-captured traces (e.g.
+// from a real gem5 run) instead of the synthetic generators.
 //
 // Text format, one op per line:   I|L|S <hex-or-dec address>
-// Binary format: little-endian records of [u8 type][u64 addr], no header.
+//
+// The checked binary format is the .reaptrace store (trace_store.hpp):
+// a versioned header and CRC32Cs over header and body, replayed through
+// MappedTraceFile and ReplayTraceSource. examples/trace_tools writes and
+// replays both.
 #pragma once
 
 #include <cstdio>
@@ -56,28 +60,8 @@ class TextTraceReader final : public TraceSource {
   std::string error_;
 };
 
-// Writers return false on IO failure.
+// Writes at most `max_ops` ops of `source` in the text format. Returns
+// false on IO failure.
 bool write_text_trace(const std::string& path, TraceSource& source,
                       std::uint64_t max_ops);
-bool write_binary_trace(const std::string& path, TraceSource& source,
-                        std::uint64_t max_ops);
-
-class BinaryTraceReader final : public TraceSource {
- public:
-  explicit BinaryTraceReader(std::string path);
-  ~BinaryTraceReader() override;
-
-  BinaryTraceReader(const BinaryTraceReader&) = delete;
-  BinaryTraceReader& operator=(const BinaryTraceReader&) = delete;
-
-  bool ok() const { return file_ != nullptr; }
-
-  bool next(MemOp& op) override;
-  void reset() override;
-
- private:
-  std::string path_;
-  std::FILE* file_ = nullptr;
-};
-
 }  // namespace reap::trace

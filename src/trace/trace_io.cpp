@@ -1,7 +1,6 @@
 #include "reap/trace/trace_io.hpp"
 
 #include <cinttypes>
-#include <cstring>
 
 namespace reap::trace {
 
@@ -76,49 +75,6 @@ bool write_text_trace(const std::string& path, TraceSource& source,
     ++n;
   }
   return std::fclose(f) == 0 && ok;
-}
-
-bool write_binary_trace(const std::string& path, TraceSource& source,
-                        std::uint64_t max_ops) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  MemOp op;
-  std::uint64_t n = 0;
-  bool ok = true;
-  while (n < max_ops && source.next(op)) {
-    unsigned char rec[9];
-    rec[0] = static_cast<unsigned char>(op.type);
-    std::memcpy(rec + 1, &op.addr, 8);
-    if (std::fwrite(rec, 1, sizeof rec, f) != sizeof rec) {
-      ok = false;
-      break;
-    }
-    ++n;
-  }
-  return std::fclose(f) == 0 && ok;
-}
-
-BinaryTraceReader::BinaryTraceReader(std::string path)
-    : path_(std::move(path)) {
-  file_ = std::fopen(path_.c_str(), "rb");
-}
-
-BinaryTraceReader::~BinaryTraceReader() {
-  if (file_) std::fclose(file_);
-}
-
-bool BinaryTraceReader::next(MemOp& op) {
-  if (!file_) return false;
-  unsigned char rec[9];
-  if (std::fread(rec, 1, sizeof rec, file_) != sizeof rec) return false;
-  if (rec[0] > 2) return false;
-  op.type = static_cast<OpType>(rec[0]);
-  std::memcpy(&op.addr, rec + 1, 8);
-  return true;
-}
-
-void BinaryTraceReader::reset() {
-  if (file_) std::rewind(file_);
 }
 
 }  // namespace reap::trace

@@ -29,8 +29,7 @@ bool fail(std::string* error, const std::string& path,
 }
 
 // Little-endian scalar I/O via memcpy; the format is defined little-endian
-// and every supported host is (the binary trace format and the journal
-// already assume the same).
+// and every supported host is.
 template <typename T>
 T load_le(const unsigned char* p) {
   T v;

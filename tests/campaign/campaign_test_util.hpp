@@ -8,7 +8,9 @@
 
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "reap/campaign/dispatch.hpp"
 #include "reap/campaign/spec.hpp"
 #include "reap/core/experiment.hpp"
 
@@ -55,6 +57,15 @@ inline std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+// The recorded dispatcher events of one kind, in the order reported.
+inline std::vector<DispatchEvent> events_of(
+    const std::vector<DispatchEvent>& events, DispatchEvent::Kind kind) {
+  std::vector<DispatchEvent> out;
+  for (const auto& e : events)
+    if (e.kind == kind) out.push_back(e);
+  return out;
 }
 
 }  // namespace reap::campaign::testutil

@@ -27,13 +27,16 @@
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/spec.hpp"
 #include "reap/common/fault.hpp"
+#include "reap/common/jsonl.hpp"
 #include "reap/common/subprocess.hpp"
 
 namespace reap::campaign {
 namespace {
 
+using testutil::events_of;
 using testutil::file_bytes;
 using testutil::temp_path;
+using Kind = DispatchEvent::Kind;
 
 // Sets REAP_FAULT for the duration of a scope. Only spawned children act
 // on it (they arm_from_env at startup); this process never arms.
@@ -156,13 +159,8 @@ TEST(Chaos, PoisonedPointIsQuarantinedAndTheRestDelivered) {
 
   auto opts = chaos_opts(fresh_dir("chaos_poison"));
   opts.jobs = 2;
-  std::vector<std::string> quarantine_calls;
-  opts.on_quarantine = [&](const std::string& key, std::uint64_t index,
-                           std::size_t shard) {
-    quarantine_calls.push_back(key);
-    EXPECT_EQ(index, poison.index);
-    EXPECT_EQ(shard, 1u);
-  };
+  std::vector<DispatchEvent> events;
+  opts.on_event = [&events](const DispatchEvent& e) { events.push_back(e); };
 
   DispatchResult result;
   {
@@ -174,13 +172,25 @@ TEST(Chaos, PoisonedPointIsQuarantinedAndTheRestDelivered) {
   ASSERT_EQ(result.quarantined.size(), 1u);
   EXPECT_EQ(result.quarantined[0].key, poison.key);
   EXPECT_EQ(result.quarantined[0].index, poison.index);
-  EXPECT_EQ(quarantine_calls, std::vector<std::string>{poison.key});
   EXPECT_GE(result.restarts, 1u);
 
-  // Sidecar names the poisoned point.
-  const auto sidecar = file_bytes(opts.work_dir + "/quarantine.jsonl");
-  EXPECT_NE(sidecar.find(poison.key), std::string::npos) << sidecar;
-  EXPECT_NE(sidecar.find("\"reason\""), std::string::npos) << sidecar;
+  // One quarantine event, naming the point exactly as the sidecar's one
+  // line does.
+  const auto quarantines = events_of(events, Kind::quarantine);
+  ASSERT_EQ(quarantines.size(), 1u);
+  const auto& q = quarantines[0];
+  EXPECT_EQ(q.key, poison.key);
+  EXPECT_EQ(q.index, poison.index);
+  EXPECT_EQ(q.shard, 1u);
+  const auto sidecar = lines_of(opts.work_dir + "/quarantine.jsonl");
+  ASSERT_EQ(sidecar.size(), 1u);
+  const auto fields = common::parse_jsonl_line(sidecar[0]);
+  ASSERT_TRUE(fields) << sidecar[0];
+  std::map<std::string, std::string> line(fields->begin(), fields->end());
+  EXPECT_EQ(line["key"], q.key);
+  EXPECT_EQ(line["index"], std::to_string(q.index));
+  EXPECT_EQ(line["shard"], std::to_string(q.shard));
+  EXPECT_FALSE(line["reason"].empty()) << sidecar[0];
 
   // Merged output = clean run minus exactly the quarantined row.
   std::string error;
@@ -217,11 +227,8 @@ TEST(Chaos, HangingWorkerIsCaughtByTheWatchdogAndItsPointQuarantined) {
   opts.jobs = 1;
   opts.stall_timeout = std::chrono::milliseconds(300);
   opts.kill_grace = std::chrono::milliseconds(150);
-  std::size_t stall_calls = 0;
-  opts.on_stall = [&](std::size_t shard, std::size_t /*attempt*/) {
-    EXPECT_EQ(shard, 0u);
-    stall_calls++;
-  };
+  std::vector<DispatchEvent> events;
+  opts.on_event = [&events](const DispatchEvent& e) { events.push_back(e); };
 
   DispatchResult result;
   {
@@ -233,7 +240,17 @@ TEST(Chaos, HangingWorkerIsCaughtByTheWatchdogAndItsPointQuarantined) {
   ASSERT_EQ(result.quarantined.size(), 1u);
   EXPECT_EQ(result.quarantined[0].key, poison.key);
   EXPECT_GE(result.stalls, 1u);
-  EXPECT_GE(stall_calls, 1u);
+  const auto stalls = events_of(events, Kind::stall);
+  EXPECT_EQ(stalls.size(), result.stalls);
+  for (const auto& e : stalls) EXPECT_EQ(e.shard, 0u);
+  // A stalled worker is killed: each stall is followed by that
+  // attempt's failed exit.
+  for (const auto& stall : stalls) {
+    bool exited = false;
+    for (const auto& e : events_of(events, Kind::worker_exit))
+      exited = exited || (e.attempt == stall.attempt && !e.ok);
+    EXPECT_TRUE(exited) << "attempt " << stall.attempt;
+  }
 
   // The three healthy rows were all delivered.
   std::string error;
@@ -410,8 +427,9 @@ TEST(Chaos, DispatchCliExitsQuarantinedAndStillWritesMergedOutput) {
 }
 
 // The dispatch CLI's exit-code contract, abandoned and spec-mismatch
-// legs: --fail-fast + a worker that always dies => exit 4 (no merged
-// outputs); a work dir belonging to a different spec => exit 2.
+// legs: a worker that always dies without writing a journal => exit 4
+// (nothing to bisect, no merged outputs); a work dir belonging to a
+// different spec => exit 2.
 TEST(Chaos, DispatchCliExitsAbandonedAndSpecMismatchDistinctly) {
   const auto kv = grid4("chaos-cli-codes");
 
@@ -420,7 +438,7 @@ TEST(Chaos, DispatchCliExitsAbandonedAndSpecMismatchDistinctly) {
                 {"--campaign-bin=/bin/false",
                  "--work-dir=" + fresh_dir("chaos_cli_abandon"),
                  "--workers=2", "--jobs=1", "--max-attempts=1",
-                 "--fail-fast", "--backoff-ms=1", "--quiet"}),
+                 "--backoff-ms=1", "--quiet"}),
       temp_path("chaos_cli_abandon.log"));
   ASSERT_TRUE(abandoned.exited) << abandoned.describe();
   EXPECT_EQ(abandoned.code, kDispatchAbandoned);

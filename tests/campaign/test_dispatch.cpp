@@ -5,7 +5,10 @@
 // journal resumes instead of re-running; a persistently dying worker gets
 // its shard reassigned to another slot and then fails the dispatch with
 // its log named; an exit-0 worker that journaled nothing counts as a
-// failure, not a success.
+// failure, not a success. The DispatchEvents suite checks the event
+// stream: on the kill-one-worker run, ordered attempts, monotone row
+// counts and a final count that covers the grid; and rows first seen
+// when their worker is reaped are reported too.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,13 +22,16 @@
 #include "reap/campaign/dispatch.hpp"
 #include "reap/campaign/journal.hpp"
 #include "reap/campaign/result_sink.hpp"
+#include "reap/common/fault.hpp"
 #include "reap/common/subprocess.hpp"
 
 namespace reap::campaign {
 namespace {
 
+using testutil::events_of;
 using testutil::file_bytes;
 using testutil::temp_path;
+using Kind = DispatchEvent::Kind;
 
 // 2 workloads x 2 policies x 2 seeds = 8 points. `instructions` scales
 // per-point runtime: ~20k runs in a few ms (fast-path tests), a few
@@ -84,59 +90,75 @@ std::string merged_csv_of(const DispatchResult& result, const char* name) {
   return path;
 }
 
+// Runs `kv` with `opts`, recording every event into `events`.
+DispatchResult run_recorded(const std::map<std::string, std::string>& kv,
+                            DispatchOptions opts,
+                            std::vector<DispatchEvent>& events) {
+  opts.on_event = [&events](const DispatchEvent& e) { events.push_back(e); };
+  return Dispatcher(kv, opts).run();
+}
+
+// ~45 ms per point, 4 points per shard: the first row lands with most of
+// the shard still to run, so the SIGKILL below is mid-shard by many poll
+// intervals.
+std::map<std::string, std::string> kill_spec_kv() { return spec_kv(600000); }
+
+// Two workers; shard 1's first worker is SIGKILLed as soon as its first
+// row is reported. Every event is recorded into `events`.
+DispatchResult kill_one_worker_run(const char* dir, bool& killed,
+                                   std::vector<DispatchEvent>& events) {
+  auto opts = base_opts(fresh_dir(dir));
+  std::map<std::size_t, long> pid_of_shard;
+  std::map<std::size_t, std::size_t> attempt_of_shard;
+  killed = false;
+  opts.on_event = [&](const DispatchEvent& e) {
+    events.push_back(e);
+    if (e.kind == Kind::spawn) {
+      pid_of_shard[e.shard] = e.pid;
+      attempt_of_shard[e.shard] = e.attempt;
+    }
+    if (e.kind == Kind::rows && e.shard == 1 && e.rows >= 1 &&
+        attempt_of_shard[1] == 0 && !killed) {
+      killed = true;
+      ::kill(static_cast<pid_t>(pid_of_shard[1]), SIGKILL);
+    }
+  };
+  return Dispatcher(kill_spec_kv(), opts).run();
+}
+
 TEST(Dispatch, MergedOutputByteIdenticalToSingleProcess) {
   const auto kv = spec_kv(20000);
   const auto ref = reference_csv(kv, "dispatch_ref.csv");
 
   auto opts = base_opts(fresh_dir("dispatch_ok"));
   opts.jobs = 3;  // more shards than workers: exercises queue backfill
-  std::size_t last_done = 0, last_total = 0;
-  opts.on_progress = [&](std::size_t done, std::size_t total) {
-    last_done = done;
-    last_total = total;
-  };
-  const auto result = Dispatcher(kv, opts).run();
+  std::vector<DispatchEvent> events;
+  const auto result = run_recorded(kv, opts, events);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.points, 8u);
   EXPECT_EQ(result.restarts, 0u);
-  EXPECT_EQ(last_done, 8u);
-  EXPECT_EQ(last_total, 8u);
+  const auto rows = events_of(events, Kind::rows);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.back().done, 8u);
+  EXPECT_EQ(rows.back().total, 8u);
   ASSERT_EQ(result.shards.size(), 3u);
-  std::size_t rows = 0;
+  std::size_t shard_rows = 0;
   for (const auto& s : result.shards) {
     EXPECT_TRUE(s.completed);
     EXPECT_EQ(s.attempts, 1u);
-    rows += s.rows;
+    shard_rows += s.rows;
   }
-  EXPECT_EQ(rows, 8u);
+  EXPECT_EQ(shard_rows, 8u);
 
   const auto merged = merged_csv_of(result, "dispatch_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
 }
 
 TEST(Dispatch, WorkerKilledMidShardResumesAndOutputUnchanged) {
-  // ~45 ms per point, 4 points per shard: the first row lands with most
-  // of the shard still to run, so the SIGKILL below is mid-shard by many
-  // poll intervals.
-  const auto kv = spec_kv(600000);
-  const auto ref = reference_csv(kv, "dispatch_kill_ref.csv");
-
-  auto opts = base_opts(fresh_dir("dispatch_kill"));
-  std::map<std::size_t, long> pid_of_shard;
-  std::map<std::size_t, std::size_t> attempt_of_shard;
-  opts.on_spawn = [&](std::size_t shard, std::size_t attempt,
-                      std::size_t /*slot*/, long pid) {
-    pid_of_shard[shard] = pid;
-    attempt_of_shard[shard] = attempt;
-  };
+  const auto ref = reference_csv(kill_spec_kv(), "dispatch_kill_ref.csv");
   bool killed = false;
-  opts.on_shard_rows = [&](std::size_t shard, std::size_t rows) {
-    if (shard == 1 && rows >= 1 && attempt_of_shard[1] == 0 && !killed) {
-      killed = true;
-      ::kill(static_cast<pid_t>(pid_of_shard[1]), SIGKILL);
-    }
-  };
-  const auto result = Dispatcher(kv, opts).run();
+  std::vector<DispatchEvent> events;
+  const auto result = kill_one_worker_run("dispatch_kill", killed, events);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(killed);
   EXPECT_GE(result.restarts, 1u);
@@ -238,26 +260,21 @@ TEST(Dispatch, PersistentFailureReassignsSlotsThenFailsWithLog) {
   opts.campaign_binary = "/bin/false";  // dies instantly, every time
   opts.jobs = 1;                        // both slots free for reassignment
   opts.max_attempts = 3;
-  std::vector<std::size_t> slots;
-  opts.on_spawn = [&](std::size_t /*shard*/, std::size_t /*attempt*/,
-                      std::size_t slot, long /*pid*/) {
-    slots.push_back(slot);
-  };
-  std::size_t failures = 0;
-  std::vector<bool> retries;
-  opts.on_worker_exit = [&](std::size_t /*shard*/, std::size_t /*attempt*/,
-                            bool ok, bool will_retry) {
-    EXPECT_FALSE(ok);
-    failures++;
-    retries.push_back(will_retry);
-  };
-  const auto result = Dispatcher(spec_kv(20000), opts).run();
+  std::vector<DispatchEvent> events;
+  const auto result = run_recorded(spec_kv(20000), opts, events);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("shard 0 failed 3/3"), std::string::npos)
       << result.error;
   EXPECT_NE(result.error.find(result.shards[0].log_path), std::string::npos)
       << result.error;
-  EXPECT_EQ(failures, 3u);
+  std::vector<std::size_t> slots;
+  for (const auto& e : events_of(events, Kind::spawn)) slots.push_back(e.slot);
+  std::vector<bool> retries;
+  for (const auto& e : events_of(events, Kind::worker_exit)) {
+    EXPECT_FALSE(e.ok);
+    retries.push_back(e.will_retry);
+  }
+  EXPECT_EQ(retries.size(), 3u);
   EXPECT_EQ(result.restarts, 2u);
   // The first two failures retry; the last one abandons the shard.
   EXPECT_EQ(retries, (std::vector<bool>{true, true, false}));
@@ -309,6 +326,88 @@ TEST(Dispatch, WakesWhenAWorkerExitsInsteadOfSleepingOutTheTick) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.shards.at(0).rows, 8u);
   EXPECT_LT(took, opts.poll_interval / 2);
+}
+
+// The event stream of the kill-one-worker run, end to end: shard 1's
+// first attempt spawns, dies with a retry, and only then does its second
+// attempt spawn; row counts never go back; every completed shard's last
+// row count is its size; and the grid-wide count ends at the grid size.
+TEST(DispatchEvents, KillOneWorkerRunReportsEveryStepInOrder) {
+  bool killed = false;
+  std::vector<DispatchEvent> events;
+  const auto result = kill_one_worker_run("dispatch_events", killed, events);
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_TRUE(killed);
+
+  const auto position = [&](const auto& match) {
+    for (std::size_t i = 0; i < events.size(); ++i)
+      if (match(events[i])) return i;
+    return events.size();
+  };
+  const auto spawn0 = position([](const DispatchEvent& e) {
+    return e.kind == Kind::spawn && e.shard == 1 && e.attempt == 0;
+  });
+  const auto died0 = position([](const DispatchEvent& e) {
+    return e.kind == Kind::worker_exit && e.shard == 1 && e.attempt == 0;
+  });
+  const auto spawn1 = position([](const DispatchEvent& e) {
+    return e.kind == Kind::spawn && e.shard == 1 && e.attempt == 1;
+  });
+  ASSERT_LT(spawn0, died0);
+  ASSERT_LT(died0, spawn1);
+  ASSERT_LT(spawn1, events.size());
+  EXPECT_FALSE(events[died0].ok);
+  EXPECT_TRUE(events[died0].will_retry);
+  EXPECT_GT(events[spawn0].pid, 0);
+
+  const auto rows = events_of(events, Kind::rows);
+  ASSERT_FALSE(rows.empty());
+  std::map<std::size_t, std::size_t> last_rows;
+  std::size_t last_done = 0;
+  for (const auto& e : rows) {
+    EXPECT_GE(e.rows, last_rows[e.shard]) << "shard " << e.shard;
+    EXPECT_GT(e.done, last_done);
+    EXPECT_EQ(e.total, result.points);
+    last_rows[e.shard] = e.rows;
+    last_done = e.done;
+  }
+  for (const auto& s : result.shards) {
+    ASSERT_TRUE(s.completed);
+    EXPECT_EQ(last_rows[s.shard],
+              shard_size(result.points, s.shard, result.shards.size()))
+        << "shard " << s.shard;
+  }
+  EXPECT_EQ(rows.back().done, rows.back().total);
+
+  // Each worker that ran to the end reported one clean exit.
+  for (const auto& e : events_of(events, Kind::worker_exit))
+    EXPECT_EQ(e.ok, !(e.shard == 1 && e.attempt == 0));
+}
+
+// Rows that land after a tick's tailing are reported when their worker
+// is reaped. One worker runs the whole grid inside one long tick, and a
+// one-shot tailer.read fault blinds the tick that wakes on its exit
+// (polls: 1 right after the launch, 2 on that tick, 3 at the reap), so
+// only the reap's poll sees the rows.
+TEST(DispatchEvents, RowsSeenOnlyWhenTheWorkerIsReapedAreReported) {
+  {
+    auto probe = common::Child::spawn({"/bin/true"});
+    ASSERT_TRUE(probe);
+    if (probe->exit_fd() < 0) GTEST_SKIP() << "no pidfd_open on this kernel";
+  }
+  auto opts = base_opts(fresh_dir("dispatch_events_reap"));
+  opts.workers = 1;
+  opts.poll_interval = std::chrono::seconds(20);
+  std::string error;
+  ASSERT_TRUE(common::fault::arm("tailer.read:eio:2", &error)) << error;
+  std::vector<DispatchEvent> events;
+  const auto result = run_recorded(spec_kv(2000), opts, events);
+  common::fault::disarm();
+  ASSERT_TRUE(result.ok) << result.error;
+  const auto rows = events_of(events, Kind::rows);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.back().rows, 8u);
+  EXPECT_EQ(rows.back().done, 8u);
 }
 
 TEST(Dispatch, RejectsABadSpecBeforeLaunchingAnything) {

@@ -1,5 +1,5 @@
 // Execution journal: round trip, torn-tail tolerance, per-row CRC
-// classification (torn vs corrupt), v1 compatibility, append/rewrite,
+// classification (torn vs corrupt, missing CRC), v1 refusal, append/rewrite,
 // compatibility checks, row merging, rendering rows apart from appending
 // them (also across threads and through the CLI), live tailing, the one
 // row parser against the readers it replaced, and the progress line.
@@ -257,44 +257,99 @@ TEST(Journal, DuplicatedRowIsDedupedByTheMergeNotTheReader) {
   std::remove(path.c_str());
 }
 
-// v1 journals (pre-CRC) remain readable -- rows are self-describing --
-// and a rewrite upgrades the file to checksummed v2.
-TEST(Journal, V1FilesStayReadableAndRewriteUpgradesToV2) {
+// The checksum-less v1 format is refused by every reader, with the
+// format named, rather than read without its rows' protection.
+TEST(Journal, V1HeaderIsRefusedByEveryReader) {
   const auto spec = small_spec();
   const auto path = temp_path("journal_v1.jsonl");
   {
     JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
     writer.add("k0", fake_cells(0));
-    writer.add("k1", fake_cells(1));
   }
-  // Regress the file to v1 by hand: v1 header tag, rows without the
-  // checksum suffix (the v1 serialization is exactly the CRC'd body).
   auto lines = file_lines(path);
-  const auto tag = lines[0].find("reap-journal-v2");
+  const auto tag = lines[0].find(kJournalFormat);
   ASSERT_NE(tag, std::string::npos);
   lines[0].replace(tag, 15, "reap-journal-v1");
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const auto crc = lines[i].rfind(",\"crc\":\"");
-    ASSERT_NE(crc, std::string::npos);
-    lines[i] = lines[i].substr(0, crc) + "}";
+  write_lines(path, lines);
+
+  std::string error;
+  EXPECT_FALSE(read_journal(path, &error));
+  EXPECT_NE(error.find("unsupported format reap-journal-v1"),
+            std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_FALSE(read_journal_header(path, &error));
+  EXPECT_NE(error.find("reap-journal-v1"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(load_rows(path, &error));
+  EXPECT_NE(error.find("unsupported journal format"), std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
+// Inside a journal every row carries its checksum, so a complete row
+// without one is damage wherever it sits -- never a torn tail, since a
+// torn write leaves a prefix that does not parse. read_journal reports
+// it and drops it (the rewrite heals it out, so resume re-runs the row),
+// the tailer does not count it, and a report refuses the file. JSONL
+// sink output, which never carries checksums, still loads.
+TEST(Journal, RowWithoutCrcIsCorruptAndReruns) {
+  const auto spec = small_spec();
+  const auto path = temp_path("journal_nocrc.jsonl");
+  {
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
+    writer.add("k0", fake_cells(0));
+    writer.add("k1", fake_cells(1));
+    writer.add("k2", fake_cells(2));
   }
+  const auto strip = [](std::string& line) {
+    const auto crc = line.rfind(",\"crc\":\"");
+    ASSERT_NE(crc, std::string::npos);
+    line = line.substr(0, crc) + "}";
+  };
+  auto lines = file_lines(path);
+  ASSERT_EQ(lines.size(), 4u);
+  strip(lines[2]);  // k1, mid-file
+  strip(lines[3]);  // k2, the last line
   write_lines(path, lines);
 
   std::string error;
   const auto journal = read_journal(path, &error);
   ASSERT_TRUE(journal) << error;
-  EXPECT_TRUE(journal->corrupt.empty());
-  ASSERT_EQ(journal->rows.size(), 2u);
-  EXPECT_EQ(journal->rows[0].cells, fake_cells(0));
+  EXPECT_FALSE(journal->truncated_tail);
+  ASSERT_EQ(journal->rows.size(), 1u);
+  EXPECT_EQ(journal->rows[0].key, "k0");
+  ASSERT_EQ(journal->corrupt.size(), 2u);
+  EXPECT_EQ(journal->corrupt[0].line_no, 3u);
+  EXPECT_EQ(journal->corrupt[0].reason, "missing CRC");
+  EXPECT_EQ(journal->corrupt[1].line_no, 4u);
+  EXPECT_EQ(journal->corrupt[1].reason, "missing CRC");
 
+  JournalTailer tailer(path);
+  EXPECT_EQ(tailer.poll(), std::vector<std::string>{"k0"});
+
+  EXPECT_FALSE(load_rows(path, &error));
+  EXPECT_NE(error.find(":3: row without CRC"), std::string::npos) << error;
+
+  // The rewrite resume performs keeps only k0: k1 and k2 run again.
   ASSERT_TRUE(rewrite_journal(path, *journal, &error)) << error;
-  const auto header = read_journal_header(path, &error);
-  ASSERT_TRUE(header) << error;
-  EXPECT_EQ(header->format, "reap-journal-v2");
-  const auto upgraded = file_lines(path);
-  for (std::size_t i = 1; i < upgraded.size(); ++i)
-    EXPECT_NE(upgraded[i].rfind(",\"crc\":\""), std::string::npos);
+  const auto healed = read_journal(path, &error);
+  ASSERT_TRUE(healed) << error;
+  EXPECT_TRUE(healed->corrupt.empty());
+  ASSERT_EQ(healed->rows.size(), 1u);
+  EXPECT_EQ(healed->rows[0].key, "k0");
+
+  const auto sink_path = temp_path("journal_nocrc_sink.jsonl");
+  {
+    JsonlResultSink sink(sink_path);
+    for (std::size_t i = 0; i < 3; ++i) sink.add_cells(fake_cells(i));
+  }
+  const auto table = load_rows(sink_path, &error);
+  ASSERT_TRUE(table) << error;
+  EXPECT_EQ(table->rows.size(), 3u);
+  EXPECT_EQ(table->rows[1], fake_cells(1));
   std::remove(path.c_str());
+  std::remove(sink_path.c_str());
 }
 
 // Injected journal I/O faults surface as a sticky errno: the first
@@ -512,14 +567,15 @@ TEST(JournalTailer, ReportsRowsIncrementallyAndHoldsBackTornTail) {
   EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k0", "k1"}));
   EXPECT_TRUE(tailer.poll().empty());  // nothing new
 
+  const auto k2 = writer.render("k2", fake_cells(2));
   {
     std::ofstream torn(path, std::ios::app);
-    torn << "{\"key\":\"k2\",\"ind";  // in-flight line, no newline yet
+    torn << k2.substr(0, 20);  // in-flight line, no newline yet
   }
   EXPECT_TRUE(tailer.poll().empty());  // torn tail is not a row yet
   {
     std::ofstream torn(path, std::ios::app);
-    torn << "ex\":2}\n";  // the rest of the line lands
+    torn << k2.substr(20);  // the rest of the line lands
   }
   EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k2"}));
   EXPECT_EQ(tailer.rows_seen(), 3u);
@@ -706,6 +762,7 @@ std::optional<common::JsonlFields> reference_jsonl(const std::string& line) {
 struct RefRow {
   RowVerdict verdict = RowVerdict::malformed;
   bool parses = false;  // the body is well-formed flat JSONL
+  bool has_crc = false;  // the line ends in a well-formed checksum suffix
   std::optional<std::string> key;  // first field's value, if named "key"
   JournalRow row;
 };
@@ -720,6 +777,7 @@ RefRow reference_row(const std::string& line,
     if (tail.size() == 10 && tail.substr(8) == "\"}") {
       std::uint32_t stored = 0;
       if (!common::parse_hex32(tail.substr(0, 8), stored)) return ref;
+      ref.has_crc = true;
       body = line.substr(0, pos) + "}";
       if (common::crc32c(body) != stored) {
         ref.verdict = RowVerdict::bad_crc;
@@ -732,6 +790,11 @@ RefRow reference_row(const std::string& line,
   ref.parses = true;
   if (!fields->empty() && (*fields)[0].first == "key")
     ref.key = (*fields)[0].second;
+  // A journal row must carry its checksum.
+  if (!ref.has_crc) {
+    ref.verdict = RowVerdict::bad_crc;
+    return ref;
+  }
   if (fields->size() != columns.size() + 1 || !ref.key) return ref;
   ref.row.key = *ref.key;
   for (std::size_t i = 0; i < columns.size(); ++i) {
@@ -775,8 +838,8 @@ std::vector<std::string> real_row_lines() {
   return lines;
 }
 
-// A v2 line's v1 form: the body the checksum covers.
-std::string v1_of(const std::string& line) {
+// A row line without its checksum suffix: the body the checksum covers.
+std::string body_of(const std::string& line) {
   return line.substr(0, line.rfind(",\"crc\":\"")) + "}";
 }
 
@@ -800,7 +863,7 @@ std::vector<std::string> mutated_lines() {
   std::vector<std::string> out;
   for (const auto& line : rows) {
     out.push_back(line);
-    out.push_back(v1_of(line));
+    out.push_back(body_of(line));
   }
   // Every single-byte flip of a plain row and of an escaped one, and
   // truncation at every length.
@@ -815,9 +878,9 @@ std::vector<std::string> mutated_lines() {
     }
   }
   // Whitespace around ':' and ',' and around the object, under a stale
-  // checksum, a recomputed one, and none.
-  for (const auto& line : {rows[0], rows[2]}) {
-    const auto body = v1_of(line);
+  // checksum, a recomputed one, and none, for every row.
+  for (const auto& line : rows) {
+    const auto body = body_of(line);
     for (const auto& spaced :
          {replace_all(body, "\":", "\" :\t"), replace_all(body, ",\"", " ,  \""),
           replace_all(replace_all(body, ":", ": "), ",", "\t, "),
@@ -830,7 +893,7 @@ std::vector<std::string> mutated_lines() {
   }
   // Missing, extra and reordered fields, with and without a checksum.
   {
-    const auto body = v1_of(rows[0]);
+    const auto body = body_of(rows[0]);
     std::vector<std::string> fields;  // the body's `"name":value` pieces
     const auto inner = body.substr(1, body.size() - 2);
     std::size_t start = 0;
@@ -867,7 +930,7 @@ std::vector<std::string> mutated_lines() {
   // Suffix look-alikes: a crc field of the wrong length, a second crc
   // field, uppercase hex, and a raw-token checksum.
   {
-    const auto body = v1_of(rows[0]);
+    const auto body = body_of(rows[0]);
     const auto open = body.substr(0, body.size() - 1);
     out.push_back(open + ",\"crc\":\"abc\"}");
     out.push_back(open + ",\"crc\":\"0123456789\"}");
@@ -900,10 +963,11 @@ TEST(JournalRowParser, MatchesTheReadersItReplacedOnEveryMutation) {
       EXPECT_EQ(row.index, ref.row.index);
       EXPECT_EQ(row.cells, ref.row.cells);
     }
-    // The tailer's weaker question, "a sound line leading with a key?",
-    // gets the reference's answer too.
+    // The tailer's weaker question, "a sound checksummed line leading
+    // with a key?", gets the reference's answer too.
     const bool sound = parser.scan(line) == RowVerdict::ok;
-    EXPECT_EQ(sound && parser.has_key(), ref.parses && ref.key.has_value());
+    EXPECT_EQ(sound && parser.has_crc() && parser.has_key(),
+              ref.parses && ref.has_crc && ref.key.has_value());
     if (sound && parser.has_key()) {
       EXPECT_EQ(parser.fields()[0].value_text(), *ref.key);
     }
@@ -962,7 +1026,7 @@ TEST(JournalRowParser, EveryReaderAgreesOnEveryLine) {
       JournalTailer tailer(path);
       const auto keys = tailer.poll();
       std::vector<std::string> expected = {"good"};
-      if (ref.parses && ref.key && *ref.key != "good")
+      if (ref.parses && ref.has_crc && ref.key && *ref.key != "good")
         expected.insert(last ? expected.end() : expected.begin(), *ref.key);
       EXPECT_EQ(keys, expected);
       if (accepted) {

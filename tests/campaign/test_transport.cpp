@@ -31,6 +31,7 @@
 namespace reap::campaign {
 namespace {
 
+using testutil::events_of;
 using testutil::file_bytes;
 using testutil::temp_path;
 
@@ -97,8 +98,24 @@ DispatchOptions fleet_opts(const std::string& work_dir) {
   opts.transports.push_back(
       std::make_shared<LocalTransport>(REAP_CAMPAIGN_BIN, 1));
   opts.transports.push_back(std::make_shared<SshTransport>(stub_host(work_dir)));
-  opts.expected_worker_version = build_info_line("reap_campaign");
   return opts;
+}
+
+// Runs `kv` over `opts` and checks that the recorded event stream reports
+// exactly the hosts the result lists as lost, in order, each with a
+// reason.
+DispatchResult run_checking_host_events(
+    const std::map<std::string, std::string>& kv, DispatchOptions opts) {
+  std::vector<DispatchEvent> events;
+  opts.on_event = [&events](const DispatchEvent& e) { events.push_back(e); };
+  auto result = Dispatcher(kv, opts).run();
+  std::vector<std::string> lost;
+  for (const auto& e : events_of(events, DispatchEvent::Kind::host_lost)) {
+    lost.push_back(e.host);
+    EXPECT_FALSE(e.text.empty()) << e.host;
+  }
+  EXPECT_EQ(lost, result.lost_hosts);
+  return result;
 }
 
 std::string merged_csv_of(const DispatchResult& result, const char* name) {
@@ -253,7 +270,7 @@ TEST(Transport, HostKilledMidCampaignDegradesAndMergeIsByteIdentical) {
   opts.jobs = 2;
   opts.host_max_failures = 1;
   ArmedFault fault("transport.stream:drop:*:key=stub-b");
-  const auto result = Dispatcher(kv, opts).run();
+  const auto result = run_checking_host_events(kv, opts);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.status, DispatchStatus::host_lost);
   ASSERT_EQ(result.lost_hosts.size(), 1u);
@@ -268,7 +285,7 @@ TEST(Transport, UnreachableHostAtHandshakeDegradesPastIt) {
   auto opts = fleet_opts(fresh_dir("fleet_unreach"));
   opts.jobs = 2;
   ArmedFault fault("transport.connect:drop:*:key=stub-b");
-  const auto result = Dispatcher(kv, opts).run();
+  const auto result = run_checking_host_events(kv, opts);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.status, DispatchStatus::host_lost);
   ASSERT_EQ(result.lost_hosts.size(), 1u);
@@ -286,7 +303,7 @@ TEST(Transport, GarbledFrameIsDroppedAndRowRerun) {
   auto opts = fleet_opts(fresh_dir("fleet_garble"));
   opts.jobs = 2;
   ArmedFault fault("transport.stream:garble:1:key=stub-b");
-  const auto result = Dispatcher(kv, opts).run();
+  const auto result = run_checking_host_events(kv, opts);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.status, DispatchStatus::ok);
   EXPECT_TRUE(result.lost_hosts.empty());
@@ -305,7 +322,7 @@ TEST(Transport, StalledStreamCountsAsHostFailureAndRecovers) {
   auto opts = fleet_opts(fresh_dir("fleet_stall"));
   opts.jobs = 2;
   ArmedFault fault("transport.stream:stall:1:key=stub-b");
-  const auto result = Dispatcher(kv, opts).run();
+  const auto result = run_checking_host_events(kv, opts);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.status, DispatchStatus::ok);
   EXPECT_TRUE(result.lost_hosts.empty());
@@ -340,8 +357,7 @@ TEST(Transport, HandshakeRefusesMismatchedWorkerBuild) {
   spec.remote_binary = "/bin/echo";  // prints its args, not our line
   SshTransport transport(spec);
   std::string error, note;
-  EXPECT_EQ(transport.handshake(build_info_line("reap_campaign"), "", &error,
-                                &note),
+  EXPECT_EQ(transport.handshake("", &error, &note),
             HandshakeStatus::mismatch);
   EXPECT_NE(error.find("version skew"), std::string::npos) << error;
 
@@ -361,8 +377,7 @@ TEST(Transport, UnreachableSshCommandReportsUnreachable) {
   spec.ssh_command = "/nonexistent/ssh-binary";
   SshTransport transport(spec);
   std::string error, note;
-  EXPECT_EQ(transport.handshake(build_info_line("reap_campaign"), "", &error,
-                                &note),
+  EXPECT_EQ(transport.handshake("", &error, &note),
             HandshakeStatus::unreachable);
   EXPECT_FALSE(error.empty());
 }
@@ -371,8 +386,7 @@ TEST(Transport, MissingRemoteTraceStoreFallsBackWithOneNote) {
   auto spec = stub_host(fresh_dir("hs_tracedir"));
   SshTransport transport(spec);
   std::string error, note;
-  EXPECT_EQ(transport.handshake(build_info_line("reap_campaign"),
-                                "/nonexistent-trace-store", &error, &note),
+  EXPECT_EQ(transport.handshake("/nonexistent-trace-store", &error, &note),
             HandshakeStatus::ok);
   EXPECT_NE(note.find("stub-b"), std::string::npos) << note;
   EXPECT_NE(note.find("fall back"), std::string::npos) << note;
@@ -382,8 +396,7 @@ TEST(Transport, MissingRemoteTraceStoreFallsBackWithOneNote) {
   std::filesystem::create_directories(present);
   SshTransport transport2(stub_host(present));
   note.clear();
-  EXPECT_EQ(transport2.handshake(build_info_line("reap_campaign"), present,
-                                 &error, &note),
+  EXPECT_EQ(transport2.handshake(present, &error, &note),
             HandshakeStatus::ok);
   EXPECT_TRUE(note.empty()) << note;
 }

@@ -166,34 +166,5 @@ TEST(TextTrace, ResetClearsALatchedError) {
   std::remove(path.c_str());
 }
 
-TEST(BinaryTrace, RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/reap_trace.bin";
-  VectorTraceSource src(sample_ops());
-  ASSERT_TRUE(write_binary_trace(path, src, 1000));
-
-  BinaryTraceReader rd(path);
-  ASSERT_TRUE(rd.ok());
-  MemOp op;
-  for (const MemOp& want : sample_ops()) {
-    ASSERT_TRUE(rd.next(op));
-    EXPECT_EQ(op.type, want.type);
-    EXPECT_EQ(op.addr, want.addr);
-  }
-  EXPECT_FALSE(rd.next(op));
-  std::remove(path.c_str());
-}
-
-TEST(BinaryTrace, MaxOpsTruncates) {
-  const std::string path = ::testing::TempDir() + "/reap_trace2.bin";
-  VectorTraceSource src(sample_ops());
-  ASSERT_TRUE(write_binary_trace(path, src, 2));
-  BinaryTraceReader rd(path);
-  MemOp op;
-  EXPECT_TRUE(rd.next(op));
-  EXPECT_TRUE(rd.next(op));
-  EXPECT_FALSE(rd.next(op));
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace reap::trace
