@@ -133,9 +133,10 @@ struct DispatchOptions {
   // workers x worker_threads simulation threads.
   std::size_t worker_threads = 1;
 
-  // --trace-cache-mb for each worker (0 = not passed). Workers accept the
-  // flag and ignore it: each pass generates its own op stream (see
-  // docs/campaign.md, "Trace replay and sharding").
+  // Ignored: nothing reads it and workers are not passed it (each pass
+  // generates its own op stream; see docs/campaign.md, "Trace replay and
+  // sharding"). Kept for callers that still set it, as
+  // reap_dispatch --trace-cache-mb does.
   std::size_t trace_cache_mb = 0;
 
   // --trace-dir for each worker (empty = off): workers mmap .reaptrace
@@ -263,11 +264,11 @@ std::optional<DispatchPlan> plan_dispatch(const CampaignSpec& spec,
 
 class Dispatcher {
  public:
-  // `spec_kv` is the fully resolved key/value spec (what spec_kv_from_cli
-  // returns). The dispatcher expands it locally for the shard plan and
-  // forwards it to every worker as --key=value flags, so supervisor and
-  // workers parse the identical spec (and the workers' journal spec-hash
-  // check would refuse any drift).
+  // `spec_kv` is the fully resolved key/value spec (spec_from_cli's
+  // CliSpec::kv). The dispatcher expands it locally for the shard plan
+  // and forwards it to every worker as --key=value flags, so supervisor
+  // and workers parse the identical spec (and the workers' journal
+  // spec-hash check would refuse any drift).
   Dispatcher(std::map<std::string, std::string> spec_kv,
              DispatchOptions opts);
 

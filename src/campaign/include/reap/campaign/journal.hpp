@@ -7,9 +7,9 @@
 // Kill the process at any moment and the journal loses at most the line
 // being written; read_journal tolerates exactly that torn tail, so
 // `--resume` can skip every completed row and continue. A final merge step
-// (merge_journal_rows + emit_rows) replays the rows in grid-index order
-// into the ordinary sinks, producing output byte-identical to an
-// uninterrupted run.
+// (reap_campaign's output step; merge_journal_rows + emit_rows in library
+// code) replays the rows in grid-index order into the ordinary sinks,
+// producing output byte-identical to an uninterrupted run.
 //
 // The format ("reap-journal-v2", the header's `format` tag) suffixes every
 // row with a CRC32C over the row body (the line up to but excluding the

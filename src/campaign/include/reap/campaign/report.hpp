@@ -1,4 +1,5 @@
-// Offline result post-processing: everything reap_report does.
+// Offline result post-processing: everything reap_report does, and the
+// output step all three campaign CLIs end with.
 //
 // Campaign rows written by the CSV/JSONL sinks (or the execution journal)
 // are loaded back as raw cell tables, merged across shard outputs, and
@@ -9,12 +10,14 @@
 // byte-identical to the one an in-process run prints.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "reap/campaign/aggregate.hpp"
+#include "reap/campaign/result_sink.hpp"
 
 namespace reap::campaign {
 
@@ -87,5 +90,59 @@ std::optional<CampaignAggregates> aggregate_rows(
 std::optional<std::vector<std::string>> write_figure_data(
     const CampaignAggregates& agg, const std::string& dir,
     std::string* error = nullptr);
+
+// ---------------------------------------------------------- output step
+//
+// reap_campaign, reap_dispatch and reap_report end alike: the merged,
+// index-ordered rows go to the CSV/JSONL sinks, the aggregate tables are
+// computed from them, and the figure data from those. The step is shared
+// so the three CLIs check, write and render the same way; each keeps its
+// own stdout framing, exit codes, and coverage/shard decisions.
+
+// What a CLI was asked to write. A path is set when its flag was given.
+struct OutputRequest {
+  std::optional<std::string> csv, jsonl, figures;
+  std::string baseline_name = "conventional";  // a policy, or "none"
+  std::optional<core::PolicyKind> baseline;    // set by check_output_request
+};
+
+// The flag check, run before any work: resolves `baseline`, refuses an
+// unknown --baseline policy, and refuses --figures with --baseline=none
+// (figures are drawn from the aggregates).
+bool check_output_request(OutputRequest& request, std::string* error);
+
+// The row sinks a request asks for, opened (each one truncates its file).
+struct OutputSinks {
+  std::unique_ptr<CsvResultSink> csv;
+  std::unique_ptr<JsonlResultSink> jsonl;
+};
+
+// Opens the request's sinks for rows with `columns`. The sinks write this
+// binary's schema, so other columns are refused -- before any file is
+// truncated -- as is a path that cannot be opened.
+std::optional<OutputSinks> open_sinks(const OutputRequest& request,
+                                      const std::vector<std::string>& columns,
+                                      std::string* error);
+
+// What write_outputs produced besides the files.
+struct WrittenOutputs {
+  std::optional<CampaignAggregates> agg;  // when aggregation succeeded
+  std::string tables;                     // agg->render()
+  std::string agg_error;                  // why aggregation failed
+  std::vector<std::string> figure_files;  // paths written
+};
+
+// Writes `table` (merged and index-ordered, with the columns `sinks` were
+// opened for) through the sinks and closes them. With `aggregate` (and
+// request.baseline set) aggregate_rows runs on a second thread while the
+// sinks write, and the figure data the request asks for is then written
+// from its result; without it no figures are written. A failed
+// aggregation is reported in agg_error, not as an error -- unless figures
+// were asked for. Returns nullopt with `error` set when a file cannot be
+// written.
+std::optional<WrittenOutputs> write_outputs(const RowTable& table,
+                                            const OutputRequest& request,
+                                            OutputSinks sinks, bool aggregate,
+                                            std::string* error);
 
 }  // namespace reap::campaign

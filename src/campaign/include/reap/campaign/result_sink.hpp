@@ -74,16 +74,6 @@ class JsonlResultSink final : public ResultSink {
   std::unique_ptr<Impl> impl_;
 };
 
-// Fans one add_cells() out to several sinks.
-class MultiSink final : public ResultSink {
- public:
-  void attach(ResultSink* sink);  // non-owning; ignores nullptr
-  void add_cells(const std::vector<std::string>& cells) override;
-
- private:
-  std::vector<ResultSink*> sinks_;
-};
-
 // Convenience: streams every (point, result) pair into `sink` in index
 // order.
 void emit_all(const std::vector<CampaignPoint>& points,

@@ -113,6 +113,16 @@ std::vector<CampaignPoint> shard(const std::vector<CampaignPoint>& points,
 std::size_t shard_size(std::size_t n_points, std::size_t shard_index,
                        std::size_t shard_count);
 
+// The trace-group plan of a point list: the number of distinct trace
+// keys (traces to generate) and the estimated arena bytes of the largest
+// one. Shared by the reap_campaign and reap_dispatch --dry-run reports so
+// the two plans cannot drift.
+struct TracePlan {
+  std::size_t groups = 0;
+  std::size_t largest_bytes = 0;
+};
+TracePlan trace_plan(const std::vector<CampaignPoint>& points);
+
 // Deterministic serialization of every field that affects expansion or
 // experiment outcomes (axes, base-config overrides, campaign seed). Two
 // specs with equal canonical strings expand to identical configs.
@@ -132,12 +142,18 @@ std::optional<std::map<std::string, std::string>> parse_spec_file(
 // reap_dispatch so their spec-flag vocabularies cannot drift.
 const std::vector<std::string>& spec_cli_keys();
 
-// Assembles the fully resolved spec key/value map of a CLI invocation:
-// the --spec=FILE contents first (when the flag is present), then any
-// spec-key flags override the file's values. Returns an empty map when
-// neither is given, and nullopt (with `error` set) on an unreadable or
-// malformed spec file.
-std::optional<std::map<std::string, std::string>> spec_kv_from_cli(
-    const common::CliArgs& args, std::string* error = nullptr);
+// The campaign spec of a CLI invocation: `kv` is the fully resolved
+// key/value map -- the --spec=FILE contents first (when the flag is
+// present), then any spec-key flags override the file's values -- and
+// `spec` is what CampaignSpec::from_kv parses from it. Shared by every
+// CLI that takes a spec. `kv` is empty (and `spec` the default) when the
+// invocation gives neither; nullopt (with `error` set) on an unreadable or
+// malformed spec file, or a spec from_kv refuses.
+struct CliSpec {
+  std::map<std::string, std::string> kv;
+  CampaignSpec spec;
+};
+std::optional<CliSpec> spec_from_cli(const common::CliArgs& args,
+                                     std::string* error = nullptr);
 
 }  // namespace reap::campaign

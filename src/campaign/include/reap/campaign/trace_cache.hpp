@@ -43,16 +43,6 @@
 
 namespace reap::campaign {
 
-// The trace-group plan of a point list: the number of distinct trace
-// keys (traces to materialize) and the estimated arena bytes of the
-// largest one. Shared by the reap_campaign and reap_dispatch --dry-run
-// reports so the two plans cannot drift.
-struct TracePlan {
-  std::size_t groups = 0;
-  std::size_t largest_bytes = 0;
-};
-TracePlan trace_plan(const std::vector<CampaignPoint>& points);
-
 // Counters are cumulative and readable while the campaign runs (the
 // progress line samples hits/misses); loads are relaxed snapshots.
 struct TraceCacheStats {

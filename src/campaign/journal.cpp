@@ -20,19 +20,7 @@
 namespace reap::campaign {
 namespace {
 
-bool fail(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
-
-std::string join(const std::vector<std::string>& items, char sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += sep;
-    out += items[i];
-  }
-  return out;
-}
+using common::fail;
 
 // Parses the header object of line 1. The journal is self-describing: all
 // fields are flat scalars so the shared JSONL-subset parser handles it.
@@ -162,8 +150,8 @@ JournalWriter::JournalWriter(const std::string& path,
       "\",\"points\":" + std::to_string(header.points) +
       ",\"shard_index\":" + std::to_string(header.shard_index) +
       ",\"shard_count\":" + std::to_string(header.shard_count) +
-      ",\"columns\":\"" + common::json_escape(join(header.columns, ',')) +
-      "\"}";
+      ",\"columns\":\"" +
+      common::json_escape(common::join(header.columns, ',')) + "\"}";
   out_ << header_line_ << '\n';
   out_.flush();
 }

@@ -22,13 +22,17 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "reap/campaign/campaign.hpp"
 #include "reap/campaign/cli_usage.hpp"
 #include "reap/campaign/exit_codes.hpp"
+#include "reap/campaign/journal.hpp"
+#include "reap/campaign/progress.hpp"
+#include "reap/campaign/report.hpp"
+#include "reap/campaign/runner.hpp"
+#include "reap/campaign/spec.hpp"
 #include "reap/campaign/version.hpp"
 #include "reap/common/cli.hpp"
-#include "reap/common/fault.hpp"
 #include "reap/common/frame.hpp"
+#include "reap/common/strings.hpp"
 #include "reap/core/config_kv.hpp"
 #include "reap/trace/replay.hpp"
 #include "reap/trace/spec2006.hpp"
@@ -77,18 +81,10 @@ int main(int argc, char** argv) {
 
   // Fault injection (chaos testing): sites armed from the REAP_FAULT
   // environment (inherited by dispatched workers) and/or --inject-fault.
-  {
-    std::string ferr;
-    if (!common::fault::arm_from_env(&ferr)) {
-      std::fprintf(stderr, "bad %s: %s\n", common::fault::kEnvVar,
-                   ferr.c_str());
-      return 1;
-    }
-    if (args.has("inject-fault") &&
-        !common::fault::arm(args.get_string("inject-fault", ""), &ferr)) {
-      std::fprintf(stderr, "bad --inject-fault: %s\n", ferr.c_str());
-      return 1;
-    }
+  std::string error;
+  if (!common::arm_faults(args, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
 
   if (args.has("list-workloads")) {
@@ -103,7 +99,6 @@ int main(int argc, char** argv) {
 
   // Single-config mode: reproduce one emitted row.
   if (args.has("config")) {
-    std::string error;
     const auto cfg = core::config_from_kv(args.get_string("config", ""), &error);
     if (!cfg) {
       std::fprintf(stderr, "bad --config: %s\n", error.c_str());
@@ -115,24 +110,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Assemble the spec key/value map: file first, flags override.
-  std::string error;
-  const auto kv = campaign::spec_kv_from_cli(args, &error);
-  if (!kv) {
+  // Assemble the spec: file first, flags override.
+  const auto cli_spec = campaign::spec_from_cli(args, &error);
+  if (!cli_spec) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  if (kv->empty()) return usage(argv[0]);
+  if (cli_spec->kv.empty()) return usage(argv[0]);
+  const auto& spec = cli_spec->spec;
 
-  const auto spec = campaign::CampaignSpec::from_kv(*kv, &error);
-  if (!spec) {
-    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
+  // The output flags are checked before any work: a bad baseline name
+  // must not surface only after the grid has been simulated.
+  campaign::OutputRequest request;
+  if (args.has("csv")) request.csv = args.get_string("csv", "");
+  if (args.has("jsonl")) request.jsonl = args.get_string("jsonl", "");
+  request.baseline_name = args.get_string("baseline", "conventional");
+  if (!campaign::check_output_request(request, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
 
   std::vector<campaign::CampaignPoint> points;
   try {
-    points = campaign::expand(*spec);
+    points = campaign::expand(spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   const std::string trace_dir = args.get_string("trace-dir", "");
 
   if (args.has("dry-run")) {
-    std::printf("campaign '%s': %zu points\n", spec->name.c_str(),
+    std::printf("campaign '%s': %zu points\n", spec.name.c_str(),
                 points.size());
     if (sharded)
       std::printf("shard %zu/%zu: %zu points\n", shard_index, shard_count,
@@ -209,7 +209,16 @@ int main(int argc, char** argv) {
   // journal's value as the backup copy. Ignore it -- writes fail
   // silently, the disk journal stays authoritative on this side.
   if (journal_stdout) std::signal(SIGPIPE, SIG_IGN);
-  std::vector<campaign::JournalRow> prior;
+  // The output step reads the rows only when it has something to write
+  // from them: a dispatched worker (--baseline=none, no sinks) keeps none.
+  const bool keep_rows =
+      request.csv || request.jsonl || (request.baseline && !sharded);
+  // Rows already journaled: their keys skip the run, their cells (when
+  // kept) lead the fresh rows in the output table.
+  std::unordered_set<std::string> completed;
+  campaign::RowTable rows;
+  rows.header = campaign::result_header();
+  rows.expected_points = points.size();
   bool append_journal = false;
   if (resume && std::filesystem::exists(journal_path)) {
     auto loaded = campaign::read_journal(journal_path, &error);
@@ -218,7 +227,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::string why;
-    if (!campaign::journal_compatible(loaded->header, *spec, points.size(),
+    if (!campaign::journal_compatible(loaded->header, spec, points.size(),
                                       shard_index, shard_count, &why)) {
       std::fprintf(stderr, "cannot resume: %s\n", why.c_str());
       return 1;
@@ -241,7 +250,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    prior = campaign::merge_journal_rows(std::move(loaded->rows), {});
+    for (auto& row : loaded->rows)
+      if (completed.insert(row.key).second && keep_rows)
+        rows.rows.push_back(std::move(row.cells));
     append_journal = true;
   } else if (resume) {
     std::fprintf(stderr, "note: no journal at %s; starting fresh\n",
@@ -252,20 +263,10 @@ int main(int argc, char** argv) {
   // quarantine/bisect mechanism). A run is complete -- exit 0 -- when
   // every *non-skipped* row of its shard is journaled.
   std::unordered_set<std::string> skipped;
-  if (args.has("skip-rows")) {
-    const std::string list = args.get_string("skip-rows", "");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const auto next = list.find(',', pos);
-      const auto end = next == std::string::npos ? list.size() : next;
-      if (end > pos) skipped.insert(list.substr(pos, end - pos));
-      if (next == std::string::npos) break;
-      pos = next + 1;
-    }
-  }
+  if (args.has("skip-rows"))
+    for (auto& key : common::split(args.get_string("skip-rows", ""), ','))
+      skipped.insert(std::move(key));
 
-  std::unordered_set<std::string> completed;
-  for (const auto& row : prior) completed.insert(row.key);
   std::vector<campaign::CampaignPoint> to_run;
   to_run.reserve(mine.size());
   for (const auto& pt : mine)
@@ -317,28 +318,11 @@ int main(int argc, char** argv) {
 
   // Open sinks before running so an unwritable path fails fast instead of
   // after the whole grid has been simulated.
-  campaign::MultiSink sinks;
-  std::unique_ptr<campaign::CsvResultSink> csv;
-  std::unique_ptr<campaign::JsonlResultSink> jsonl;
-  if (args.has("csv")) {
-    csv = std::make_unique<campaign::CsvResultSink>(
-        args.get_string("csv", ""));
-    if (!csv->ok()) {
-      std::fprintf(stderr, "cannot write csv output: %s\n",
-                   args.get_string("csv", "").c_str());
-      return 1;
-    }
-    sinks.attach(csv.get());
-  }
-  if (args.has("jsonl")) {
-    jsonl = std::make_unique<campaign::JsonlResultSink>(
-        args.get_string("jsonl", ""));
-    if (!jsonl->ok()) {
-      std::fprintf(stderr, "cannot write jsonl output: %s\n",
-                   args.get_string("jsonl", "").c_str());
-      return 1;
-    }
-    sinks.attach(jsonl.get());
+  auto sinks =
+      campaign::open_sinks(request, campaign::result_header(), &error);
+  if (!sinks) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
 
   std::optional<campaign::JournalWriter> journal;
@@ -348,7 +332,7 @@ int main(int argc, char** argv) {
     } else {
       journal.emplace(journal_path,
                       campaign::JournalHeader::for_run(
-                          *spec, points.size(), shard_index, shard_count));
+                          spec, points.size(), shard_index, shard_count));
     }
     if (!journal->ok()) {
       std::fprintf(stderr, "cannot write journal: %s\n",
@@ -363,7 +347,7 @@ int main(int argc, char** argv) {
       });
   }
 
-  // Streaming pipeline: rows are journaled (and buffered for the merge)
+  // Streaming pipeline: rows are journaled (and kept for the merge)
   // in completion order the moment each experiment finishes. The runner
   // thread that ran a pass renders its rows -- cells and the finished
   // journal line, CRC included -- into the slots of its points (slot =
@@ -377,8 +361,7 @@ int main(int argc, char** argv) {
   const auto slot = [&](const campaign::CampaignPoint& pt) -> RenderedRow& {
     return rendered[static_cast<std::size_t>(&pt - to_run.data())];
   };
-  std::vector<campaign::JournalRow> fresh;
-  fresh.reserve(to_run.size());
+  if (keep_rows) rows.rows.reserve(rows.rows.size() + to_run.size());
   campaign::RunnerOptions opts;
   opts.threads = static_cast<unsigned>(args.get_u64("threads", 0));
   opts.on_result = [&](const campaign::CampaignPoint& pt,
@@ -387,7 +370,7 @@ int main(int argc, char** argv) {
     // than kept until the run ends.
     RenderedRow row = std::move(slot(pt));
     if (journal) journal->append(pt.key, row.line);
-    fresh.push_back({pt.key, pt.index, std::move(row.cells)});
+    if (keep_rows) rows.rows.push_back(std::move(row.cells));
   };
   // Stop claiming points on SIGTERM/SIGINT or after a journal append
   // fails (EIO/ENOSPC): either way the run ends cleanly at a row
@@ -421,14 +404,14 @@ int main(int argc, char** argv) {
   };
 
   campaign::CampaignRunner runner(opts);
-  std::printf("campaign '%s': %zu points on %u threads\n", spec->name.c_str(),
+  std::printf("campaign '%s': %zu points on %u threads\n", spec.name.c_str(),
               points.size(), runner.effective_threads(to_run.size()));
   if (sharded)
     std::printf("shard %zu/%zu: %zu points\n", shard_index, shard_count,
                 mine.size());
-  if (!prior.empty())
+  if (!completed.empty())
     std::printf("resuming: %zu of %zu rows already journaled, %zu to run\n",
-                prior.size(), mine.size(), to_run.size());
+                completed.size(), mine.size(), to_run.size());
   runner.run(to_run);
 
   // An aborted run stops here: the journal holds every completed row
@@ -449,46 +432,44 @@ int main(int argc, char** argv) {
     return campaign::kExitInterrupted;
   }
 
-  // Merge step: journaled + fresh rows, deduplicated and re-ordered by
-  // grid index, stream through the sinks -- byte-identical to an
-  // uninterrupted single-process run over the same rows.
-  const auto merged =
-      campaign::merge_journal_rows(std::move(prior), std::move(fresh));
-  campaign::emit_rows(merged, sinks);
+  // Output step: journaled + fresh rows, merged into one index-ordered
+  // table, stream through the sinks -- byte-identical to an uninterrupted
+  // single-process run over the same rows. Fresh and resumed runs alike
+  // aggregate that table: journaled rows stand in for re-running, and the
+  // row aggregation reproduces the in-memory numbers exactly.
+  std::optional<campaign::WrittenOutputs> out;
+  bool covered = false;
+  if (keep_rows) {
+    std::vector<campaign::RowTable> tables;
+    tables.push_back(std::move(rows));
+    const auto table = campaign::merge_tables(std::move(tables), &error);
+    if (table) {
+      covered = campaign::covers_all_indices(*table);
+      out = campaign::write_outputs(*table, request, std::move(*sinks),
+                                    !sharded && covered, &error);
+    }
+    if (!out) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+  }
 
-  // Aggregates.
-  const std::string baseline_name =
-      args.get_string("baseline", "conventional");
-  if (baseline_name != "none" && sharded) {
+  if (request.baseline && sharded) {
     std::printf(
         "\n(shard %zu/%zu is a partial grid; merge the shard outputs with "
         "reap_report for aggregates)\n",
         shard_index, shard_count);
-  } else if (baseline_name != "none") {
-    const auto baseline = core::policy_from_string(baseline_name);
-    if (!baseline) {
-      std::fprintf(stderr, "unknown --baseline policy: %s\n",
-                   baseline_name.c_str());
-      return 1;
-    }
-    // Fresh and resumed runs alike aggregate the merged rows: journaled
-    // rows stand in for re-running, and the row aggregation reproduces
-    // the in-memory numbers exactly.
-    campaign::RowTable table;
-    table.header = campaign::result_header();
-    table.expected_points = points.size();
-    for (const auto& row : merged) table.rows.push_back(row.cells);
-    if (!campaign::covers_all_indices(table)) {
+  } else if (request.baseline) {
+    if (!covered) {
       std::printf("\n(journal covers a partial grid; no aggregates)\n");
-    } else if (const auto agg =
-                   campaign::aggregate_rows(table, *baseline, &error)) {
-      std::printf("\n%s", agg->render().c_str());
+    } else if (out->agg) {
+      std::printf("\n%s", out->tables.c_str());
     } else if (to_run.size() == points.size()) {
       // A fresh run's rows fail to aggregate only for want of a baseline.
       std::printf("\n(baseline %s not in the grid; no aggregates)\n",
-                  baseline_name.c_str());
+                  request.baseline_name.c_str());
     } else {
-      std::printf("\n(no aggregates: %s)\n", error.c_str());
+      std::printf("\n(no aggregates: %s)\n", out->agg_error.c_str());
     }
   }
 

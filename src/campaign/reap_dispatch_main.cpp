@@ -13,23 +13,17 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <future>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 
-#include "reap/campaign/aggregate.hpp"
 #include "reap/campaign/cli_usage.hpp"
 #include "reap/campaign/dispatch.hpp"
 #include "reap/campaign/exit_codes.hpp"
 #include "reap/campaign/progress.hpp"
-#include "reap/campaign/result_sink.hpp"
-#include "reap/campaign/trace_cache.hpp"  // trace_plan
+#include "reap/campaign/report.hpp"
 #include "reap/campaign/transport.hpp"
 #include "reap/campaign/version.hpp"
 #include "reap/common/cli.hpp"
-#include "reap/common/fault.hpp"
 #include "reap/common/strings.hpp"
 
 using namespace reap;
@@ -63,37 +57,24 @@ int main(int argc, char** argv) {
   // process (worker.spawn, tailer.read); REAP_FAULT is inherited by the
   // spawned workers too, so worker-side sites (runner.point,
   // journal.write, ...) are armed through the environment.
-  {
-    std::string ferr;
-    if (!common::fault::arm_from_env(&ferr)) {
-      std::fprintf(stderr, "bad %s: %s\n", common::fault::kEnvVar,
-                   ferr.c_str());
-      return 1;
-    }
-    if (args.has("inject-fault") &&
-        !common::fault::arm(args.get_string("inject-fault", ""), &ferr)) {
-      std::fprintf(stderr, "bad --inject-fault: %s\n", ferr.c_str());
-      return 1;
-    }
-  }
-
   std::string error;
-  const auto kv = campaign::spec_kv_from_cli(args, &error);
-  if (!kv) {
+  if (!common::arm_faults(args, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  if (kv->empty()) return usage(argv[0]);
-  const auto spec = campaign::CampaignSpec::from_kv(*kv, &error);
-  if (!spec) {
-    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
+
+  const auto cli_spec = campaign::spec_from_cli(args, &error);
+  if (!cli_spec) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
+  if (cli_spec->kv.empty()) return usage(argv[0]);
+  const auto& spec = cli_spec->spec;
 
   campaign::DispatchOptions opts;
   opts.campaign_binary =
       args.get_string("campaign-bin", default_campaign_binary(argv[0]));
-  opts.work_dir = args.get_string("work-dir", spec->name + ".dispatch");
+  opts.work_dir = args.get_string("work-dir", spec.name + ".dispatch");
   opts.workers = std::size_t(args.get_u64("workers", 0));
   opts.jobs = std::size_t(args.get_u64("jobs", 0));
   opts.worker_threads = std::size_t(args.get_u64("worker-threads", 1));
@@ -133,20 +114,24 @@ int main(int argc, char** argv) {
   }
 
   // Consume every real flag before --dry-run can exit, so the unused-flag
-  // typo warning never fires on flags the full run would honor.
+  // typo warning never fires on flags the full run would honor, and check
+  // the output flags before any work: a bad baseline name must not
+  // surface only after hours of simulation.
   const bool quiet = args.has("quiet");
-  const bool want_csv = args.has("csv");
-  const bool want_jsonl = args.has("jsonl");
-  const bool want_figures = args.has("figures");
-  const auto csv_path = args.get_string("csv", "");
-  const auto jsonl_path = args.get_string("jsonl", "");
-  const auto figures_dir = args.get_string("figures", "");
-  const auto baseline_name = args.get_string("baseline", "conventional");
+  campaign::OutputRequest request;
+  if (args.has("csv")) request.csv = args.get_string("csv", "");
+  if (args.has("jsonl")) request.jsonl = args.get_string("jsonl", "");
+  if (args.has("figures")) request.figures = args.get_string("figures", "");
+  request.baseline_name = args.get_string("baseline", "conventional");
+  if (!campaign::check_output_request(request, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
 
   if (args.has("dry-run")) {
     std::vector<campaign::CampaignPoint> points;
     try {
-      points = campaign::expand(*spec);
+      points = campaign::expand(spec);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
@@ -154,7 +139,7 @@ int main(int argc, char** argv) {
     // The exact plan Dispatcher::run would execute, including a shard
     // split adopted from existing work-dir journals.
     const auto plan =
-        campaign::plan_dispatch(*spec, points.size(), opts, &error);
+        campaign::plan_dispatch(spec, points.size(), opts, &error);
     if (!plan) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
@@ -162,7 +147,7 @@ int main(int argc, char** argv) {
     std::printf(
         "campaign '%s': %zu points, %zu shards%s, %zu worker slots "
         "(<= %zu concurrent)\n",
-        spec->name.c_str(), points.size(), plan->n_shards,
+        spec.name.c_str(), points.size(), plan->n_shards,
         plan->adopted_split ? " (split adopted from work-dir journals)" : "",
         plan->workers, std::min(plan->workers, plan->n_shards));
     std::printf("work dir: %s\n", opts.work_dir.c_str());
@@ -212,26 +197,10 @@ int main(int argc, char** argv) {
         break;
     }
   };
-  // Validate the post-run flags and warn about typos up front: a bad
-  // baseline name must not surface only after hours of simulation.
-  std::optional<core::PolicyKind> baseline;
-  if (baseline_name != "none") {
-    baseline = core::policy_from_string(baseline_name);
-    if (!baseline) {
-      std::fprintf(stderr, "unknown --baseline policy: %s\n",
-                   baseline_name.c_str());
-      return 1;
-    }
-  } else if (want_figures) {
-    std::fprintf(stderr,
-                 "--figures needs aggregates; do not pass "
-                 "--baseline=none with it\n");
-    return 1;
-  }
   common::warn_unused(args);
 
-  campaign::Dispatcher dispatcher(*kv, opts);
-  std::printf("dispatching campaign '%s' from %s\n", spec->name.c_str(),
+  campaign::Dispatcher dispatcher(cli_spec->kv, opts);
+  std::printf("dispatching campaign '%s' from %s\n", spec.name.c_str(),
               opts.work_dir.c_str());
   const auto run = dispatcher.run();
   if (!run.ok) {
@@ -309,56 +278,21 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if ((want_csv || want_jsonl) &&
-      merged->header != campaign::result_header()) {
-    std::fprintf(stderr,
-                 "cannot write merged rows: worker journals use a different "
-                 "column schema than this binary\n");
+  // Output step. Aggregates (and figures) need the full grid; a
+  // quarantined run is complete-minus-named-rows by construction, so it
+  // writes the rows, says so, and exits with the distinct code instead of
+  // failing.
+  auto sinks = campaign::open_sinks(request, merged->header, &error);
+  const auto out =
+      sinks ? campaign::write_outputs(*merged, request, std::move(*sinks),
+                                      run.quarantined.empty(), &error)
+            : std::nullopt;
+  if (!out) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return campaign::kDispatchError;
   }
-  // The aggregates read only the merged table, so a second thread computes
-  // and renders them while the sinks write it. Every exit below waits for
-  // it (the future's destructor joins), and it is joined before anything
-  // is printed, so stdout keeps its order.
-  struct Aggregated {
-    std::optional<campaign::CampaignAggregates> agg;
-    std::string text;
-    std::string error;
-  };
-  std::future<Aggregated> aggregated;
-  if (baseline && run.quarantined.empty())
-    aggregated = std::async(std::launch::async, [&merged, &baseline] {
-      Aggregated out;
-      out.agg = campaign::aggregate_rows(*merged, *baseline, &out.error);
-      if (out.agg) out.text = out.agg->render();
-      return out;
-    });
-  const auto emit_merged = [&](campaign::ResultSink& sink, bool ok,
-                               const char* what, const std::string& path) {
-    if (!ok) {
-      std::fprintf(stderr, "cannot write %s output: %s\n", what,
-                   path.c_str());
-      return false;
-    }
-    for (const auto& row : merged->rows) sink.add_cells(row);
-    return true;
-  };
-  if (want_csv) {
-    campaign::CsvResultSink csv(csv_path);
-    if (!emit_merged(csv, csv.ok(), "csv", csv_path))
-      return campaign::kDispatchError;
-  }
-  if (want_jsonl) {
-    campaign::JsonlResultSink jsonl(jsonl_path);
-    if (!emit_merged(jsonl, jsonl.ok(), "jsonl", jsonl_path))
-      return campaign::kDispatchError;
-  }
-
   if (!run.quarantined.empty()) {
-    // Aggregates (and figures) need the full grid; a quarantined run is
-    // complete-minus-named-rows by construction, so say so and exit with
-    // the distinct code instead of failing.
-    if (baseline)
+    if (request.baseline)
       std::printf(
           "(skipping aggregates: %zu quarantined row%s leave the grid "
           "partial; see %s/quarantine.jsonl)\n",
@@ -366,27 +300,15 @@ int main(int argc, char** argv) {
           opts.work_dir.c_str());
     return campaign::kDispatchQuarantined;
   }
-
-  std::optional<campaign::CampaignAggregates> agg;
-  if (aggregated.valid()) {
-    Aggregated done = aggregated.get();
-    if (!done.agg) {
-      std::fprintf(stderr, "no aggregates: %s\n", done.error.c_str());
+  if (request.baseline) {
+    if (!out->agg) {
+      std::fprintf(stderr, "no aggregates: %s\n", out->agg_error.c_str());
       return campaign::kDispatchError;
     }
-    agg = std::move(done.agg);
-    std::printf("\n%s", done.text.c_str());
+    std::printf("\n%s", out->tables.c_str());
   }
-  if (want_figures) {
-    const auto written =
-        campaign::write_figure_data(*agg, figures_dir, &error);
-    if (!written) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return campaign::kDispatchError;
-    }
-    for (const auto& path : *written)
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  for (const auto& path : out->figure_files)
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   // Every row ran and merged, but the fleet shrank along the way: the
   // outputs above are complete, and the exit code says hosts were lost.
   if (run.status == campaign::DispatchStatus::host_lost)

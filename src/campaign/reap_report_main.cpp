@@ -14,7 +14,6 @@
 #include "reap/campaign/cli_usage.hpp"
 #include "reap/campaign/report.hpp"
 #include "reap/campaign/version.hpp"
-#include "reap/campaign/result_sink.hpp"
 #include "reap/common/cli.hpp"
 
 using namespace reap;
@@ -36,7 +35,21 @@ int main(int argc, char** argv) {
   }
   if (args.has("help") || args.positional().empty()) return usage(argv[0]);
 
+  // The output flags are checked before any input is read, so a refused
+  // invocation writes nothing.
   std::string error;
+  campaign::OutputRequest request;
+  if (args.has("merged-csv"))
+    request.csv = args.get_string("merged-csv", "");
+  if (args.has("merged-jsonl"))
+    request.jsonl = args.get_string("merged-jsonl", "");
+  if (args.has("figures")) request.figures = args.get_string("figures", "");
+  request.baseline_name = args.get_string("baseline", "conventional");
+  if (!campaign::check_output_request(request, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
+
   std::vector<campaign::RowTable> tables;
   for (const auto& path : args.positional()) {
     auto table = campaign::load_rows(path, &error);
@@ -75,73 +88,28 @@ int main(int argc, char** argv) {
   // Merged row re-emission: cells pass through the ordinary sinks, so the
   // output is byte-identical to what one un-sharded run would have
   // written. The sinks emit this binary's schema, so rows from a binary
-  // with a different column set cannot be re-emitted (aggregation below
-  // still works -- it looks columns up by name). Checked before any sink
-  // opens: constructing one truncates its output file.
-  if ((args.has("merged-csv") || args.has("merged-jsonl")) &&
-      merged->header != campaign::result_header()) {
-    std::fprintf(stderr,
-                 "cannot write merged rows: input columns differ from this "
-                 "binary's row schema\n");
+  // with a different column set cannot be re-emitted (aggregation still
+  // works -- it looks columns up by name).
+  auto sinks = campaign::open_sinks(request, merged->header, &error);
+  const auto out =
+      sinks ? campaign::write_outputs(*merged, request, std::move(*sinks),
+                                      /*aggregate=*/true, &error)
+            : std::nullopt;
+  if (!out) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const auto emit_merged = [&](campaign::ResultSink& sink, bool ok,
-                               const char* what, const std::string& path) {
-    if (!ok) {
-      std::fprintf(stderr, "cannot write %s output: %s\n", what,
-                   path.c_str());
-      return false;
-    }
-    for (const auto& row : merged->rows) sink.add_cells(row);
-    return true;
-  };
-  if (args.has("merged-csv")) {
-    const auto path = args.get_string("merged-csv", "");
-    campaign::CsvResultSink csv(path);
-    if (!emit_merged(csv, csv.ok(), "csv", path)) return 1;
-  }
-  if (args.has("merged-jsonl")) {
-    const auto path = args.get_string("merged-jsonl", "");
-    campaign::JsonlResultSink jsonl(path);
-    if (!emit_merged(jsonl, jsonl.ok(), "jsonl", path)) return 1;
-  }
-
-  const std::string baseline_name =
-      args.get_string("baseline", "conventional");
-  std::optional<campaign::CampaignAggregates> agg;
-  if (baseline_name != "none") {
-    const auto baseline = core::policy_from_string(baseline_name);
-    if (!baseline) {
-      std::fprintf(stderr, "unknown --baseline policy: %s\n",
-                   baseline_name.c_str());
-      return 1;
-    }
-    agg = campaign::aggregate_rows(*merged, *baseline, &error);
-    if (!agg) {
-      std::fprintf(stderr, "%s\n", error.c_str());
+  if (request.baseline) {
+    if (!out->agg) {
+      std::fprintf(stderr, "%s\n", out->agg_error.c_str());
       return 1;
     }
     std::printf("%zu rows, %zu matched comparisons\n\n",
-                merged->rows.size(), agg->comparisons.size());
-    std::printf("%s", agg->render().c_str());
+                merged->rows.size(), out->agg->comparisons.size());
+    std::printf("%s", out->tables.c_str());
   }
-
-  if (args.has("figures")) {
-    if (!agg) {
-      std::fprintf(stderr,
-                   "--figures needs aggregates; do not pass "
-                   "--baseline=none with it\n");
-      return 1;
-    }
-    const auto dir = args.get_string("figures", "");
-    const auto written = campaign::write_figure_data(*agg, dir, &error);
-    if (!written) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    for (const auto& path : *written)
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  for (const auto& path : out->figure_files)
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
 
   common::warn_unused(args);
   return 0;

@@ -44,21 +44,17 @@ double mb(std::size_t bytes) {
 // a dumped file is self-describing.
 int materialize(const common::CliArgs& args) {
   std::string error;
-  const auto kv = campaign::spec_kv_from_cli(args, &error);
-  if (!kv) {
+  const auto cli_spec = campaign::spec_from_cli(args, &error);
+  if (!cli_spec) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  if (kv->empty()) {
+  if (cli_spec->kv.empty()) {
     std::fprintf(stderr, "--materialize needs a spec (--spec=FILE and/or "
                          "key=value flags)\n");
     return 1;
   }
-  const auto spec = campaign::CampaignSpec::from_kv(*kv, &error);
-  if (!spec) {
-    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
-    return 1;
-  }
+  const auto& spec = cli_spec->spec;
   const std::string out_dir = args.get_string("out-dir", "");
   if (out_dir.empty()) {
     std::fprintf(stderr, "--materialize needs --out-dir=DIR\n");
@@ -69,7 +65,7 @@ int materialize(const common::CliArgs& args) {
 
   std::vector<campaign::CampaignPoint> points;
   try {
-    points = campaign::expand(*spec);
+    points = campaign::expand(spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
@@ -100,7 +96,7 @@ int materialize(const common::CliArgs& args) {
     trace::WorkloadTraceSource gen(pt.config.workload);
     const auto trace = trace::MaterializedTrace::materialize(gen, budget);
     const std::map<std::string, std::string> meta = {
-        {"campaign", spec->name},
+        {"campaign", spec.name},
         {"workload", pt.config.workload.name},
         {"budget", std::to_string(budget)},
     };

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <unordered_map>
 #include <utility>
 
@@ -16,10 +17,7 @@
 namespace reap::campaign {
 namespace {
 
-bool fail(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
+using common::fail;
 
 // Calls fn(line, lineno, is_last) for every line of `text`, empty ones
 // included; `is_last` says nothing follows the line's newline.
@@ -538,6 +536,85 @@ std::optional<std::vector<std::string>> write_figure_data(
     return std::nullopt;
   }
   return written;
+}
+
+bool check_output_request(OutputRequest& request, std::string* error) {
+  request.baseline.reset();
+  if (request.baseline_name == "none") {
+    if (request.figures)
+      return fail(error,
+                  "--figures needs aggregates; do not pass --baseline=none "
+                  "with it");
+    return true;
+  }
+  request.baseline = core::policy_from_string(request.baseline_name);
+  if (!request.baseline)
+    return fail(error, "unknown --baseline policy: " + request.baseline_name);
+  return true;
+}
+
+namespace {
+
+template <class Sink>
+bool open_sink(const std::optional<std::string>& path, const char* what,
+               std::unique_ptr<Sink>& sink, std::string* error) {
+  if (!path) return true;
+  sink = std::make_unique<Sink>(*path);
+  return sink->ok() ||
+         fail(error, std::string("cannot write ") + what + " output: " + *path);
+}
+
+}  // namespace
+
+std::optional<OutputSinks> open_sinks(const OutputRequest& request,
+                                      const std::vector<std::string>& columns,
+                                      std::string* error) {
+  OutputSinks sinks;
+  if ((request.csv || request.jsonl) && columns != result_header()) {
+    fail(error,
+         "cannot write merged rows: their columns differ from this "
+         "binary's row schema");
+    return std::nullopt;
+  }
+  if (!open_sink(request.csv, "csv", sinks.csv, error) ||
+      !open_sink(request.jsonl, "jsonl", sinks.jsonl, error))
+    return std::nullopt;
+  return sinks;
+}
+
+std::optional<WrittenOutputs> write_outputs(const RowTable& table,
+                                            const OutputRequest& request,
+                                            OutputSinks sinks, bool aggregate,
+                                            std::string* error) {
+  // The aggregates read only the table, so a second thread computes and
+  // renders them while the sinks write it. Every exit waits for it (the
+  // future's destructor joins).
+  aggregate = aggregate && request.baseline;
+  std::future<WrittenOutputs> aggregated;
+  if (aggregate)
+    aggregated = std::async(std::launch::async, [&table, &request] {
+      WrittenOutputs out;
+      out.agg = aggregate_rows(table, *request.baseline, &out.agg_error);
+      if (out.agg) out.tables = out.agg->render();
+      return out;
+    });
+  for (const auto& row : table.rows) {
+    if (sinks.csv) sinks.csv->add_cells(row);
+    if (sinks.jsonl) sinks.jsonl->add_cells(row);
+  }
+  sinks = {};  // flushed and closed before the caller reports anything
+
+  if (!aggregate) return WrittenOutputs{};
+  WrittenOutputs out = aggregated.get();
+  if (!request.figures) return out;
+  if (!out.agg) {
+    fail(error, "no aggregates: " + out.agg_error);
+    return std::nullopt;
+  }
+  auto written = write_figure_data(*out.agg, *request.figures, error);
+  if (!written) return std::nullopt;
+  out.figure_files = std::move(*written);
+  return out;
 }
 
 }  // namespace reap::campaign

@@ -150,16 +150,6 @@ void JsonlResultSink::add_cells(const std::vector<std::string>& cells) {
   impl_->out << '{' << jsonl_fields(impl_->header, cells) << "}\n";
 }
 
-// -------------------------------------------------------------- multi sink
-
-void MultiSink::attach(ResultSink* sink) {
-  if (sink) sinks_.push_back(sink);
-}
-
-void MultiSink::add_cells(const std::vector<std::string>& cells) {
-  for (auto* s : sinks_) s->add_cells(cells);
-}
-
 void emit_all(const std::vector<CampaignPoint>& points,
               const std::vector<core::ExperimentResult>& results,
               ResultSink& sink) {

@@ -1,33 +1,27 @@
 #include "reap/campaign/spec.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "reap/campaign/seed.hpp"
 #include "reap/common/strings.hpp"
+#include "reap/trace/replay.hpp"
 #include "reap/trace/spec2006.hpp"
 
 namespace reap::campaign {
 namespace {
 
+// A comma-separated axis list; empty items are dropped.
 std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto comma = s.find(',', pos);
-    const auto end = comma == std::string::npos ? s.size() : comma;
-    if (end > pos) out.push_back(s.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  auto out = common::split(s, ',');
+  std::erase(out, std::string());
   return out;
 }
 
-bool set_error(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
+using common::fail;
 
 std::string trim(const std::string& s) {
   const auto b = s.find_first_not_of(" \t\r");
@@ -181,6 +175,21 @@ std::size_t shard_size(std::size_t n_points, std::size_t shard_index,
   return (n_points - shard_index - 1) / shard_count + 1;
 }
 
+TracePlan trace_plan(const std::vector<CampaignPoint>& points) {
+  TracePlan plan;
+  std::unordered_set<std::string> seen;
+  for (const auto& pt : points) {
+    if (!seen.insert(pt.trace_key).second) continue;
+    plan.largest_bytes = std::max(
+        plan.largest_bytes,
+        trace::estimate_trace_bytes(
+            pt.config.workload,
+            pt.config.warmup_instructions + pt.config.instructions));
+  }
+  plan.groups = seen.size();
+  return plan;
+}
+
 std::string canonical_string(const CampaignSpec& spec) {
   std::ostringstream out;
   out << "reap-campaign-spec-v1\n";
@@ -242,7 +251,7 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
   const auto u64_value = [&](const std::string& key, const std::string& v,
                              std::uint64_t& out) {
     if (common::parse_u64(v, out)) return true;
-    ok = set_error(error, "bad value for " + key + ": '" + v + "'");
+    ok = fail(error, "bad value for " + key + ": '" + v + "'");
     return false;
   };
   const auto u64_list = [&](const std::string& key, const std::string& v,
@@ -253,7 +262,7 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
       if (!u64_value(key, item, n)) return;
       out.push_back(n);
     }
-    if (out.empty()) ok = set_error(error, "empty list for " + key);
+    if (out.empty()) ok = fail(error, "empty list for " + key);
   };
 
   for (const auto& [key, value] : kv) {
@@ -264,7 +273,7 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
       spec.workloads = value == "all" ? trace::spec2006_names()
                                       : split_list(value);
       if (spec.workloads.empty())
-        ok = set_error(error, "empty list for workloads");
+        ok = fail(error, "empty list for workloads");
     } else if (key == "policies") {
       spec.policies.clear();
       if (value == "all") {
@@ -273,13 +282,13 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
         for (const auto& name : split_list(value)) {
           const auto kind = core::policy_from_string(name);
           if (!kind) {
-            ok = set_error(error, "unknown policy: " + name);
+            ok = fail(error, "unknown policy: " + name);
             break;
           }
           spec.policies.push_back(*kind);
         }
         if (ok && spec.policies.empty())
-          ok = set_error(error, "empty list for policies");
+          ok = fail(error, "empty list for policies");
       }
     } else if (key == "ecc") {
       std::vector<std::uint64_t> raw;
@@ -291,13 +300,13 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
       for (const auto& v : split_list(value)) {
         double d = 0.0;
         if (!common::parse_double(v, d)) {
-          ok = set_error(error, "bad value for read_ratios: '" + v + "'");
+          ok = fail(error, "bad value for read_ratios: '" + v + "'");
           break;
         }
         spec.read_ratios.push_back(d);
       }
       if (ok && spec.read_ratios.empty())
-        ok = set_error(error, "empty list for read_ratios");
+        ok = fail(error, "empty list for read_ratios");
     } else if (key == "seeds") {
       u64_list(key, value, spec.seeds);
     } else if (key == "campaign_seed") {
@@ -308,7 +317,7 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
       u64_value(key, value, spec.base.warmup_instructions);
     } else if (key == "clock_ghz") {
       if (!common::parse_double(value, spec.base.clock_ghz))
-        ok = set_error(error, "bad value for clock_ghz: '" + value + "'");
+        ok = fail(error, "bad value for clock_ghz: '" + value + "'");
     } else if (key == "scrub_every") {
       // A list populates the scrub axis; a single value degenerates to the
       // old scalar behaviour (axis of one).
@@ -328,16 +337,16 @@ std::optional<CampaignSpec> CampaignSpec::from_kv(
       if (u64_value(key, value, n))
         spec.base.hierarchy.l2.block_bytes = std::size_t(n);
     } else {
-      ok = set_error(error, "unknown spec key: " + key);
+      ok = fail(error, "unknown spec key: " + key);
     }
   }
   if (!ok) return std::nullopt;
   if (spec.workloads.empty()) {
-    set_error(error, "spec missing: workloads");
+    fail(error, "spec missing: workloads");
     return std::nullopt;
   }
   if (spec.policies.empty()) {
-    set_error(error, "spec missing: policies");
+    fail(error, "spec missing: policies");
     return std::nullopt;
   }
   return spec;
@@ -347,7 +356,7 @@ std::optional<std::map<std::string, std::string>> parse_spec_file(
     const std::string& path, std::string* error) {
   std::ifstream in(path);
   if (!in) {
-    set_error(error, "cannot open spec file: " + path);
+    fail(error, "cannot open spec file: " + path);
     return std::nullopt;
   }
   std::map<std::string, std::string> kv;
@@ -361,7 +370,7 @@ std::optional<std::map<std::string, std::string>> parse_spec_file(
     if (line.empty()) continue;
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      set_error(error, path + ":" + std::to_string(lineno) +
+      fail(error, path + ":" + std::to_string(lineno) +
                            ": expected `key = value`");
       return std::nullopt;
     }
@@ -381,17 +390,24 @@ const std::vector<std::string>& spec_cli_keys() {
   return keys;
 }
 
-std::optional<std::map<std::string, std::string>> spec_kv_from_cli(
-    const common::CliArgs& args, std::string* error) {
-  std::map<std::string, std::string> kv;
+std::optional<CliSpec> spec_from_cli(const common::CliArgs& args,
+                                     std::string* error) {
+  CliSpec out;
   if (args.has("spec")) {
     auto file_kv = parse_spec_file(args.get_string("spec", ""), error);
     if (!file_kv) return std::nullopt;
-    kv = std::move(*file_kv);
+    out.kv = std::move(*file_kv);
   }
   for (const auto& key : spec_cli_keys())
-    if (args.has(key)) kv[key] = args.get_string(key, "");
-  return kv;
+    if (args.has(key)) out.kv[key] = args.get_string(key, "");
+  if (out.kv.empty()) return out;
+  auto spec = CampaignSpec::from_kv(out.kv, error);
+  if (!spec) {
+    if (error) *error = "bad spec: " + *error;
+    return std::nullopt;
+  }
+  out.spec = std::move(*spec);
+  return out;
 }
 
 }  // namespace reap::campaign

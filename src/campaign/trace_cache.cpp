@@ -1,25 +1,8 @@
 #include "reap/campaign/trace_cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace reap::campaign {
-
-TracePlan trace_plan(const std::vector<CampaignPoint>& points) {
-  TracePlan plan;
-  std::unordered_set<std::string> seen;
-  for (const auto& pt : points) {
-    if (!seen.insert(pt.trace_key).second) continue;
-    plan.largest_bytes = std::max(
-        plan.largest_bytes,
-        trace::estimate_trace_bytes(
-            pt.config.workload,
-            pt.config.warmup_instructions + pt.config.instructions));
-  }
-  plan.groups = seen.size();
-  return plan;
-}
-
 namespace {
 
 void bump_peak(TraceCacheStats& stats, std::size_t now) {

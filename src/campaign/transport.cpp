@@ -16,19 +16,7 @@
 namespace reap::campaign {
 namespace {
 
-bool fail(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
-
-std::string join(const std::vector<std::string>& items, char sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += sep;
-    out += items[i];
-  }
-  return out;
-}
+using common::fail;
 
 std::vector<std::string> split_ws(const std::string& s) {
   std::vector<std::string> out;
@@ -289,7 +277,7 @@ std::unique_ptr<WorkerHandle> LocalTransport::launch(const WorkerPlan& plan,
   argv.push_back("--journal=" + plan.journal_path);
   argv.push_back("--resume");
   if (!plan.skip.empty())
-    argv.push_back("--skip-rows=" + join(plan.skip, ','));
+    argv.push_back("--skip-rows=" + common::join(plan.skip, ','));
   auto child = common::Child::spawn(argv, plan.log_path, error, transient);
   if (!child) return nullptr;
   return std::make_unique<LocalWorker>(std::move(*child));
@@ -412,7 +400,8 @@ std::unique_ptr<WorkerHandle> SshTransport::launch(const WorkerPlan& plan,
   // locally is excluded here, so a relaunch cannot duplicate a row.
   std::vector<std::string> skip = plan.skip;
   skip.insert(skip.end(), plan.done.begin(), plan.done.end());
-  if (!skip.empty()) cmd += " " + shq("--skip-rows=" + join(skip, ','));
+  if (!skip.empty())
+    cmd += " " + shq("--skip-rows=" + common::join(skip, ','));
 
   int fd = -1;
   auto child = common::Child::spawn_piped(ssh_argv(cmd), &fd, plan.log_path,

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "reap/common/fault.hpp"
 #include "reap/common/strings.hpp"
 
 namespace reap::common {
@@ -81,6 +82,20 @@ bool parse_shard(const std::string& text, std::size_t& index,
   if (n == 0 || i >= n) return false;
   index = std::size_t(i);
   count = std::size_t(n);
+  return true;
+}
+
+bool arm_faults(const CliArgs& args, std::string* error) {
+  std::string why;
+  if (!fault::arm_from_env(&why)) {
+    if (error) *error = std::string("bad ") + fault::kEnvVar + ": " + why;
+    return false;
+  }
+  if (args.has("inject-fault") &&
+      !fault::arm(args.get_string("inject-fault", ""), &why)) {
+    if (error) *error = "bad --inject-fault: " + why;
+    return false;
+  }
   return true;
 }
 

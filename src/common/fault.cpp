@@ -28,11 +28,6 @@ std::vector<ArmedFault>& registry() {
   return faults;
 }
 
-bool fail(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
-
 std::optional<Kind> kind_from(const std::string& name) {
   if (name == "crash") return Kind::crash;
   if (name == "hang") return Kind::hang;

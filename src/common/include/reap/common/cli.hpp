@@ -43,6 +43,11 @@ class CliArgs {
 bool parse_shard(const std::string& text, std::size_t& index,
                  std::size_t& count);
 
+// Arms fault-injection sites (common/fault.hpp) from the REAP_FAULT
+// environment, then from --inject-fault. Returns false with `error`
+// naming the bad source; the campaign CLIs call it first thing.
+bool arm_faults(const CliArgs& args, std::string* error);
+
 // Warns (to stderr) about every flag that was given but never queried --
 // the typo guard every CLI main ends with.
 void warn_unused(const CliArgs& args);

@@ -1,5 +1,5 @@
-// Strict numeric parsing and deterministic number formatting, shared by
-// the config kv round-trip, campaign spec parsing, and result sinks.
+// Strict numeric parsing, deterministic number formatting and the small
+// string helpers (split/join, the error-out `fail`) every layer shares.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +13,13 @@
 #include <vector>
 
 namespace reap::common {
+
+// Sets *error (when asked for) to `msg` and returns false: the failure
+// path of every `bool f(..., std::string* error)`.
+inline bool fail(std::string* error, const std::string& msg) {
+  if (error) *error = msg;
+  return false;
+}
 
 // Parse an entire string as an unsigned integer / double; reject empty
 // input and trailing garbage ("1e6" is NOT a valid u64, "two" is nothing).
@@ -95,6 +102,16 @@ inline std::vector<std::string> split(const std::string& s, char sep) {
     out.push_back(s.substr(pos, end - pos));
     if (next == std::string::npos) break;
     pos = next + 1;
+  }
+  return out;
+}
+
+// The inverse of split: the items with `sep` between them.
+inline std::string join(const std::vector<std::string>& items, char sep) {
+  std::string out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i) out += sep;
+    out += items[i];
   }
   return out;
 }

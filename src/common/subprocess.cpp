@@ -10,14 +10,10 @@
 #include <cstring>
 
 #include "reap/common/fault.hpp"
+#include "reap/common/strings.hpp"
 
 namespace reap::common {
 namespace {
-
-bool fail(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
 
 ExitStatus decode(int wstatus) {
   ExitStatus s;

@@ -10,14 +10,10 @@
 namespace reap::core {
 namespace {
 
+using common::fail;
 using common::fmt_double;
 using common::parse_double;
 using common::parse_u64;
-
-bool fail(std::string* error, const std::string& msg) {
-  if (error) *error = msg;
-  return false;
-}
 
 }  // namespace
 

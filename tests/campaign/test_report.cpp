@@ -1,6 +1,6 @@
 // Offline post-processing: loading rows back from CSV/JSONL, merging shard
-// outputs, and recomputing aggregates that match the in-memory path
-// byte-for-byte.
+// outputs, recomputing aggregates that match the in-memory path
+// byte-for-byte, and the output step the campaign CLIs share.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -254,6 +254,133 @@ TEST(Report, WritesFigureDataAndGnuplotScripts) {
   while (std::getline(fig5, row)) ++rows;
   EXPECT_EQ(rows, spec.workloads.size());
   std::filesystem::remove_all(dir);
+}
+
+// --- Output step -----------------------------------------------------------
+
+RowTable table_of(const Campaign& c) {
+  RowTable table;
+  table.header = result_header();
+  for (std::size_t i = 0; i < c.points.size(); ++i)
+    table.rows.push_back(result_cells(c.points[i], c.results[i]));
+  return table;
+}
+
+TEST(OutputStep, CheckRefusesUnknownBaselineAndFiguresWithoutOne) {
+  std::string error;
+  OutputRequest request;
+  ASSERT_TRUE(check_output_request(request, &error)) << error;
+  EXPECT_EQ(request.baseline, core::PolicyKind::conventional_parallel);
+
+  request.baseline_name = "typo";
+  EXPECT_FALSE(check_output_request(request, &error));
+  EXPECT_NE(error.find("unknown --baseline policy: typo"), std::string::npos);
+  EXPECT_FALSE(request.baseline);
+
+  request.baseline_name = "none";
+  ASSERT_TRUE(check_output_request(request, &error)) << error;
+  EXPECT_FALSE(request.baseline);
+  request.figures = "figs";
+  EXPECT_FALSE(check_output_request(request, &error));
+  EXPECT_NE(error.find("--figures"), std::string::npos);
+}
+
+TEST(OutputStep, WritesEveryRequestedSink) {
+  const auto spec = grid_24();
+  const auto c = run_fake(spec);
+  const auto ref_csv = temp_path("step_ref.csv");
+  const auto ref_jsonl = temp_path("step_ref.jsonl");
+  {
+    CsvResultSink csv(ref_csv);
+    JsonlResultSink jsonl(ref_jsonl);
+    emit_all(c.points, c.results, csv);
+    emit_all(c.points, c.results, jsonl);
+  }
+  OutputRequest request;
+  request.csv = temp_path("step.csv");
+  request.jsonl = temp_path("step.jsonl");
+  request.figures = temp_path("step_figures");
+  std::string error;
+  ASSERT_TRUE(check_output_request(request, &error)) << error;
+  auto sinks = open_sinks(request, result_header(), &error);
+  ASSERT_TRUE(sinks) << error;
+  const auto table = table_of(c);
+  const auto out =
+      write_outputs(table, request, std::move(*sinks), true, &error);
+  ASSERT_TRUE(out) << error;
+
+  EXPECT_EQ(file_bytes(ref_csv), file_bytes(*request.csv));
+  EXPECT_EQ(file_bytes(ref_jsonl), file_bytes(*request.jsonl));
+  const auto in_memory = aggregate(spec, c.points, c.results,
+                                   core::PolicyKind::conventional_parallel);
+  ASSERT_TRUE(in_memory);
+  ASSERT_TRUE(out->agg);
+  EXPECT_EQ(out->tables, in_memory->render());
+  EXPECT_EQ(out->figure_files.size(), 5u);
+  for (const auto& path : out->figure_files)
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+
+  // Without `aggregate` the step writes the rows and nothing else.
+  const auto rows_only = temp_path("step_rows_only");
+  std::filesystem::remove_all(rows_only);
+  request.figures = rows_only;
+  sinks = open_sinks(request, result_header(), &error);
+  ASSERT_TRUE(sinks) << error;
+  const auto rows =
+      write_outputs(table, request, std::move(*sinks), false, &error);
+  ASSERT_TRUE(rows) << error;
+  EXPECT_FALSE(rows->agg);
+  EXPECT_TRUE(rows->tables.empty());
+  EXPECT_TRUE(rows->figure_files.empty());
+  EXPECT_FALSE(std::filesystem::exists(rows_only));
+  EXPECT_EQ(file_bytes(ref_csv), file_bytes(*request.csv));
+
+  for (const auto& p : {ref_csv, ref_jsonl, *request.csv, *request.jsonl})
+    std::remove(p.c_str());
+  std::filesystem::remove_all(temp_path("step_figures"));
+}
+
+TEST(OutputStep, ForeignColumnsAreRefusedBeforeAnySinkTruncates) {
+  const auto path = temp_path("step_keep.csv");
+  {
+    std::ofstream out(path);
+    out << "precious\n";
+  }
+  OutputRequest request;
+  request.csv = path;
+  auto columns = result_header();
+  columns.push_back("extra");
+  std::string error;
+  EXPECT_FALSE(open_sinks(request, columns, &error));
+  EXPECT_NE(error.find("columns differ"), std::string::npos);
+  EXPECT_EQ(file_bytes(path), "precious\n");
+
+  // No sink requested: any columns will do (aggregation reads by name).
+  request.csv.reset();
+  EXPECT_TRUE(open_sinks(request, columns, &error)) << error;
+
+  request.csv = temp_path("no_such_dir/out.csv");
+  EXPECT_FALSE(open_sinks(request, result_header(), &error));
+  EXPECT_NE(error.find("cannot write csv output"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(OutputStep, FailedAggregationIsAnErrorOnlyWithFigures) {
+  auto spec = grid_24();
+  spec.policies = {core::PolicyKind::reap};
+  const auto table = table_of(run_fake(spec));
+  OutputRequest request;
+  std::string error;
+  ASSERT_TRUE(check_output_request(request, &error)) << error;
+  const auto out = write_outputs(table, request, {}, true, &error);
+  ASSERT_TRUE(out) << error;
+  EXPECT_FALSE(out->agg);
+  EXPECT_NE(out->agg_error.find("baseline"), std::string::npos);
+
+  request.figures = temp_path("step_no_figures");
+  EXPECT_FALSE(write_outputs(table, request, {}, true, &error));
+  EXPECT_EQ(error.rfind("no aggregates: ", 0), 0u) << error;
+  EXPECT_FALSE(std::filesystem::exists(*request.figures));
 }
 
 }  // namespace

@@ -293,28 +293,5 @@ TEST(RowOutput, KvStringMatchesTheStreamForm) {
   EXPECT_EQ(core::to_kv_string(cfg), kv_string_by_stream(cfg));
 }
 
-TEST(MultiSink, FansOut) {
-  const std::string p1 = ::testing::TempDir() + "/reap_multi1.csv";
-  const std::string p2 = ::testing::TempDir() + "/reap_multi2.jsonl";
-  {
-    CsvResultSink csv(p1);
-    JsonlResultSink jsonl(p2);
-    MultiSink multi;
-    multi.attach(&csv);
-    multi.attach(&jsonl);
-    multi.attach(nullptr);  // ignored
-    multi.add(sample_point(), sample_result());
-  }
-  std::ifstream a(p1), b(p2);
-  std::string line;
-  std::size_t a_lines = 0, b_lines = 0;
-  while (std::getline(a, line)) ++a_lines;
-  while (std::getline(b, line)) ++b_lines;
-  EXPECT_EQ(a_lines, 2u);  // header + row
-  EXPECT_EQ(b_lines, 1u);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-}
-
 }  // namespace
 }  // namespace reap::campaign

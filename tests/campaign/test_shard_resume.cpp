@@ -119,10 +119,8 @@ TEST(StreamingPipeline, MergedOutputByteIdenticalToDirectSinks) {
   {
     CsvResultSink csv(direct_csv);
     JsonlResultSink jsonl(direct_jsonl);
-    MultiSink sinks;
-    sinks.attach(&csv);
-    sinks.attach(&jsonl);
-    emit_all(points, results, sinks);
+    emit_all(points, results, csv);
+    emit_all(points, results, jsonl);
   }
 
   // Streaming path, completion order deliberately scrambled.
@@ -142,10 +140,9 @@ TEST(StreamingPipeline, MergedOutputByteIdenticalToDirectSinks) {
   {
     CsvResultSink csv(merged_csv);
     JsonlResultSink jsonl(merged_jsonl);
-    MultiSink sinks;
-    sinks.attach(&csv);
-    sinks.attach(&jsonl);
-    emit_rows(merge_journal_rows(std::move(rows), {}), sinks);
+    const auto merged = merge_journal_rows(std::move(rows), {});
+    emit_rows(merged, csv);
+    emit_rows(merged, jsonl);
   }
 
   EXPECT_EQ(file_bytes(direct_csv), file_bytes(merged_csv));

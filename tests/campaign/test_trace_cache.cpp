@@ -88,11 +88,9 @@ CampaignFiles run_pipeline(const CampaignSpec& spec,
 
   CsvResultSink csv(files.csv);
   JsonlResultSink jsonl(files.jsonl);
-  MultiSink sinks;
-  sinks.attach(&csv);
-  sinks.attach(&jsonl);
   const auto merged = merge_journal_rows(std::move(rows), {});
-  emit_rows(merged, sinks);
+  emit_rows(merged, csv);
+  emit_rows(merged, jsonl);
   return files;
 }
 
