@@ -208,7 +208,9 @@ DispatchResult Dispatcher::run() {
     result.ok = false;
     result.status = st;
     result.error = std::move(msg);
-    return result;
+    // Every return of run() goes through here or `finish`: hand the result
+    // over rather than copy it (its shards may hold every row of the run).
+    return std::move(result);
   };
 
   if (opts_.campaign_binary.empty() && opts_.transports.empty())
@@ -217,20 +219,23 @@ DispatchResult Dispatcher::run() {
   if (opts_.max_attempts == 0)
     return fail("dispatch: max_attempts must be >= 1");
 
+  // The plan needs only the grid's size: workers spawn without the
+  // supervisor expanding the spec (see `grid` below). A bad spec is still
+  // refused here, before anything launches.
   std::string error;
   const auto spec = CampaignSpec::from_kv(spec_kv_, &error);
   if (!spec) return fail("bad spec: " + error);
-  std::vector<CampaignPoint> points;
   try {
-    points = expand(*spec);
+    validate(*spec);
   } catch (const std::exception& e) {
     return fail(e.what());
   }
-  result.points = points.size();
+  const std::size_t n_points = spec->size();
+  result.points = n_points;
 
   // plan_dispatch only fails when the work dir belongs to a different
   // spec or shard split -- the spec_mismatch exit condition.
-  const auto plan = plan_dispatch(*spec, points.size(), opts_, &error);
+  const auto plan = plan_dispatch(*spec, n_points, opts_, &error);
   if (!plan) return fail(error, DispatchStatus::spec_mismatch);
   const std::size_t workers = plan->workers;
   const std::size_t n_shards = plan->n_shards;
@@ -307,22 +312,35 @@ DispatchResult Dispatcher::run() {
   std::vector<ShardState> shards(n_shards);
   for (std::size_t i = 0; i < n_shards; ++i) {
     auto& s = shards[i];
-    s.expected = shard_size(points.size(), i, n_shards);
+    s.expected = shard_size(n_points, i, n_shards);
     const auto base = opts_.work_dir + "/shard_" + std::to_string(i);
     s.journal_path = base + ".journal";
     s.log_path = base + ".log";
     s.tailer.emplace(s.journal_path);
   }
 
-  // Shard membership (index striping, matching campaign::shard) and the
-  // key->point map the quarantine machinery navigates by.
-  std::vector<std::vector<const CampaignPoint*>> members(n_shards);
-  std::unordered_map<std::string, const CampaignPoint*> by_key;
-  by_key.reserve(points.size());
-  for (const auto& p : points) {
-    members[p.index % n_shards].push_back(&p);
-    by_key.emplace(p.key, &p);
-  }
+  // The expanded grid by shard (campaign::shard_of) and by key: what the
+  // quarantine machinery navigates by -- a sidecar of a previous run, a
+  // bisect, a pinned point. Built the first time one of them asks, so a
+  // run that needs none never expands the spec.
+  struct Grid {
+    std::vector<CampaignPoint> points;
+    std::vector<std::vector<const CampaignPoint*>> members;
+    std::unordered_map<std::string, const CampaignPoint*> by_key;
+  };
+  std::optional<Grid> built_grid;
+  const auto grid = [&]() -> const Grid& {
+    if (built_grid) return *built_grid;
+    auto& g = built_grid.emplace();
+    g.points = expand(*spec);  // validated above
+    g.members.resize(n_shards);
+    g.by_key.reserve(g.points.size());
+    for (const auto& p : g.points) {
+      g.members[shard_of(p.index, n_shards)].push_back(&p);
+      g.by_key.emplace(p.key, &p);
+    }
+    return g;
+  };
 
   // Quarantine sidecar: already-quarantined points of a previous run
   // stay quarantined -- a re-dispatch must not re-poison itself on them.
@@ -339,9 +357,10 @@ DispatchResult Dispatcher::run() {
         if (k == "key") key = v;
         else if (k == "reason") reason = v;
       }
+      const auto& by_key = grid().by_key;
       const auto it = by_key.find(key);
       if (it == by_key.end()) continue;  // stale entry; spec check caught worse
-      const std::size_t shard_i = it->second->index % n_shards;
+      const std::size_t shard_i = shard_of(it->second->index, n_shards);
       if (!shards[shard_i].quarantined.insert(key).second) continue;
       result.quarantined.push_back(
           {key, it->second->index, shard_i, reason});
@@ -353,7 +372,7 @@ DispatchResult Dispatcher::run() {
                                     const std::string& reason) {
     auto& s = shards[shard_i];
     if (!s.quarantined.insert(key).second) return;
-    const std::uint64_t index = by_key.at(key)->index;
+    const std::uint64_t index = grid().by_key.at(key)->index;
     result.quarantined.push_back({key, index, shard_i, reason});
     std::ofstream out(sidecar, std::ios::app);
     out << "{\"key\":\"" << common::json_escape(key)
@@ -456,15 +475,19 @@ DispatchResult Dispatcher::run() {
     slots.clear();  // ~WorkerHandle kills and reaps anything still running
     result.shards.clear();
     for (std::size_t i = 0; i < n_shards; ++i) {
-      const auto& s = shards[i];
+      auto& s = shards[i];
+      // Rows one worker wrote start to finish are the rows the tailer read;
+      // a retried shard's journal may have been healed or rewritten since.
+      std::optional<RowTable> table;
+      if (ok && s.completed && s.attempts == 1) table = s.tailer->take_rows();
       result.shards.push_back({i, s.attempts, s.completed,
                                s.tailer->rows_seen(), s.journal_path,
-                               s.log_path});
+                               s.log_path, std::move(table)});
     }
     if (!ok) return fail(std::move(msg), st);
     result.ok = true;
     result.status = st;
-    return result;
+    return std::move(result);
   };
 
   // Tails one shard's journal: records the keys that landed (the
@@ -480,7 +503,7 @@ DispatchResult Dispatcher::run() {
       e.shard = shard_i;
       e.rows = s.tailer->rows_seen();
       e.done = rows_done;
-      e.total = points.size();
+      e.total = n_points;
     });
   };
 
@@ -710,7 +733,7 @@ DispatchResult Dispatcher::run() {
             std::filesystem::exists(s.journal_path, jec) && !jec;
         std::vector<std::string> fresh_suspects;
         if (has_journal)
-          for (const auto* p : members[slot->shard])
+          for (const auto* p : grid().members[slot->shard])
             if (!s.done_keys.count(p->key) && !s.quarantined.count(p->key))
               fresh_suspects.push_back(p->key);
         if (!fresh_suspects.empty()) {
@@ -753,23 +776,31 @@ DispatchResult Dispatcher::run() {
   return finish(true, "", DispatchStatus::ok);
 }
 
-std::optional<RowTable> merge_dispatch_journals(
-    const std::vector<std::string>& journal_paths, std::string* error) {
-  // Journals load in parallel, one per thread up to the core count
-  // (load_rows shares no state); the verdicts are then read in path order,
-  // so the error is the first failing path's, as a sequential load would
-  // report it.
+namespace {
+
+// Merges the shards' tables in path order. A table not given in `tables`
+// is loaded from its journal: in parallel, one per thread up to the core
+// count (load_rows shares no state). The verdicts are then read in path
+// order, so the error is the first failing path's, as a sequential load
+// would report it.
+std::optional<RowTable> merge_shard_tables(
+    const std::vector<std::string>& journal_paths,
+    std::vector<std::optional<RowTable>> tables, std::string* error) {
   const std::size_t n = journal_paths.size();
-  std::vector<std::optional<RowTable>> tables(n);
+  std::vector<std::size_t> missing;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!tables[i]) missing.push_back(i);
   std::vector<std::string> errors(n);
   std::atomic<std::size_t> next{0};
   const auto load = [&] {
-    for (std::size_t i; (i = next.fetch_add(1)) < n;)
+    for (std::size_t k; (k = next.fetch_add(1)) < missing.size();) {
+      const std::size_t i = missing[k];
       tables[i] = load_rows(journal_paths[i], &errors[i]);
+    }
   };
-  {
+  if (!missing.empty()) {
     const std::size_t threads = std::min<std::size_t>(
-        n, std::max(1u, std::thread::hardware_concurrency()));
+        missing.size(), std::max(1u, std::thread::hardware_concurrency()));
     std::vector<std::jthread> helpers;
     for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(load);
     load();
@@ -784,6 +815,28 @@ std::optional<RowTable> merge_dispatch_journals(
     loaded.push_back(std::move(*tables[i]));
   }
   return merge_tables(std::move(loaded), error);
+}
+
+}  // namespace
+
+std::optional<RowTable> merge_dispatch_journals(
+    const std::vector<std::string>& journal_paths, std::string* error) {
+  return merge_shard_tables(
+      journal_paths, std::vector<std::optional<RowTable>>(journal_paths.size()),
+      error);
+}
+
+std::optional<RowTable> merge_dispatch(std::vector<ShardOutcome> shards,
+                                       std::string* error) {
+  std::vector<std::string> paths;
+  std::vector<std::optional<RowTable>> tables;
+  paths.reserve(shards.size());
+  tables.reserve(shards.size());
+  for (auto& s : shards) {
+    paths.push_back(std::move(s.journal_path));
+    tables.push_back(std::move(s.table));
+  }
+  return merge_shard_tables(paths, std::move(tables), error);
 }
 
 }  // namespace reap::campaign

@@ -2,9 +2,10 @@
 //
 // A campaign is a durable, partitionable artifact (--shard, --journal,
 // --resume); the dispatcher turns that into a one-command distributed
-// run. It expands the spec, splits the grid into N shards, and keeps K
-// `reap_campaign --shard=i/N` workers busy until every shard's journal is
-// complete:
+// run. It splits the grid into N shards and keeps K `reap_campaign
+// --shard=i/N` workers busy until every shard's journal is complete (the
+// supervisor plans from the grid's size; it expands the spec only when the
+// quarantine machinery needs the points):
 //
 //   - a worker that crashes (or is killed) is restarted on the same
 //     journal; --resume skips the rows that already landed, so no work
@@ -16,7 +17,9 @@
 //   - on completion the shard journals merge through the report layer
 //     into CSV/JSONL byte-identical to an un-sharded single-process run
 //     (the same guarantee reap_report gives, pinned by
-//     tests/campaign/test_dispatch.cpp and the CI dispatch smoke).
+//     tests/campaign/test_dispatch.cpp and the CI dispatch smoke). A
+//     shard one worker finished cleanly merges from the rows its tailer
+//     already read (merge_dispatch); any other shard re-reads its journal.
 //
 // Because every shard journals into work_dir, the dispatcher itself is
 // resumable: re-running it with the same spec and work_dir re-launches
@@ -224,6 +227,11 @@ struct ShardOutcome {
   std::size_t rows = 0;  // journaled rows observed (== shard size if done)
   std::string journal_path;
   std::string log_path;
+  // The journal's rows as load_rows would read them, kept from tailing
+  // (JournalTailer::take_rows): set on a successful run for a shard that
+  // completed in one attempt and whose journal the tailer read whole and
+  // undamaged, unchanged since. merge_dispatch loads the others.
+  std::optional<RowTable> table;
 };
 
 struct DispatchResult {
@@ -265,7 +273,7 @@ std::optional<DispatchPlan> plan_dispatch(const CampaignSpec& spec,
 class Dispatcher {
  public:
   // `spec_kv` is the fully resolved key/value spec (spec_from_cli's
-  // CliSpec::kv). The dispatcher expands it locally for the shard plan
+  // CliSpec::kv). The dispatcher parses it locally for the shard plan
   // and forwards it to every worker as --key=value flags, so supervisor
   // and workers parse the identical spec (and the workers' journal
   // spec-hash check would refuse any drift).
@@ -289,5 +297,11 @@ class Dispatcher {
 std::optional<RowTable> merge_dispatch_journals(
     const std::vector<std::string>& journal_paths,
     std::string* error = nullptr);
+
+// merge_dispatch_journals over the shards' journal paths, except that a
+// shard that kept its rows (ShardOutcome::table) merges from them instead
+// of re-reading its journal. Same table, same errors.
+std::optional<RowTable> merge_dispatch(std::vector<ShardOutcome> shards,
+                                       std::string* error = nullptr);
 
 }  // namespace reap::campaign

@@ -36,6 +36,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "reap/campaign/report.hpp"
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/spec.hpp"
 #include "reap/common/jsonl.hpp"
@@ -80,7 +81,8 @@ enum class RowVerdict {
 
 // The one journal-row parser. read_journal, JournalTailer::poll and
 // load_rows (reap_report, merge_dispatch_journals) all classify lines with
-// it, so they cannot disagree on a line. It works in place: fields are
+// it, so they cannot disagree on a line (the latter two through
+// JsonlRowReader). It works in place: fields are
 // views into the line, the checksum is computed over the line's bytes
 // (common::crc32c's two-piece form supplies the restored closing brace)
 // and column names are compared where they sit.
@@ -117,6 +119,50 @@ class JournalRowParser {
  private:
   std::vector<common::JsonlField> fields_;
   bool has_crc_ = false;
+};
+
+// The one line->row path of a JSONL row file -- an execution journal or
+// JSONL sink output -- fed a line at a time. load_rows reads a whole file
+// through it and JournalTailer the lines a live journal grows by, so the
+// rows the dispatcher keeps while tailing are the rows load_rows would
+// load from the same bytes.
+//
+// A journal header line sets the table's columns and grid size; in a
+// journal every other line is a row and gets read_journal's verdict. In
+// sink output the first row names the columns (a leading "key" field is
+// not a column).
+class JsonlRowReader {
+ public:
+  enum class Line {
+    header,   // a journal header line
+    row,      // a row, appended to table()
+    torn,     // does not parse, or a journal row of the wrong shape: a torn
+              // tail when it is a file's last line, damage anywhere else
+    damaged,  // damage wherever it sits
+  };
+
+  // Reads one non-empty line.
+  Line add(std::string_view line);
+
+  // Why the last torn or damaged line was refused, in load_rows' words.
+  const char* what() const { return what_; }
+
+  // Whether the last line parsed with its checksum (if any) intact: the
+  // parser's verdict before any row-shape check. parser() then views its
+  // fields.
+  bool sound() const { return sound_; }
+  const JournalRowParser& parser() const { return parser_; }
+
+  // The rows so far. load_rows refuses a table without columns or rows.
+  RowTable& table() { return table_; }
+
+ private:
+  JournalRowParser parser_;
+  JournalRow row_;
+  RowTable table_;
+  bool journal_ = false;  // a journal header set the columns
+  bool sound_ = false;
+  const char* what_ = "";
 };
 
 // One line read_journal could not accept as a row: where and why. Corrupt
@@ -227,6 +273,10 @@ bool journal_compatible(const JournalHeader& header, const CampaignSpec& spec,
 // rewrite that dropped a corrupt row can grow back past the old offset
 // before the next poll, and resuming at that offset would skip the rows
 // in between.
+//
+// Every line goes through a JsonlRowReader, so the tailer also keeps the
+// rows it read: at the end of a run they are the journal's table without
+// reading the file again (take_rows).
 class JournalTailer {
  public:
   explicit JournalTailer(std::string path);
@@ -246,13 +296,24 @@ class JournalTailer {
 
   const std::string& path() const { return path_; }
 
+  // The table load_rows would read from the journal now, built from the
+  // lines poll() has read -- when that is certain: every line read was a
+  // header or a row, the file was never replaced or shrunk under the
+  // tailer, and the file at the path is still exactly the bytes consumed
+  // (same identity, size == offset()). nullopt otherwise, and for a table
+  // load_rows would refuse; the caller then loads the file. Moves the rows
+  // out: call once, after the last poll().
+  std::optional<RowTable> take_rows();
+
  private:
   std::string path_;
   std::uint64_t offset_ = 0;  // bytes consumed through the last complete line
   std::uint64_t dev_ = 0;     // identity of the file offset_ refers to
   std::uint64_t ino_ = 0;
+  bool opened_ = false;       // dev_/ino_ name a file already read
+  bool intact_ = true;        // no damaged line, no replacement so far
   std::unordered_set<std::string> seen_;
-  JournalRowParser parser_;
+  JsonlRowReader reader_;
 };
 
 // Concatenates completion-order row batches, drops duplicate keys (first

@@ -18,6 +18,7 @@
 
 #include "reap/campaign/aggregate.hpp"
 #include "reap/campaign/result_sink.hpp"
+#include "reap/common/file.hpp"
 
 namespace reap::campaign {
 
@@ -86,7 +87,9 @@ std::optional<CampaignAggregates> aggregate_rows(
 // from the aggregates: fig5_mttf.csv / fig6_energy.csv (per-workload
 // bars), policy_summary.csv (the ablation table), and gnuplot scripts
 // fig5.gp / fig6.gp that render them. Creates `dir` if needed; returns
-// the paths written, or nullopt on I/O failure.
+// the paths written, or nullopt on I/O failure. Each file is written
+// beside its target and renamed into place only once all five are
+// written, so a failure leaves the existing files as they were.
 std::optional<std::vector<std::string>> write_figure_data(
     const CampaignAggregates& agg, const std::string& dir,
     std::string* error = nullptr);
@@ -111,15 +114,20 @@ struct OutputRequest {
 // (figures are drawn from the aggregates).
 bool check_output_request(OutputRequest& request, std::string* error);
 
-// The row sinks a request asks for, opened (each one truncates its file).
+// The row sinks a request asks for, each open on a temporary file beside
+// its target (common::FileReplacement). write_outputs renames them into
+// place once every output is written; sinks destroyed before that -- a
+// refused or failed run -- remove them, so every existing file is left
+// byte-identical.
 struct OutputSinks {
+  std::optional<common::FileReplacement> csv_file, jsonl_file;
   std::unique_ptr<CsvResultSink> csv;
   std::unique_ptr<JsonlResultSink> jsonl;
 };
 
 // Opens the request's sinks for rows with `columns`. The sinks write this
-// binary's schema, so other columns are refused -- before any file is
-// truncated -- as is a path that cannot be opened.
+// binary's schema, so other columns are refused, as is a path that cannot
+// be opened; no target is touched either way.
 std::optional<OutputSinks> open_sinks(const OutputRequest& request,
                                       const std::vector<std::string>& columns,
                                       std::string* error);
@@ -133,13 +141,15 @@ struct WrittenOutputs {
 };
 
 // Writes `table` (merged and index-ordered, with the columns `sinks` were
-// opened for) through the sinks and closes them. With `aggregate` (and
-// request.baseline set) aggregate_rows runs on a second thread while the
-// sinks write, and the figure data the request asks for is then written
-// from its result; without it no figures are written. A failed
-// aggregation is reported in agg_error, not as an error -- unless figures
-// were asked for. Returns nullopt with `error` set when a file cannot be
-// written.
+// opened for) through the sinks and closes them, checking that every row
+// landed. With `aggregate` (and request.baseline set) aggregate_rows runs
+// on a second thread while the sinks write, and the figure data the
+// request asks for is then written from its result; without it no figures
+// are written. A failed aggregation is reported in agg_error, not as an
+// error -- unless figures were asked for. The row files are renamed into
+// place last. Returns nullopt with `error` naming the path when a file
+// cannot be written (a full disk included); the row targets are then
+// left as they were.
 std::optional<WrittenOutputs> write_outputs(const RowTable& table,
                                             const OutputRequest& request,
                                             OutputSinks sinks, bool aggregate,

@@ -48,13 +48,17 @@ class ResultSink {
   }
 };
 
-// CSV file with result_header() columns.
+// CSV file with result_header() columns. ok() turns false when the open
+// or a write fails (a full disk shows when a buffer flushes), and rows
+// after that are dropped; close() flushes and says whether every row
+// landed. A sink destroyed unclosed closes unchecked.
 class CsvResultSink final : public ResultSink {
  public:
   explicit CsvResultSink(const std::string& path);
   ~CsvResultSink() override;
   bool ok() const;
   void add_cells(const std::vector<std::string>& cells) override;
+  bool close();
 
  private:
   struct Impl;
@@ -62,12 +66,14 @@ class CsvResultSink final : public ResultSink {
 };
 
 // One JSON object per line (JSONL); keys are result_header() names.
+// ok() and close() as CsvResultSink's.
 class JsonlResultSink final : public ResultSink {
  public:
   explicit JsonlResultSink(const std::string& path);
   ~JsonlResultSink() override;
   bool ok() const;
   void add_cells(const std::vector<std::string>& cells) override;
+  bool close();
 
  private:
   struct Impl;

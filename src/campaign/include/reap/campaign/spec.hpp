@@ -91,24 +91,42 @@ struct CampaignPoint {
   core::ExperimentConfig config;
 };
 
-// Expands the grid. Throws std::invalid_argument on an invalid spec
-// (empty mandatory axis, unknown workload name, duplicate values on an
-// axis -- row keys are value-derived, so axis values must be distinct).
+// Refuses what expand() refuses, without building a point: throws
+// std::invalid_argument on an invalid spec (empty mandatory axis, unknown
+// workload name, duplicate values on an axis -- row keys are
+// value-derived, so axis values must be distinct). A spec that passes
+// expands to exactly spec.size() points.
+void validate(const CampaignSpec& spec);
+
+// Expands the grid (after validate(), whose exceptions it lets through).
 std::vector<CampaignPoint> expand(const CampaignSpec& spec);
 
-// The points of shard `shard_index` of `shard_count`: every point with
-// index % shard_count == shard_index, expansion order preserved (original
-// indices retained). The shards of a spec partition its expansion exactly;
-// striping by index balances expensive workloads (contiguous in expansion
-// order) across shards. Throws std::invalid_argument when shard_count == 0
-// or shard_index >= shard_count.
+// The shard, of `shard_count`, that the grid point at `index` belongs to:
+// index % shard_count. Striping by index balances expensive workloads
+// (contiguous in expansion order) across shards. The one membership rule:
+// shard(), the sharded expand() and the dispatcher's shard bookkeeping all
+// ask it, so a different split changes this function alone (and
+// shard_size(), its closed-form count).
+std::size_t shard_of(std::size_t index, std::size_t shard_count);
+
+// Expands only the points of shard `shard_index` of `shard_count`:
+// exactly shard(expand(spec), shard_index, shard_count), without building
+// the other shards' points. Throws what expand() and shard() throw.
+std::vector<CampaignPoint> expand(const CampaignSpec& spec,
+                                  std::size_t shard_index,
+                                  std::size_t shard_count);
+
+// The points of shard `shard_index` of `shard_count` (see shard_of),
+// expansion order preserved (original indices retained). The shards of a
+// spec partition its expansion exactly. Throws std::invalid_argument when
+// shard_count == 0 or shard_index >= shard_count.
 std::vector<CampaignPoint> shard(const std::vector<CampaignPoint>& points,
                                  std::size_t shard_index,
                                  std::size_t shard_count);
 
 // |shard(points, shard_index, shard_count)| for a grid of `n_points`,
 // without materializing anything: the count of indices in [0, n_points)
-// congruent to shard_index mod shard_count. Same argument contract as
+// that shard_of places in shard `shard_index`. Same argument contract as
 // shard().
 std::size_t shard_size(std::size_t n_points, std::size_t shard_index,
                        std::size_t shard_count);

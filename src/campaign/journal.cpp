@@ -125,6 +125,63 @@ RowVerdict JournalRowParser::parse(std::string_view line,
   return to_row(columns, row) ? RowVerdict::ok : RowVerdict::malformed;
 }
 
+JsonlRowReader::Line JsonlRowReader::add(std::string_view line) {
+  const auto refuse = [this](Line verdict, const char* what) {
+    what_ = what;
+    return verdict;
+  };
+  const RowVerdict verdict = parser_.scan(line);
+  sound_ = verdict == RowVerdict::ok;
+  if (verdict == RowVerdict::malformed)
+    return refuse(Line::torn, "malformed JSONL");
+  if (verdict == RowVerdict::bad_crc)
+    return refuse(Line::damaged, "row CRC mismatch");
+  const auto& fields = parser_.fields();
+  // A journal header line carries the column schema and the grid size;
+  // keep the size so the completeness check can catch a dense prefix.
+  if (!fields.empty() && fields[0].name_is("format")) {
+    if (fields[0].value_text() != kJournalFormat)
+      return refuse(Line::damaged, "unsupported journal format");
+    for (const auto& f : fields) {
+      std::uint64_t n = 0;
+      if (f.name_is("points") && common::parse_u64(f.value_text(), n)) {
+        table_.expected_points = n;
+      } else if (f.name_is("columns") && table_.header.empty()) {
+        table_.header = common::split(f.value_text(), ',');
+        journal_ = true;
+      }
+    }
+    return Line::header;
+  }
+  // In a journal every other line is a row and gets read_journal's
+  // verdict: a row without its checksum is damage; the wrong shape is a
+  // malformed row, which on the last line is a torn tail.
+  if (journal_) {
+    if (!parser_.has_crc()) return refuse(Line::damaged, "row without CRC");
+    if (!parser_.to_row(table_.header, row_))
+      return refuse(Line::torn, "inconsistent columns");
+    table_.rows.push_back(std::move(row_.cells));
+    return Line::row;
+  }
+  // Sink rows: the first one names the columns. Journal rows lead with
+  // their key, which is not a column.
+  const std::size_t begin = parser_.has_key() ? 1 : 0;
+  if (table_.header.empty())
+    for (std::size_t i = begin; i < fields.size(); ++i)
+      table_.header.push_back(fields[i].name_text());
+  if (fields.size() - begin != table_.header.size())
+    return refuse(Line::damaged, "inconsistent columns");
+  std::vector<std::string> cells;
+  cells.reserve(table_.header.size());
+  for (std::size_t i = begin; i < fields.size(); ++i) {
+    if (!fields[i].name_is(table_.header[i - begin]))
+      return refuse(Line::damaged, "inconsistent columns");
+    cells.push_back(fields[i].value_text());
+  }
+  table_.rows.push_back(std::move(cells));
+  return Line::row;
+}
+
 JournalHeader JournalHeader::for_run(const CampaignSpec& spec,
                                      std::size_t n_points,
                                      std::size_t shard_index,
@@ -343,7 +400,12 @@ std::vector<std::string> JournalTailer::poll() {
   // being re-reported.
   const auto dev = static_cast<std::uint64_t>(st.st_dev);
   const auto ino = static_cast<std::uint64_t>(st.st_ino);
-  if (dev != dev_ || ino != ino_ || size < offset_) offset_ = 0;
+  if (dev != dev_ || ino != ino_ || size < offset_) {
+    // The rows kept so far came from the old file.
+    if (opened_) intact_ = false;
+    offset_ = 0;
+  }
+  opened_ = true;
   dev_ = dev;
   ino_ = ino;
   if (size == offset_) return fresh;
@@ -369,18 +431,35 @@ std::vector<std::string> JournalTailer::poll() {
     const auto nl = text.find('\n', pos);
     const auto line = text.substr(pos, nl - pos);
     pos = nl + 1;
+    if (line.empty()) continue;
+    const auto read = reader_.add(line);
+    if (read != JsonlRowReader::Line::header &&
+        read != JsonlRowReader::Line::row)
+      intact_ = false;
     // Rows lead with a "key" field; the header line (and any malformed
     // mid-flight content) does not and is skipped. A row whose checksum
     // fails or is missing is damage, not progress: skip it unseen so the
     // supervisor still counts that point as outstanding.
-    if (line.empty() || parser_.scan(line) != RowVerdict::ok ||
-        !parser_.has_crc() || !parser_.has_key())
-      continue;
-    auto key = parser_.fields()[0].value_text();
+    const auto& parser = reader_.parser();
+    if (!reader_.sound() || !parser.has_crc() || !parser.has_key()) continue;
+    auto key = parser.fields()[0].value_text();
     if (seen_.insert(key).second) fresh.push_back(std::move(key));
   }
   offset_ += last_nl + 1;
   return fresh;
+}
+
+std::optional<RowTable> JournalTailer::take_rows() {
+  if (!intact_ || !opened_) return std::nullopt;
+  struct stat st {};
+  if (::stat(path_.c_str(), &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_dev) != dev_ ||
+      static_cast<std::uint64_t>(st.st_ino) != ino_ ||
+      static_cast<std::uint64_t>(st.st_size) != offset_)
+    return std::nullopt;
+  auto& table = reader_.table();
+  if (table.header.empty() || table.rows.empty()) return std::nullopt;
+  return std::move(table);
 }
 
 std::vector<JournalRow> merge_journal_rows(std::vector<JournalRow> a,

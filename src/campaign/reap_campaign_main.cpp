@@ -130,15 +130,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<campaign::CampaignPoint> points;
-  try {
-    points = campaign::expand(spec);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-
-  // Shard selection: deterministic, disjoint coverage by index stripe.
+  // Shard selection: deterministic, disjoint coverage (campaign::shard_of).
   std::size_t shard_index = 0, shard_count = 1;
   if (args.has("shard") &&
       !common::parse_shard(args.get_string("shard", ""), shard_index,
@@ -148,7 +140,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool sharded = shard_count > 1;
-  const auto mine = campaign::shard(points, shard_index, shard_count);
+
+  // Only this shard's points are built; the grid's size is the spec's.
+  std::vector<campaign::CampaignPoint> mine;
+  try {
+    mine = campaign::expand(spec, shard_index, shard_count);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  const std::size_t n_points = spec.size();
+  const std::size_t shard_points = mine.size();
 
   // --trace-cache-mb is accepted and has no effect: every pass generates
   // its own op stream (see docs/campaign.md, "Trace replay and sharding").
@@ -159,11 +161,10 @@ int main(int argc, char** argv) {
   const std::string trace_dir = args.get_string("trace-dir", "");
 
   if (args.has("dry-run")) {
-    std::printf("campaign '%s': %zu points\n", spec.name.c_str(),
-                points.size());
+    std::printf("campaign '%s': %zu points\n", spec.name.c_str(), n_points);
     if (sharded)
       std::printf("shard %zu/%zu: %zu points\n", shard_index, shard_count,
-                  mine.size());
+                  shard_points);
     // The trace-group plan, next to the shard plan: how many distinct
     // traces this (shard of the) grid generates and the largest one's
     // materialized size (what a reap_trace store file of it holds).
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
   std::unordered_set<std::string> completed;
   campaign::RowTable rows;
   rows.header = campaign::result_header();
-  rows.expected_points = points.size();
+  rows.expected_points = n_points;
   bool append_journal = false;
   if (resume && std::filesystem::exists(journal_path)) {
     auto loaded = campaign::read_journal(journal_path, &error);
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::string why;
-    if (!campaign::journal_compatible(loaded->header, spec, points.size(),
+    if (!campaign::journal_compatible(loaded->header, spec, n_points,
                                       shard_index, shard_count, &why)) {
       std::fprintf(stderr, "cannot resume: %s\n", why.c_str());
       return 1;
@@ -267,11 +268,12 @@ int main(int argc, char** argv) {
     for (auto& key : common::split(args.get_string("skip-rows", ""), ','))
       skipped.insert(std::move(key));
 
-  std::vector<campaign::CampaignPoint> to_run;
-  to_run.reserve(mine.size());
-  for (const auto& pt : mine)
-    if (!completed.count(pt.key) && !skipped.count(pt.key))
-      to_run.push_back(pt);
+  // The shard's points, less the journaled and skipped ones, moved rather
+  // than copied.
+  auto to_run = std::move(mine);
+  std::erase_if(to_run, [&](const campaign::CampaignPoint& pt) {
+    return completed.count(pt.key) || skipped.count(pt.key);
+  });
 
   // Trace store resolution: map every distinct trace key of the rows about
   // to run to its .reaptrace file, opening and *fully* validating each one
@@ -332,7 +334,7 @@ int main(int argc, char** argv) {
     } else {
       journal.emplace(journal_path,
                       campaign::JournalHeader::for_run(
-                          spec, points.size(), shard_index, shard_count));
+                          spec, n_points, shard_index, shard_count));
     }
     if (!journal->ok()) {
       std::fprintf(stderr, "cannot write journal: %s\n",
@@ -405,13 +407,13 @@ int main(int argc, char** argv) {
 
   campaign::CampaignRunner runner(opts);
   std::printf("campaign '%s': %zu points on %u threads\n", spec.name.c_str(),
-              points.size(), runner.effective_threads(to_run.size()));
+              n_points, runner.effective_threads(to_run.size()));
   if (sharded)
     std::printf("shard %zu/%zu: %zu points\n", shard_index, shard_count,
-                mine.size());
+                shard_points);
   if (!completed.empty())
     std::printf("resuming: %zu of %zu rows already journaled, %zu to run\n",
-                completed.size(), mine.size(), to_run.size());
+                completed.size(), shard_points, to_run.size());
   runner.run(to_run);
 
   // An aborted run stops here: the journal holds every completed row
@@ -464,7 +466,7 @@ int main(int argc, char** argv) {
       std::printf("\n(journal covers a partial grid; no aggregates)\n");
     } else if (out->agg) {
       std::printf("\n%s", out->tables.c_str());
-    } else if (to_run.size() == points.size()) {
+    } else if (to_run.size() == n_points) {
       // A fresh run's rows fail to aggregate only for want of a baseline.
       std::printf("\n(baseline %s not in the grid; no aggregates)\n",
                   request.baseline_name.c_str());

@@ -1,5 +1,5 @@
-// reap_dispatch: one-command distributed campaign. Expands a spec, splits
-// it into shards, keeps a pool of reap_campaign worker processes busy
+// reap_dispatch: one-command distributed campaign. Splits a spec's grid
+// into shards, keeps a pool of reap_campaign worker processes busy
 // (restarting crashed workers from their journals, reassigning shards
 // whose workers keep dying), live-tails the shard journals into one
 // progress line, and merges the journals into CSV/JSONL/figures
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
   campaign::Dispatcher dispatcher(cli_spec->kv, opts);
   std::printf("dispatching campaign '%s' from %s\n", spec.name.c_str(),
               opts.work_dir.c_str());
-  const auto run = dispatcher.run();
+  auto run = dispatcher.run();
   if (!run.ok) {
     std::fprintf(stderr, "%s\n", run.error.c_str());
     switch (run.status) {
@@ -234,11 +234,12 @@ int main(int argc, char** argv) {
                  q.key.c_str(), static_cast<unsigned long long>(q.index),
                  q.shard, q.reason.c_str());
 
-  // Merge step: shard journals -> one index-ordered table, re-emitted
-  // through the ordinary sinks -- byte-identical to an un-sharded run,
-  // minus exactly the quarantined rows (whose indices must account for
-  // every hole; any other hole is a merge failure).
-  auto merged = campaign::merge_dispatch_journals(run.journal_paths(), &error);
+  // Merge step: shard journals (or the rows their tailers kept) -> one
+  // index-ordered table, re-emitted through the ordinary sinks --
+  // byte-identical to an un-sharded run, minus exactly the quarantined
+  // rows (whose indices must account for every hole; any other hole is a
+  // merge failure).
+  auto merged = campaign::merge_dispatch(std::move(run.shards), &error);
   if (!merged) {
     std::fprintf(stderr, "merge failed: %s\n", error.c_str());
     return campaign::kDispatchError;

@@ -64,89 +64,42 @@ std::optional<RowTable> rows_from_csv(std::string_view text,
   return table;
 }
 
-// JSONL sink output or an execution journal. Every line goes through the
-// journal-row parser, so a journal loads here exactly as read_journal
-// reads it -- except that any damage is an error: reports run on settled
-// files, where bad bytes mean real damage, not a run still in flight.
+// JSONL sink output or an execution journal, through the one line->row
+// path, so a journal loads here exactly as read_journal reads it -- except
+// that any damage is an error: reports run on settled files, where bad
+// bytes mean real damage, not a run still in flight.
 std::optional<RowTable> rows_from_jsonl(std::string_view text,
                                         const std::string& path,
                                         std::string* error) {
-  RowTable table;
-  bool journal = false;  // a journal header set the columns
-  JournalRowParser parser;
-  JournalRow row;
+  JsonlRowReader reader;
+  RowTable& table = reader.table();
   const bool ok = for_each_line(text, [&](std::string_view line,
                                           std::size_t lineno, bool is_last) {
     if (line.empty()) return true;
-    const auto at = [&](const char* what) {
-      return fail(error, path + ":" + std::to_string(lineno) + ": " + what);
-    };
-    // Tolerate one torn final line (a killed run's last write), but
-    // surface it: the caller decides whether a lost row matters.
-    const auto torn_or = [&](const char* what) {
-      if (table.truncated_tail || !is_last) return at(what);
-      table.truncated_tail = true;
-      return true;
-    };
-    switch (parser.scan(line)) {
-      case RowVerdict::ok:
-        break;
-      case RowVerdict::malformed:
-        return torn_or("malformed JSONL");
-      case RowVerdict::bad_crc:
-        return at("row CRC mismatch");
-    }
-    const auto& fields = parser.fields();
-    // A journal header line carries the column schema and the grid size;
-    // keep the size so the completeness check can catch a dense prefix.
-    if (!fields.empty() && fields[0].name_is("format")) {
-      if (fields[0].value_text() != kJournalFormat)
-        return at("unsupported journal format");
-      for (const auto& f : fields) {
-        std::uint64_t n = 0;
-        if (f.name_is("points") && common::parse_u64(f.value_text(), n)) {
-          table.expected_points = n;
-        } else if (f.name_is("columns") && table.header.empty()) {
-          table.header = common::split(f.value_text(), ',');
-          journal = true;
+    switch (reader.add(line)) {
+      case JsonlRowReader::Line::header:
+      case JsonlRowReader::Line::row:
+        return true;
+      case JsonlRowReader::Line::torn:
+        // Tolerate one torn final line (a killed run's last write), but
+        // surface it: the caller decides whether a lost row matters.
+        if (!table.truncated_tail && is_last) {
+          table.truncated_tail = true;
+          return true;
         }
-      }
-      return true;
+        break;
+      case JsonlRowReader::Line::damaged:
+        break;
     }
-    // In a journal every other line is a row and gets read_journal's
-    // verdict: a row without its checksum is damage; the wrong shape is a
-    // malformed row, which on the last line is a torn tail.
-    if (journal) {
-      if (!parser.has_crc()) return at("row without CRC");
-      if (!parser.to_row(table.header, row))
-        return torn_or("inconsistent columns");
-      table.rows.push_back(std::move(row.cells));
-      return true;
-    }
-    // Sink rows: the first one names the columns. Journal rows lead with
-    // their key, which is not a column.
-    const std::size_t begin = parser.has_key() ? 1 : 0;
-    if (table.header.empty())
-      for (std::size_t i = begin; i < fields.size(); ++i)
-        table.header.push_back(fields[i].name_text());
-    if (fields.size() - begin != table.header.size())
-      return at("inconsistent columns");
-    std::vector<std::string> cells;
-    cells.reserve(table.header.size());
-    for (std::size_t i = begin; i < fields.size(); ++i) {
-      if (!fields[i].name_is(table.header[i - begin]))
-        return at("inconsistent columns");
-      cells.push_back(fields[i].value_text());
-    }
-    table.rows.push_back(std::move(cells));
-    return true;
+    return fail(error, path + ":" + std::to_string(lineno) + ": " +
+                           reader.what());
   });
   if (!ok) return std::nullopt;
   if (table.header.empty() || table.rows.empty()) {
     fail(error, path + ": no rows");
     return std::nullopt;
   }
-  return table;
+  return std::move(table);
 }
 
 }  // namespace
@@ -441,10 +394,17 @@ std::optional<std::vector<std::string>> write_figure_data(
   std::vector<std::string> policies;
   for (const auto& s : agg.by_policy)
     policies.push_back(core::to_string(s.policy));
+  // Every file goes to a temporary beside its target; all five are renamed
+  // into place at the end.
+  std::vector<common::FileReplacement> files;
+  const auto create = [&](const std::string& name) {
+    files.emplace_back(join(name));
+    return files.back().path();
+  };
   const auto write_bars = [&](const std::string& name, auto value_of) {
     std::vector<std::string> header = {"workload"};
     header.insert(header.end(), policies.begin(), policies.end());
-    common::CsvWriter csv(join(name), header);
+    common::CsvWriter csv(create(name), header);
     if (!csv.ok()) return false;
     std::vector<std::string> workloads;
     for (const auto& w : agg.by_workload)
@@ -462,8 +422,7 @@ std::optional<std::vector<std::string>> write_figure_data(
       }
       csv.add_row(row);
     }
-    written.push_back(join(name));
-    return true;
+    return csv.close();
   };
   if (!write_bars("fig5_mttf.csv", [](const WorkloadSummary& w) {
         return w.mean_mttf_gain;
@@ -479,7 +438,7 @@ std::optional<std::vector<std::string>> write_figure_data(
   }
 
   {
-    common::CsvWriter csv(join("policy_summary.csv"),
+    common::CsvWriter csv(create("policy_summary.csv"),
                           {"policy", "n", "mttf_gain_mean", "mttf_gain_geo",
                            "mttf_gain_min", "mttf_gain_max",
                            "energy_overhead_pct_mean",
@@ -497,7 +456,10 @@ std::optional<std::vector<std::string>> write_figure_data(
                    common::fmt_double(s.mean_energy_overhead_pct),
                    common::fmt_double(s.max_energy_overhead_pct),
                    common::fmt_double(s.mean_speedup)});
-    written.push_back(join("policy_summary.csv"));
+    if (!csv.close()) {
+      fail(error, "cannot write policy_summary.csv in " + dir);
+      return std::nullopt;
+    }
   }
 
   // Gnuplot companions: clustered bars, CVD-safe fixed-order palette
@@ -505,7 +467,7 @@ std::optional<std::vector<std::string>> write_figure_data(
   // magnitude, so it gets a log y-axis like the paper's plot.
   const auto write_gp = [&](const std::string& name, const std::string& data,
                             const std::string& ylabel, bool logy) {
-    std::ofstream gp(join(name));
+    std::ofstream gp(create(name));
     if (!gp) return false;
     gp << "# gnuplot -p " << name << "  (expects " << data
        << " alongside)\n"
@@ -525,8 +487,8 @@ std::optional<std::vector<std::string>> write_figure_data(
        << data
        << "' using i:xtic(1) title columnheader(i) "
           "lc rgb word(colors, i-1)\n";
-    written.push_back(join(name));
-    return true;
+    gp.close();
+    return !gp.fail();
   };
   if (!write_gp("fig5.gp", "fig5_mttf.csv",
                 "MTTF gain vs baseline (log)", true) ||
@@ -534,6 +496,10 @@ std::optional<std::vector<std::string>> write_figure_data(
                 "dynamic energy overhead (%)", false)) {
     fail(error, "cannot write gnuplot scripts in " + dir);
     return std::nullopt;
+  }
+  for (auto& f : files) {
+    if (!f.commit(error)) return std::nullopt;
+    written.push_back(f.target());
   }
   return written;
 }
@@ -557,11 +523,24 @@ namespace {
 
 template <class Sink>
 bool open_sink(const std::optional<std::string>& path, const char* what,
+               std::optional<common::FileReplacement>& file,
                std::unique_ptr<Sink>& sink, std::string* error) {
   if (!path) return true;
-  sink = std::make_unique<Sink>(*path);
+  file.emplace(*path);
+  sink = std::make_unique<Sink>(file->path());
   return sink->ok() ||
          fail(error, std::string("cannot write ") + what + " output: " + *path);
+}
+
+// Flushes and closes an open sink; a row that did not land is an error
+// naming the target.
+template <class Sink>
+bool close_sink(const char* what,
+                const std::optional<common::FileReplacement>& file,
+                Sink& sink, std::string* error) {
+  return !sink || sink->close() ||
+         fail(error, std::string("cannot write ") + what + " output: " +
+                         file->target() + " (write failed)");
 }
 
 }  // namespace
@@ -576,8 +555,9 @@ std::optional<OutputSinks> open_sinks(const OutputRequest& request,
          "binary's row schema");
     return std::nullopt;
   }
-  if (!open_sink(request.csv, "csv", sinks.csv, error) ||
-      !open_sink(request.jsonl, "jsonl", sinks.jsonl, error))
+  if (!open_sink(request.csv, "csv", sinks.csv_file, sinks.csv, error) ||
+      !open_sink(request.jsonl, "jsonl", sinks.jsonl_file, sinks.jsonl,
+                 error))
     return std::nullopt;
   return sinks;
 }
@@ -602,18 +582,28 @@ std::optional<WrittenOutputs> write_outputs(const RowTable& table,
     if (sinks.csv) sinks.csv->add_cells(row);
     if (sinks.jsonl) sinks.jsonl->add_cells(row);
   }
-  sinks = {};  // flushed and closed before the caller reports anything
-
-  if (!aggregate) return WrittenOutputs{};
-  WrittenOutputs out = aggregated.get();
-  if (!request.figures) return out;
-  if (!out.agg) {
-    fail(error, "no aggregates: " + out.agg_error);
+  // Flushed, closed and checked before the caller reports anything.
+  if (!close_sink("csv", sinks.csv_file, sinks.csv, error) ||
+      !close_sink("jsonl", sinks.jsonl_file, sinks.jsonl, error))
     return std::nullopt;
+
+  WrittenOutputs out;
+  if (aggregate) {
+    out = aggregated.get();
+    if (request.figures) {
+      if (!out.agg) {
+        fail(error, "no aggregates: " + out.agg_error);
+        return std::nullopt;
+      }
+      auto written = write_figure_data(*out.agg, *request.figures, error);
+      if (!written) return std::nullopt;
+      out.figure_files = std::move(*written);
+    }
   }
-  auto written = write_figure_data(*out.agg, *request.figures, error);
-  if (!written) return std::nullopt;
-  out.figure_files = std::move(*written);
+  // Every output is written: only now do the row targets change.
+  if ((sinks.csv_file && !sinks.csv_file->commit(error)) ||
+      (sinks.jsonl_file && !sinks.jsonl_file->commit(error)))
+    return std::nullopt;
   return out;
 }
 

@@ -86,6 +86,8 @@ void CsvResultSink::add_cells(const std::vector<std::string>& cells) {
   impl_->writer.add_row(cells);
 }
 
+bool CsvResultSink::close() { return impl_->writer.close(); }
+
 // -------------------------------------------------------------- JSONL sink
 
 namespace {
@@ -148,6 +150,11 @@ bool JsonlResultSink::ok() const { return static_cast<bool>(impl_->out); }
 void JsonlResultSink::add_cells(const std::vector<std::string>& cells) {
   if (!impl_->out) return;
   impl_->out << '{' << jsonl_fields(impl_->header, cells) << "}\n";
+}
+
+bool JsonlResultSink::close() {
+  if (impl_->out.is_open()) impl_->out.close();
+  return !impl_->out.fail();
 }
 
 void emit_all(const std::vector<CampaignPoint>& points,

@@ -55,9 +55,8 @@ void require_distinct(const std::vector<T>& values, const char* axis) {
             std::string("campaign spec: duplicate value on axis ") + axis);
 }
 
-}  // namespace
-
-std::vector<CampaignPoint> expand(const CampaignSpec& spec) {
+// The spec's workload profiles, after every check expand() makes.
+std::vector<trace::WorkloadProfile> checked_profiles(const CampaignSpec& spec) {
   if (spec.workloads.empty())
     throw std::invalid_argument("campaign spec: no workloads");
   if (spec.policies.empty())
@@ -80,6 +79,36 @@ std::vector<CampaignPoint> expand(const CampaignSpec& spec) {
     if (!p) throw std::invalid_argument("campaign spec: unknown workload " + name);
     profiles.push_back(*p);
   }
+  return profiles;
+}
+
+void require_shard(const char* what, std::size_t shard_index,
+                   std::size_t shard_count) {
+  if (shard_count == 0)
+    throw std::invalid_argument(std::string(what) +
+                                ": shard_count must be positive");
+  if (shard_index >= shard_count)
+    throw std::invalid_argument(std::string(what) +
+                                ": shard_index out of range");
+}
+
+}  // namespace
+
+void validate(const CampaignSpec& spec) { checked_profiles(spec); }
+
+std::vector<CampaignPoint> expand(const CampaignSpec& spec) {
+  return expand(spec, 0, 1);
+}
+
+std::size_t shard_of(std::size_t index, std::size_t shard_count) {
+  return index % shard_count;
+}
+
+std::vector<CampaignPoint> expand(const CampaignSpec& spec,
+                                  std::size_t shard_index,
+                                  std::size_t shard_count) {
+  require_shard("shard", shard_index, shard_count);
+  const auto profiles = checked_profiles(spec);
 
   const std::size_t n_ratios =
       spec.read_ratios.empty() ? 1 : spec.read_ratios.size();
@@ -87,15 +116,17 @@ std::vector<CampaignPoint> expand(const CampaignSpec& spec) {
       spec.scrub_everys.empty() ? 1 : spec.scrub_everys.size();
 
   std::vector<CampaignPoint> points;
-  points.reserve(spec.size());
+  points.reserve(shard_size(spec.size(), shard_index, shard_count));
+  std::size_t index = 0;  // expansion position of the point at hand
   for (std::size_t w = 0; w < profiles.size(); ++w)
     for (std::size_t p = 0; p < spec.policies.size(); ++p)
       for (std::size_t e = 0; e < spec.ecc_ts.size(); ++e)
        for (std::size_t sc = 0; sc < n_scrubs; ++sc)
         for (std::size_t r = 0; r < n_ratios; ++r)
-          for (std::size_t s = 0; s < spec.seeds.size(); ++s) {
+          for (std::size_t s = 0; s < spec.seeds.size(); ++s, ++index) {
+            if (shard_of(index, shard_count) != shard_index) continue;
             CampaignPoint pt;
-            pt.index = points.size();
+            pt.index = index;
             pt.workload_i = w;
             pt.policy_i = p;
             pt.ecc_i = e;
@@ -154,23 +185,18 @@ std::vector<CampaignPoint> expand(const CampaignSpec& spec) {
 std::vector<CampaignPoint> shard(const std::vector<CampaignPoint>& points,
                                  std::size_t shard_index,
                                  std::size_t shard_count) {
-  if (shard_count == 0)
-    throw std::invalid_argument("shard: shard_count must be positive");
-  if (shard_index >= shard_count)
-    throw std::invalid_argument("shard: shard_index out of range");
+  require_shard("shard", shard_index, shard_count);
   std::vector<CampaignPoint> out;
   out.reserve(points.size() / shard_count + 1);
   for (const auto& pt : points)
-    if (pt.index % shard_count == shard_index) out.push_back(pt);
+    if (shard_of(pt.index, shard_count) == shard_index) out.push_back(pt);
   return out;
 }
 
 std::size_t shard_size(std::size_t n_points, std::size_t shard_index,
                        std::size_t shard_count) {
-  if (shard_count == 0)
-    throw std::invalid_argument("shard_size: shard_count must be positive");
-  if (shard_index >= shard_count)
-    throw std::invalid_argument("shard_size: shard_index out of range");
+  require_shard("shard_size", shard_index, shard_count);
+  // The closed form of counting shard_of's stripe.
   if (shard_index >= n_points) return 0;
   return (n_points - shard_index - 1) / shard_count + 1;
 }

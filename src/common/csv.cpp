@@ -51,6 +51,11 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
   out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
+bool CsvWriter::close() {
+  if (out_.is_open()) out_.close();
+  return !out_.fail();
+}
+
 std::string csv_escape(const std::string& cell) {
   if (!needs_quoting(cell)) return cell;
   std::string quoted;

@@ -12,12 +12,17 @@ namespace reap::common {
 class CsvWriter {
  public:
   // Opens `path` for writing and emits the header row. `ok()` reports
-  // whether the stream is usable; writes on a failed stream are no-ops.
+  // whether the stream is usable -- false once the open or any write
+  // failed (a full disk shows when a buffer flushes); writes on a failed
+  // stream are no-ops.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   bool ok() const { return static_cast<bool>(out_); }
 
   void add_row(const std::vector<std::string>& cells);
+
+  // Flushes and closes the file: true when every byte landed.
+  bool close();
 
  private:
   std::ofstream out_;

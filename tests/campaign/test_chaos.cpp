@@ -172,6 +172,7 @@ TEST(Chaos, PoisonedPointIsQuarantinedAndTheRestDelivered) {
   ASSERT_EQ(result.quarantined.size(), 1u);
   EXPECT_EQ(result.quarantined[0].key, poison.key);
   EXPECT_EQ(result.quarantined[0].index, poison.index);
+  EXPECT_EQ(result.quarantined[0].shard, 1u);
   EXPECT_GE(result.restarts, 1u);
 
   // One quarantine event, naming the point exactly as the sidecar's one
@@ -211,6 +212,46 @@ TEST(Chaos, PoisonedPointIsQuarantinedAndTheRestDelivered) {
   EXPECT_EQ(rerun.status, DispatchStatus::quarantined);
   ASSERT_EQ(rerun.quarantined.size(), 1u);
   EXPECT_EQ(rerun.quarantined[0].key, poison.key);
+  EXPECT_EQ(rerun.quarantined[0].index, poison.index);
+  EXPECT_EQ(rerun.quarantined[0].shard, 1u);
+}
+
+// The supervisor expands the grid only when the quarantine machinery asks
+// for it. A sidecar already in the work dir is such a case: a line naming
+// only a key and a reason gets its index and shard from the grid, the
+// point is skipped, and the rest is delivered as a clean run minus that
+// row.
+TEST(Chaos, QuarantineSidecarPresentAtStartGetsIndexAndShardFromTheGrid) {
+  const auto kv = grid8("chaos-sidecar");
+  const auto ref = lines_of(reference_csv(kv, "chaos_sidecar_ref.csv"));
+  const auto points = points_of(kv);
+  const auto& poison = points[5];  // shard 2 of 3
+  auto opts = chaos_opts(fresh_dir("chaos_sidecar"));
+  opts.jobs = 3;
+  std::filesystem::create_directories(opts.work_dir);
+  std::ofstream(opts.work_dir + "/quarantine.jsonl")
+      << "{\"key\":\"" << poison.key
+      << "\",\"reason\":\"pinned by an earlier run\"}\n";
+
+  const auto result = Dispatcher(kv, opts).run();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.status, DispatchStatus::quarantined);
+  EXPECT_EQ(result.restarts, 0u);
+  ASSERT_EQ(result.quarantined.size(), 1u);
+  EXPECT_EQ(result.quarantined[0].key, poison.key);
+  EXPECT_EQ(result.quarantined[0].index, 5u);
+  EXPECT_EQ(result.quarantined[0].shard, 2u);
+  EXPECT_EQ(result.quarantined[0].reason, "pinned by an earlier run");
+
+  std::string error;
+  const auto merged = merge_dispatch(result.shards, &error);
+  ASSERT_TRUE(merged) << error;
+  const auto csv = temp_path("chaos_sidecar_merged.csv");
+  {
+    CsvResultSink sink(csv);
+    for (const auto& row : merged->rows) sink.add_cells(row);
+  }
+  EXPECT_EQ(lines_of(csv), without_indices(ref, {poison.index}));
 }
 
 // A worker wedged forever on one point journals nothing; the watchdog

@@ -2,7 +2,8 @@
 // binaries: reap_campaign, a 2-worker reap_dispatch and reap_report over
 // the campaign's journal write byte-identical CSV, JSONL, figure files and
 // aggregate tables for one grid, and each refuses bad output flags before
-// it writes a single file.
+// it writes a single file. A full disk fails each CLI with exit 1, and a
+// refused or failed run leaves every existing output byte-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -171,6 +172,103 @@ TEST(CliOutputs, BadOutputFlagsAreRefusedBeforeAnyFileIsWritten) {
     EXPECT_FALSE(std::filesystem::exists(merged_csv)) << flags[0];
     EXPECT_FALSE(std::filesystem::exists(merged_jsonl)) << flags[0];
     EXPECT_FALSE(std::filesystem::exists(figures)) << flags[0];
+  }
+}
+
+// A full disk is a failed run: each CLI exits 1 naming the output it could
+// not write, instead of leaving a short file behind and exiting 0.
+TEST(CliOutputs, EachCliExitsOneWhenAnOutputHitsAFullDisk) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this host";
+  const auto dir = fresh_dir("cli_outputs_full");
+  const auto rows = dir + "/rows.journal";
+  auto status = run({REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+                     "--journal=" + rows},
+                    dir, "rows");
+  ASSERT_TRUE(status.success()) << status.describe();
+
+  const std::vector<std::vector<std::string>> runs = {
+      {REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+       "--csv=/dev/full"},
+      {REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+       "--jsonl=/dev/full"},
+      {REAP_DISPATCH_BIN, "--spec=" + kTinySpec, "--workers=2", "--quiet",
+       "--campaign-bin=" REAP_CAMPAIGN_BIN, "--work-dir=" + dir + "/work",
+       "--csv=/dev/full"},
+      {REAP_REPORT_BIN, rows, "--merged-csv=/dev/full"},
+      {REAP_REPORT_BIN, rows, "--merged-jsonl=/dev/full"},
+  };
+  for (const auto& argv : runs) {
+    SCOPED_TRACE(argv[0] + " " + argv.back());
+    status = run(argv, dir, "full");
+    ASSERT_TRUE(status.exited);
+    EXPECT_EQ(status.code, 1);
+    const auto err = file_bytes(dir + "/full.err");
+    EXPECT_NE(err.find("output: /dev/full"), std::string::npos) << err;
+  }
+}
+
+// Outputs are written beside their targets and renamed into place only
+// once the whole output step succeeded. A run refused for one bad output
+// path, or failed by one full-disk output, leaves an existing CSV, merged
+// CSV and figure directory byte-identical, and no temporary file behind.
+TEST(CliOutputs, ARefusedOrFailedRunLeavesExistingOutputsByteIdentical) {
+  const auto dir = fresh_dir("cli_outputs_kept");
+  const auto rows = dir + "/rows.journal";
+  const auto csv = dir + "/c.csv";
+  const auto merged = dir + "/m.csv";
+  const auto figures = dir + "/figures";
+  const auto dispatch_csv = dir + "/d.csv";
+  const auto work = "--work-dir=" + dir + "/work";
+  auto status = run({REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+                     "--journal=" + rows, "--csv=" + csv},
+                    dir, "campaign");
+  ASSERT_TRUE(status.success()) << status.describe();
+  status = run({REAP_REPORT_BIN, rows, "--merged-csv=" + merged,
+                "--figures=" + figures},
+               dir, "report");
+  ASSERT_TRUE(status.success()) << status.describe();
+  status = run({REAP_DISPATCH_BIN, "--spec=" + kTinySpec, "--workers=2",
+                "--quiet", "--campaign-bin=" REAP_CAMPAIGN_BIN, work,
+                "--csv=" + dispatch_csv},
+               dir, "dispatch");
+  ASSERT_TRUE(status.success()) << status.describe();
+
+  const auto snapshot = [&] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(dir))
+      if (entry.is_regular_file() &&
+          entry.path().parent_path() != std::filesystem::path(dir + "/work") &&
+          entry.path().extension() != ".out" &&
+          entry.path().extension() != ".err")
+        files.emplace_back(entry.path().string(),
+                           file_bytes(entry.path().string()));
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = snapshot();
+  ASSERT_EQ(before.size(), 9u);  // journal, 3 CSVs, 5 figure files
+
+  std::vector<std::string> bad = {dir + "/no/such/dir/x.jsonl"};
+  if (std::filesystem::exists("/dev/full")) bad.push_back("/dev/full");
+  for (const auto& jsonl : bad) {
+    SCOPED_TRACE(jsonl);
+    const std::vector<std::vector<std::string>> runs = {
+        {REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+         "--csv=" + csv, "--jsonl=" + jsonl},
+        {REAP_REPORT_BIN, rows, "--merged-csv=" + merged,
+         "--merged-jsonl=" + jsonl, "--figures=" + figures},
+        {REAP_DISPATCH_BIN, "--spec=" + kTinySpec, "--workers=2", "--quiet",
+         "--campaign-bin=" REAP_CAMPAIGN_BIN, work, "--csv=" + dispatch_csv,
+         "--jsonl=" + jsonl, "--figures=" + figures},
+    };
+    for (const auto& argv : runs) {
+      SCOPED_TRACE(argv[0]);
+      status = run(argv, dir, "bad");
+      ASSERT_TRUE(status.exited);
+      EXPECT_EQ(status.code, 1);
+      EXPECT_TRUE(snapshot() == before);
+    }
   }
 }
 

@@ -8,7 +8,10 @@
 // failure, not a success. The DispatchEvents suite checks the event
 // stream: on the kill-one-worker run, ordered attempts, monotone row
 // counts and a final count that covers the grid; and rows first seen
-// when their worker is reaped are reported too.
+// when their worker is reaped are reported too. Every merge here goes
+// through merge_dispatch -- the rows the tailers kept, where they kept
+// them -- and is checked equal to the merge that re-reads every journal;
+// the DispatchMerge suite pins which shards keep their rows.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -79,14 +82,25 @@ DispatchOptions base_opts(const std::string& work_dir) {
   return opts;
 }
 
+// The merged CSV of a dispatch, as reap_dispatch writes it: from the rows
+// the tailers kept where they kept them. The table must equal the merge
+// that re-reads every journal.
 std::string merged_csv_of(const DispatchResult& result, const char* name) {
   std::string error;
-  const auto merged = merge_dispatch_journals(result.journal_paths(), &error);
+  const auto merged = merge_dispatch(result.shards, &error);
   EXPECT_TRUE(merged) << error;
-  EXPECT_TRUE(covers_all_indices(*merged));
+  const auto reread = merge_dispatch_journals(result.journal_paths(), &error);
+  EXPECT_TRUE(reread) << error;
   const auto path = temp_path(name);
+  if (!merged || !reread) return path;
+  EXPECT_TRUE(covers_all_indices(*merged));
+  EXPECT_EQ(merged->header, reread->header);
+  EXPECT_EQ(merged->rows, reread->rows);
+  EXPECT_EQ(merged->expected_points, reread->expected_points);
+  EXPECT_EQ(merged->truncated_tail, reread->truncated_tail);
   CsvResultSink csv(path);
   for (const auto& row : merged->rows) csv.add_cells(row);
+  EXPECT_TRUE(csv.close());
   return path;
 }
 
@@ -171,6 +185,11 @@ TEST(Dispatch, WorkerKilledMidShardResumesAndOutputUnchanged) {
   const auto log = file_bytes(result.shards[1].log_path);
   EXPECT_NE(log.find("resuming:"), std::string::npos) << log;
 
+  // The killed shard's journal is re-read at the merge; the other shard,
+  // one clean attempt, merges from the rows its tailer kept.
+  EXPECT_FALSE(result.shards[1].table);
+  EXPECT_EQ(result.shards[0].attempts, 1u);
+  EXPECT_TRUE(result.shards[0].table);
   const auto merged = merged_csv_of(result, "dispatch_kill_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
 }
@@ -207,6 +226,14 @@ TEST(Dispatch, ResumesPreexistingTornJournalWithoutRerunningRows) {
   EXPECT_NE(log.find("resuming: 1 of"), std::string::npos) << log;
   EXPECT_NE(log.find("torn line"), std::string::npos) << log;
 
+  // Whether shard 0's tailer saw the torn journal before the worker's
+  // rewrite is a race; either way what it kept (if anything) is the
+  // journal the worker left.
+  if (second.shards[0].table) {
+    const auto loaded = load_rows(journal_path, &error);
+    ASSERT_TRUE(loaded) << error;
+    EXPECT_EQ(second.shards[0].table->rows, loaded->rows);
+  }
   const auto merged = merged_csv_of(second, "dispatch_resume_merged.csv");
   EXPECT_EQ(file_bytes(ref), file_bytes(merged));
 }
@@ -410,13 +437,41 @@ TEST(DispatchEvents, RowsSeenOnlyWhenTheWorkerIsReapedAreReported) {
   EXPECT_EQ(rows.back().done, 8u);
 }
 
+// A clean dispatch merges from the rows its tailers kept -- no journal is
+// read again -- and that merge is the journals' merge byte for byte. A
+// re-dispatch over the completed work dir runs nothing and keeps the rows
+// it re-reads while tailing the resumed workers.
+TEST(DispatchMerge, CleanShardsMergeFromKeptRowsToTheJournalsBytes) {
+  const auto kv = spec_kv(20000);
+  const auto ref = reference_csv(kv, "dispatch_merge_ref.csv");
+  auto opts = base_opts(fresh_dir("dispatch_merge_kept"));
+  opts.jobs = 3;
+  for (const char* name : {"dispatch_merge_first.csv",
+                           "dispatch_merge_rerun.csv"}) {
+    const auto result = Dispatcher(kv, opts).run();
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_EQ(result.shards.size(), 3u);
+    for (const auto& s : result.shards) {
+      EXPECT_EQ(s.attempts, 1u) << name;
+      ASSERT_TRUE(s.table) << name << ": shard " << s.shard;
+      EXPECT_EQ(s.table->rows.size(), s.rows);
+    }
+    EXPECT_EQ(file_bytes(ref), file_bytes(merged_csv_of(result, name)));
+  }
+}
+
 TEST(Dispatch, RejectsABadSpecBeforeLaunchingAnything) {
   auto kv = spec_kv(20000);
   kv["workloads"] = "no-such-workload";
-  const auto result = Dispatcher(kv, base_opts(fresh_dir("dispatch_badspec")))
-                          .run();
+  auto opts = base_opts(fresh_dir("dispatch_badspec"));
+  std::vector<DispatchEvent> events;
+  const auto result = run_recorded(kv, opts, events);
   EXPECT_FALSE(result.ok);
-  EXPECT_FALSE(result.error.empty());
+  EXPECT_NE(result.error.find("unknown workload no-such-workload"),
+            std::string::npos)
+      << result.error;
+  EXPECT_TRUE(events_of(events, Kind::spawn).empty());
+  EXPECT_FALSE(std::filesystem::exists(opts.work_dir));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "reap/campaign/seed.hpp"
 #include "reap/campaign/spec.hpp"
@@ -166,9 +168,42 @@ TEST(CampaignGrid, ExpansionIsDeterministic) {
 TEST(CampaignGrid, RejectsBadSpecs) {
   CampaignSpec spec;
   EXPECT_THROW(expand(spec), std::invalid_argument);  // no axes at all
+  EXPECT_THROW(validate(spec), std::invalid_argument);
   spec = small_spec();
   spec.workloads = {"not_a_workload"};
   EXPECT_THROW(expand(spec), std::invalid_argument);
+  EXPECT_THROW(validate(spec), std::invalid_argument);
+  EXPECT_NO_THROW(validate(small_spec()));
+}
+
+// validate() is expand()'s check without the expansion: the dispatcher
+// refuses a bad spec with it before launching anything, so both must
+// refuse the same specs with the same message.
+TEST(CampaignGrid, ValidateRefusesWhatExpandRefusesInItsWords) {
+  std::vector<CampaignSpec> bad(8, small_spec());
+  bad[0].workloads.clear();
+  bad[1].policies.clear();
+  bad[2].ecc_ts.clear();
+  bad[3].seeds.clear();
+  bad[4].workloads = {"mcf", "not_a_workload"};
+  bad[5].scrub_everys = {4, 4};
+  bad[6].read_ratios = {0.55, 0.55};
+  bad[7].ecc_ts = {1, 1};
+  for (const auto& spec : bad) {
+    std::string expand_error, validate_error;
+    try {
+      expand(spec);
+    } catch (const std::invalid_argument& e) {
+      expand_error = e.what();
+    }
+    try {
+      validate(spec);
+    } catch (const std::invalid_argument& e) {
+      validate_error = e.what();
+    }
+    EXPECT_FALSE(expand_error.empty());
+    EXPECT_EQ(validate_error, expand_error);
+  }
 }
 
 TEST(CampaignGrid, RejectsDuplicateAxisValues) {

@@ -677,6 +677,110 @@ TEST(JournalTailer, NoticesAReplacedJournalThatGrewPastTheOldOffset) {
   std::remove(path.c_str());
 }
 
+// The rows a tailer keeps are the table load_rows reads from the same
+// bytes -- columns, cells, grid size -- however the polls cut the file,
+// an in-flight line included.
+TEST(JournalTailer, KeptRowsAreTheTableLoadRowsReads) {
+  const auto spec = small_spec();
+  const auto path = temp_path("journal_tail_keep.jsonl");
+  std::remove(path.c_str());
+  JournalTailer tailer(path);
+  EXPECT_TRUE(tailer.poll().empty());  // no file yet
+  {
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
+    for (std::size_t i = 0; i < 7; ++i) {
+      writer.add("k" + std::to_string(i), fake_cells(i));
+      if (i % 3 == 0) tailer.poll();
+    }
+    const auto last = writer.render("k7", fake_cells(7));
+    std::ofstream(path, std::ios::app) << last.substr(0, 30);
+    tailer.poll();  // reads up to the in-flight line
+    std::ofstream(path, std::ios::app) << last.substr(30);
+  }
+  EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k7"}));
+
+  std::string error;
+  const auto loaded = load_rows(path, &error);
+  ASSERT_TRUE(loaded) << error;
+  const auto kept = tailer.take_rows();
+  ASSERT_TRUE(kept);
+  EXPECT_EQ(kept->header, loaded->header);
+  EXPECT_EQ(kept->rows, loaded->rows);
+  EXPECT_EQ(kept->expected_points, loaded->expected_points);
+  EXPECT_EQ(kept->truncated_tail, loaded->truncated_tail);
+  EXPECT_EQ(kept->rows.size(), 8u);
+  std::remove(path.c_str());
+}
+
+// take_rows answers only when the kept rows are certainly the file's. A
+// torn tail, a damaged row, a resume's rewrite, or bytes the tailer has
+// not read each leave the caller to load the file -- and so to get
+// load_rows' own table or error for it.
+TEST(JournalTailer, KeepsNoRowsForATornDamagedReplacedOrUnreadJournal) {
+  const auto spec = small_spec();
+  const auto path = temp_path("journal_tail_fallback.jsonl");
+  const auto write_clean = [&] {
+    std::remove(path.c_str());
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 0, 1));
+    for (std::size_t i = 0; i < 4; ++i)
+      writer.add("k" + std::to_string(i), fake_cells(i));
+  };
+  const auto append = [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::app) << bytes;
+  };
+  const auto tailed = [&] {
+    JournalTailer tailer(path);
+    tailer.poll();
+    return tailer.take_rows();
+  };
+
+  write_clean();  // the control: nothing wrong, rows kept
+  EXPECT_TRUE(tailed());
+
+  write_clean();  // a torn tail: bytes past the last newline
+  append("{\"key\":\"k4\",\"index\":4,\"work");
+  EXPECT_FALSE(tailed()) << "torn tail";
+
+  write_clean();  // a complete last line that does not parse
+  append("{\"key\":\"k4\",\"index\"\n");
+  EXPECT_FALSE(tailed()) << "malformed last line";
+
+  write_clean();  // a row whose checksum fails
+  {
+    auto lines = file_lines(path);
+    const auto at = lines[2].find("mcf");
+    ASSERT_NE(at, std::string::npos);
+    lines[2].replace(at, 3, "mcg");
+    write_lines(path, lines);
+  }
+  EXPECT_FALSE(tailed()) << "corrupt row";
+
+  write_clean();  // resume: the torn tail is healed by a rewrite
+  append("{\"key\":\"torn");
+  {
+    JournalTailer tailer(path);
+    EXPECT_EQ(tailer.poll().size(), 4u);
+    auto journal = read_journal(path);
+    ASSERT_TRUE(journal);
+    std::string error;
+    ASSERT_TRUE(rewrite_journal(path, *journal, &error)) << error;
+    JournalWriter(path).add("k4", fake_cells(4));
+    EXPECT_EQ(tailer.poll(), (std::vector<std::string>{"k4"}));
+    EXPECT_FALSE(tailer.take_rows()) << "rewritten journal";
+  }
+
+  write_clean();  // rows landed after the last poll
+  {
+    JournalTailer tailer(path);
+    tailer.poll();
+    JournalWriter(path).add("k4", fake_cells(4));
+    EXPECT_FALSE(tailer.take_rows()) << "unread rows";
+  }
+
+  std::remove(path.c_str());  // no journal at all
+  EXPECT_FALSE(tailed()) << "missing journal";
+}
+
 // ---------------------------------------------------------------------
 // The one row parser, checked against the readers it replaced.
 

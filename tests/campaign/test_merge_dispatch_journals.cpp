@@ -2,6 +2,9 @@
 // be the sequential one -- merge_tables over load_rows in path order --
 // and a damaged or missing journal must fail the merge with the error of
 // the first failing path in path order, whichever load finished first.
+// merge_dispatch, which merges the rows the dispatcher's tailers kept and
+// loads only the journals they could not vouch for, must give the same
+// table and the same error.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -107,9 +110,86 @@ TEST(MergeDispatchJournals, ErrorNamesTheFirstFailingPathInPathOrder) {
       << parallel_error;
 }
 
+// The shard outcomes a dispatcher's tailers would leave for `paths`: each
+// journal tailed once, whole, its rows kept when the tailer can vouch for
+// them.
+std::vector<ShardOutcome> tailed_outcomes(
+    const std::vector<std::string>& paths) {
+  std::vector<ShardOutcome> shards;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    JournalTailer tailer(paths[i]);
+    tailer.poll();
+    ShardOutcome s;
+    s.shard = i;
+    s.journal_path = paths[i];
+    s.table = tailer.take_rows();
+    shards.push_back(std::move(s));
+  }
+  return shards;
+}
+
+void expect_same_table(const RowTable& a, const RowTable& b) {
+  EXPECT_EQ(a.header, b.header);
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.expected_points, b.expected_points);
+  EXPECT_EQ(a.truncated_tail, b.truncated_tail);
+}
+
+TEST(MergeDispatchJournals, KeptRowsMergeToTheTableOfTheJournals) {
+  for (const std::size_t shards : {1u, 2u, 5u}) {
+    const auto paths =
+        write_shard_journals("merge_kept_" + std::to_string(shards), shards);
+    auto outcomes = tailed_outcomes(paths);
+    for (const auto& s : outcomes) EXPECT_TRUE(s.table) << s.journal_path;
+    std::string error;
+    const auto reread = merge_dispatch_journals(paths, &error);
+    ASSERT_TRUE(reread) << error;
+    const auto kept = merge_dispatch(outcomes, &error);
+    ASSERT_TRUE(kept) << error;
+    expect_same_table(*kept, *reread);
+    // Kept and loaded shards mix freely.
+    outcomes[0].table.reset();
+    const auto mixed = merge_dispatch(outcomes, &error);
+    ASSERT_TRUE(mixed) << error;
+    expect_same_table(*mixed, *reread);
+  }
+}
+
+// A journal its tailer could not vouch for is loaded: a corrupt row then
+// fails the merge with the journals' error text, and a torn tail merges
+// to the journals' table, truncated_tail included.
+TEST(MergeDispatchJournals, UnvouchedJournalsGiveTheJournalsTableOrError) {
+  auto paths = write_shard_journals("merge_unvouched", 3);
+  damage_first_row(paths[1]);
+  auto outcomes = tailed_outcomes(paths);
+  EXPECT_TRUE(outcomes[0].table);
+  EXPECT_FALSE(outcomes[1].table);
+  EXPECT_TRUE(outcomes[2].table);
+  std::string kept_error, reread_error;
+  EXPECT_FALSE(merge_dispatch(outcomes, &kept_error));
+  EXPECT_FALSE(merge_dispatch_journals(paths, &reread_error));
+  EXPECT_EQ(kept_error, reread_error);
+  EXPECT_NE(kept_error.find(paths[1]), std::string::npos) << kept_error;
+
+  paths = write_shard_journals("merge_unvouched_torn", 3);
+  std::ofstream(paths[2], std::ios::app) << "{\"key\":\"torn";
+  outcomes = tailed_outcomes(paths);
+  EXPECT_FALSE(outcomes[2].table);
+  std::string error;
+  const auto kept = merge_dispatch(outcomes, &error);
+  ASSERT_TRUE(kept) << error;
+  const auto reread = merge_dispatch_journals(paths, &error);
+  ASSERT_TRUE(reread) << error;
+  EXPECT_TRUE(kept->truncated_tail);
+  expect_same_table(*kept, *reread);
+}
+
 TEST(MergeDispatchJournals, NothingToMergeIsAnError) {
   std::string error;
   EXPECT_FALSE(merge_dispatch_journals({}, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(merge_dispatch({}, &error));
   EXPECT_FALSE(error.empty());
 }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <tuple>
 #include <unordered_set>
 
 #include "campaign_test_util.hpp"
@@ -14,6 +15,7 @@
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/runner.hpp"
 #include "reap/campaign/spec.hpp"
+#include "reap/core/config_kv.hpp"
 
 namespace reap::campaign {
 namespace {
@@ -55,6 +57,54 @@ TEST(Shard, RejectsBadArguments) {
   const auto points = expand(grid_24());
   EXPECT_THROW(shard(points, 0, 0), std::invalid_argument);
   EXPECT_THROW(shard(points, 2, 2), std::invalid_argument);
+  EXPECT_THROW(expand(grid_24(), 0, 0), std::invalid_argument);
+  EXPECT_THROW(expand(grid_24(), 2, 2), std::invalid_argument);
+}
+
+// A --shard=i/N worker expands only its own points. They must be exactly
+// the ones shard() picks from the full expansion -- same index, key,
+// trace key, axis coordinates and config -- on grids that use every
+// axis, and the grid size the worker records is spec.size().
+TEST(Shard, ShardedExpandEqualsShardOfTheFullExpansion) {
+  std::vector<CampaignSpec> specs(3, grid_24());
+  specs[1].scrub_everys = {4, 64};
+  specs[1].policies.push_back(core::PolicyKind::scrub_piggyback);
+  specs[2].read_ratios = {0.45, 0.55, 0.65};
+  specs[2].scrub_everys = {8, 16};
+  specs[2].seeds = {0, 3, 5};
+  for (const auto& spec : specs) {
+    const auto full = expand(spec);
+    ASSERT_EQ(full.size(), spec.size());
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{7}}) {
+      std::size_t total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE("shard " + std::to_string(i) + "/" + std::to_string(n) +
+                     " of " + std::to_string(spec.size()) + " points");
+        const auto expected = shard(full, i, n);
+        const auto mine = expand(spec, i, n);
+        ASSERT_EQ(mine.size(), expected.size());
+        EXPECT_EQ(mine.size(), shard_size(spec.size(), i, n));
+        for (std::size_t k = 0; k < mine.size(); ++k) {
+          const auto& a = mine[k];
+          const auto& b = expected[k];
+          EXPECT_EQ(a.index, b.index);
+          EXPECT_EQ(shard_of(a.index, n), i);
+          EXPECT_EQ(a.key, b.key);
+          EXPECT_EQ(a.trace_key, b.trace_key);
+          EXPECT_EQ(std::tie(a.workload_i, a.policy_i, a.ecc_i, a.scrub_i,
+                             a.ratio_i, a.seed_i),
+                    std::tie(b.workload_i, b.policy_i, b.ecc_i, b.scrub_i,
+                             b.ratio_i, b.seed_i));
+          EXPECT_EQ(core::to_kv_string(a.config),
+                    core::to_kv_string(b.config));
+          EXPECT_EQ(a.config.workload.seed, b.config.workload.seed);
+        }
+        total += mine.size();
+      }
+      EXPECT_EQ(total, spec.size());
+    }
+  }
 }
 
 TEST(RowKey, IsAStableCoordinateNotAPosition) {
