@@ -3,15 +3,23 @@
 //
 // Sweeps the three block-correctness formulas (Eqs. 2/3/6) over the
 // device operating point and the accumulation count, and prints MTJ
-// device sensitivity tables (Eq. 1).
+// device sensitivity tables (Eq. 1), the effective P_RD under process
+// variation, and the storage/decoder cost of each line code. The last two
+// are the analytic halves of the device and ECC ablations
+// (specs/ablation_device.spec, specs/ablation_ecc.spec).
 //
 //   ./reliability_explorer [--ones=100] [--t=1]
 #include <cstdio>
 
 #include "reap/common/cli.hpp"
+#include "reap/common/rng.hpp"
 #include "reap/common/table.hpp"
+#include "reap/common/units.hpp"
+#include "reap/core/experiment.hpp"
+#include "reap/ecc/ecc_cost.hpp"
 #include "reap/mtj/mtj_params.hpp"
 #include "reap/mtj/read_disturb.hpp"
+#include "reap/mtj/variation.hpp"
 #include "reap/reliability/binomial.hpp"
 
 using namespace reap;
@@ -34,6 +42,39 @@ int main(int argc, char** argv) {
     dev.add_row(row);
   }
   std::fputs(dev.render().c_str(), stdout);
+
+  std::puts("\n=== Process variation: effective P_RD vs Delta sigma ===");
+  TextTable var({"delta sigma", "mean P_RD", "P99.9 cell P_RD",
+                 "vs nominal (x)"});
+  const double nominal = mtj::read_disturb_probability(mtj::paper_default());
+  for (const double sigma : {0.0, 2.0, 4.0, 6.0, 8.0}) {
+    mtj::VariationModel vm(mtj::paper_default(), {.delta_sigma = sigma});
+    common::Rng rng(7);
+    const double mean = vm.mean_p_rd(rng, 100000);
+    const auto q = vm.p_rd_quantiles(rng, 100000, {0.999});
+    var.add_row({TextTable::fixed(sigma, 1), TextTable::sci(mean),
+                 TextTable::sci(q[0]), TextTable::fixed(mean / nominal, 1)});
+  }
+  std::fputs(var.render().c_str(), stdout);
+
+  std::puts("\n=== Line-code cost: 512-bit lines, 32nm gates ===");
+  TextTable costs({"code", "parity bits", "storage ovh", "decoder gates",
+                   "decode energy (pJ)", "decode latency (ns)"});
+  const auto gt = ecc::gate_tech_32nm();
+  for (unsigned ct = 1; ct <= 3; ++ct) {
+    const auto code = core::make_line_code(512, ct);
+    const auto cost = ecc::estimate_decoder_cost(*code, gt);
+    costs.add_row(
+        {code->name(), std::to_string(code->parity_bits()),
+         TextTable::fixed(100.0 * static_cast<double>(code->parity_bits()) /
+                              512.0,
+                          1) +
+             " %",
+         std::to_string(cost.gates),
+         TextTable::fixed(common::in_picojoules(cost.energy_per_decode), 3),
+         TextTable::fixed(common::in_nanoseconds(cost.latency), 3)});
+  }
+  std::fputs(costs.render().c_str(), stdout);
 
   std::printf(
       "\n=== Block failure probability (n=%llu ones, t=%u) ===\n"

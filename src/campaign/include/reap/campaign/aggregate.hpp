@@ -90,7 +90,9 @@ CampaignAggregates summarize_comparisons(
 
 // Computes aggregates for `spec`'s expansion `points` with `results`
 // indexed by CampaignPoint::index. Returns nullopt when `baseline` is not
-// one of the spec's policies (nothing to normalize against).
+// one of the spec's policies (nothing to normalize against). The CLIs
+// aggregate rows instead (report.hpp's aggregate_rows); this in-memory
+// form remains for examples/campaign_sweep and perfbench/tool.cpp.
 std::optional<CampaignAggregates> aggregate(
     const CampaignSpec& spec, const std::vector<CampaignPoint>& points,
     const std::vector<core::ExperimentResult>& results,

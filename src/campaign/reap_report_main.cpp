@@ -15,6 +15,7 @@
 #include "reap/campaign/report.hpp"
 #include "reap/campaign/version.hpp"
 #include "reap/common/cli.hpp"
+#include "reap/common/fault.hpp"
 
 using namespace reap;
 
@@ -35,9 +36,16 @@ int main(int argc, char** argv) {
   }
   if (args.has("help") || args.positional().empty()) return usage(argv[0]);
 
+  // Fault injection (chaos testing): the sink sites, armed from REAP_FAULT.
+  std::string error;
+  if (!common::fault::arm_from_env(&error)) {
+    std::fprintf(stderr, "bad %s: %s\n", common::fault::kEnvVar,
+                 error.c_str());
+    return 1;
+  }
+
   // The output flags are checked before any input is read, so a refused
   // invocation writes nothing.
-  std::string error;
   campaign::OutputRequest request;
   if (args.has("merged-csv"))
     request.csv = args.get_string("merged-csv", "");

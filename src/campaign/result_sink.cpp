@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "reap/common/csv.hpp"
+#include "reap/common/fault.hpp"
 #include "reap/common/jsonl.hpp"
 #include "reap/common/strings.hpp"
 #include "reap/core/config_kv.hpp"
@@ -14,6 +15,12 @@ namespace {
 
 std::string fmt(double v) { return common::fmt_double(v); }
 std::string fmt(std::uint64_t v) { return std::to_string(v); }
+
+// The sink.write / sink.close fault sites: an injected fault fails the
+// sink the way a short write does, so the output step reports the path.
+bool injected(const char* site, const std::string& path) {
+  return common::fault::hit(site, path).has_value();
+}
 
 }  // namespace
 
@@ -73,20 +80,28 @@ std::vector<std::string> result_cells(const CampaignPoint& point,
 
 struct CsvResultSink::Impl {
   explicit Impl(const std::string& path)
-      : writer(path, result_header()) {}
+      : path(path), writer(path, result_header()) {}
+  std::string path;
   common::CsvWriter writer;
+  bool failed = false;  // an injected sink.write fault fired
 };
 
 CsvResultSink::CsvResultSink(const std::string& path)
     : impl_(std::make_unique<Impl>(path)) {}
 CsvResultSink::~CsvResultSink() = default;
-bool CsvResultSink::ok() const { return impl_->writer.ok(); }
-
-void CsvResultSink::add_cells(const std::vector<std::string>& cells) {
-  impl_->writer.add_row(cells);
+bool CsvResultSink::ok() const {
+  return !impl_->failed && impl_->writer.ok();
 }
 
-bool CsvResultSink::close() { return impl_->writer.close(); }
+void CsvResultSink::add_cells(const std::vector<std::string>& cells) {
+  if (injected("sink.write", impl_->path)) impl_->failed = true;
+  if (!impl_->failed) impl_->writer.add_row(cells);
+}
+
+bool CsvResultSink::close() {
+  const bool landed = impl_->writer.close();
+  return !injected("sink.close", impl_->path) && landed && !impl_->failed;
+}
 
 // -------------------------------------------------------------- JSONL sink
 
@@ -137,7 +152,8 @@ std::string jsonl_fields(const std::vector<std::string>& header,
 }
 
 struct JsonlResultSink::Impl {
-  explicit Impl(const std::string& path) : out(path) {}
+  explicit Impl(const std::string& path) : path(path), out(path) {}
+  std::string path;
   std::ofstream out;
   std::vector<std::string> header = result_header();
 };
@@ -148,13 +164,15 @@ JsonlResultSink::~JsonlResultSink() = default;
 bool JsonlResultSink::ok() const { return static_cast<bool>(impl_->out); }
 
 void JsonlResultSink::add_cells(const std::vector<std::string>& cells) {
+  if (injected("sink.write", impl_->path))
+    impl_->out.setstate(std::ios::badbit);
   if (!impl_->out) return;
   impl_->out << '{' << jsonl_fields(impl_->header, cells) << "}\n";
 }
 
 bool JsonlResultSink::close() {
   if (impl_->out.is_open()) impl_->out.close();
-  return !impl_->out.fail();
+  return !injected("sink.close", impl_->path) && !impl_->out.fail();
 }
 
 void emit_all(const std::vector<CampaignPoint>& points,

@@ -69,6 +69,8 @@ const std::vector<std::string>& known_sites() {
                             // host name) -- handshake or launch
       "transport.stream",   // the journal stream from a remote worker
                             // (context: host name)
+      "sink.write",  // one row of a CSV/JSONL output (context: its path)
+      "sink.close",  // a CSV/JSONL output's final flush (context: its path)
   };
   return sites;
 }

@@ -1,13 +1,15 @@
 // Chaos drills: the robustness layer exercised end-to-end against the
-// real reap_campaign / reap_dispatch binaries, with failures *injected*
-// (REAP_FAULT / --inject-fault) rather than hoped for. Each drill pins
+// real reap_campaign / reap_dispatch / reap_report binaries, with
+// failures *injected* (REAP_FAULT / --inject-fault) rather than hoped
+// for. Each drill pins
 // one leg of the contract in docs/robustness.md: a poisoned grid point
 // is bisected to and quarantined while the rest of the campaign is
 // delivered; a hung worker is caught by the watchdog (SIGTERM, then
 // SIGKILL) and its poison pinned; journal ENOSPC/EIO and torn-write
 // crashes exit with their distinct codes and resume losslessly; SIGTERM
-// stops a run at a row boundary; and the dispatch CLI maps every outcome
-// onto its documented exit code.
+// stops a run at a row boundary; the dispatch CLI maps every outcome
+// onto its documented exit code; and a CSV/JSONL output failing mid-file
+// or at its close fails every CLI without touching the existing file.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -504,6 +506,64 @@ TEST(Chaos, DispatchCliExitsAbandonedAndSpecMismatchDistinctly) {
   ASSERT_TRUE(mismatch.exited) << mismatch.describe();
   EXPECT_EQ(mismatch.code, kDispatchSpecMismatch);
   EXPECT_NE(file_bytes(log).find("different spec"), std::string::npos);
+}
+
+// An output that fails part-way: `fault` is armed on one CSV or JSONL
+// target of each CLI in turn. Every run exits 1 naming the target, and an
+// existing file at that path keeps its bytes, with no temporary left
+// beside it.
+void expect_each_cli_fails_its_output(const std::string& fault,
+                                      const char* name) {
+  const auto kv = grid4(name);
+  const auto dir = fresh_dir(name);
+  std::filesystem::create_directories(dir);
+  const auto rows = dir + "/rows.journal";
+  const auto log = dir + "/run.log";
+  ASSERT_TRUE(run_to_exit(flag_argv(REAP_CAMPAIGN_BIN, kv,
+                                    {"--journal=" + rows, "--quiet"}),
+                          log)
+                  .success());
+  const std::string kept = "rows of an earlier run\n";
+  for (const std::string ext : {"csv", "jsonl"}) {
+    const auto target = dir + "/out." + ext;
+    {
+      std::ofstream(target) << kept;
+    }
+    const std::vector<std::vector<std::string>> runs = {
+        flag_argv(REAP_CAMPAIGN_BIN, kv,
+                  {"--" + ext + "=" + target, "--quiet"}),
+        flag_argv(REAP_DISPATCH_BIN, kv,
+                  {"--campaign-bin=" REAP_CAMPAIGN_BIN,
+                   "--work-dir=" + dir + "/work", "--workers=2",
+                   "--" + ext + "=" + target, "--quiet"}),
+        {REAP_REPORT_BIN, rows, "--merged-" + ext + "=" + target},
+    };
+    for (const auto& argv : runs) {
+      SCOPED_TRACE(argv[0] + " " + ext);
+      common::ExitStatus status;
+      {
+        EnvFault armed(fault + ":key=out." + ext);
+        status = run_to_exit(argv, log);
+      }
+      ASSERT_TRUE(status.exited) << status.describe();
+      EXPECT_EQ(status.code, 1);
+      EXPECT_NE(file_bytes(log).find("output: " + target), std::string::npos)
+          << file_bytes(log);
+      EXPECT_EQ(file_bytes(target), kept);
+    }
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+}
+
+// EIO on the third row of an output, after two rows have streamed.
+TEST(Chaos, SinkWriteFaultFailsEachCliAndKeepsTheOldOutput) {
+  expect_each_cli_fails_its_output("sink.write:eio:3", "chaos_sink_write");
+}
+
+// A failure at the final flush, after every row was accepted.
+TEST(Chaos, SinkCloseFaultFailsEachCliAndKeepsTheOldOutput) {
+  expect_each_cli_fails_its_output("sink.close:enospc", "chaos_sink_close");
 }
 
 }  // namespace

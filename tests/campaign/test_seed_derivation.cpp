@@ -3,9 +3,12 @@
 // The golden values below pin the exact splitmix64 construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "reap/campaign/seed.hpp"
 #include "reap/campaign/spec.hpp"
@@ -54,14 +57,20 @@ TEST(SeedDerivation, CompanionSeedDecorrelates) {
 // distinct trace keys imply distinct trace *seeds* — a companion-seed
 // collision across workloads would make two different workloads replay
 // correlated streams and would be invisible in any per-point check. That
-// was only implicitly impossible; pin it against the real figure specs so
-// a seed-rule change that introduces a collision fails loudly here.
+// was only implicitly impossible; pin it against every checked-in spec so
+// a seed-rule change that introduces a collision fails loudly here, and a
+// new spec is parsed, validated and expanded without editing this test.
 TEST(SeedDerivation, FigureSpecTraceKeysMapToDistinctTraceSeeds) {
-  const std::string source_dir = REAP_SOURCE_DIR;
-  for (const char* rel : {"/specs/fig5.spec", "/specs/fig6.spec"}) {
-    SCOPED_TRACE(rel);
+  std::vector<std::filesystem::path> specs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(REAP_SOURCE_DIR "/specs"))
+    if (entry.path().extension() == ".spec") specs.push_back(entry.path());
+  std::sort(specs.begin(), specs.end());
+  ASSERT_GE(specs.size(), 3u);
+  for (const auto& path : specs) {
+    SCOPED_TRACE(path.filename().string());
     std::string error;
-    const auto kv = parse_spec_file(source_dir + rel, &error);
+    const auto kv = parse_spec_file(path.string(), &error);
     ASSERT_TRUE(kv.has_value()) << error;
     const auto spec = CampaignSpec::from_kv(*kv, &error);
     ASSERT_TRUE(spec.has_value()) << error;
@@ -88,9 +97,12 @@ TEST(SeedDerivation, FigureSpecTraceKeysMapToDistinctTraceSeeds) {
             << ts->second;
       }
     }
-    // The full workload set produces one group per workload here (single
-    // seed replica, no ratio axis).
-    EXPECT_EQ(by_key.size(), spec->workloads.size());
+    // One trace group per environment coordinate: workload x operating
+    // point x seed replica (design axes share a group).
+    EXPECT_EQ(by_key.size(),
+              spec->workloads.size() *
+                  std::max<std::size_t>(1, spec->read_ratios.size()) *
+                  spec->seeds.size());
   }
 }
 
