@@ -1,7 +1,10 @@
 #include "reap/campaign/aggregate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "reap/common/table.hpp"
 
@@ -68,25 +71,43 @@ CampaignAggregates summarize_comparisons(
     agg.by_policy.push_back(s);
   }
 
-  // Per-workload x policy summaries (the Fig. 5 / Fig. 6 bars).
+  // Per-workload x policy summaries (the Fig. 5 / Fig. 6 bars): one pass
+  // sums each cell's comparisons in their given order. A name listed twice
+  // names its first cell.
+  const auto policy_at = [&policy_order](core::PolicyKind policy) {
+    return static_cast<std::size_t>(
+        std::find(policy_order.begin(), policy_order.end(), policy) -
+        policy_order.begin());
+  };
+  std::unordered_map<std::string_view, std::size_t> workload_at;
+  for (std::size_t w = 0; w < workload_order.size(); ++w)
+    workload_at.emplace(workload_order[w], w);
+  struct Cell {
+    double sum_gain = 0.0, sum_ovh = 0.0;
+    std::size_t n = 0;
+  };
+  std::vector<Cell> cells(workload_order.size() * policy_order.size());
+  for (const auto& a : comparisons) {
+    const auto w = workload_at.find(a.workload);
+    const std::size_t p = policy_at(a.policy);
+    if (w == workload_at.end() || p == policy_order.size()) continue;
+    Cell& cell = cells[w->second * policy_order.size() + p];
+    ++cell.n;
+    cell.sum_gain += a.c.mttf_gain;
+    cell.sum_ovh += a.c.energy_overhead_pct;
+  }
   for (const auto& workload : workload_order) {
     for (const auto policy : policy_order) {
+      const Cell& cell = cells[workload_at.at(workload) * policy_order.size() +
+                               policy_at(policy)];
+      if (cell.n == 0) continue;
       WorkloadSummary ws;
       ws.workload = workload;
       ws.policy = policy;
-      double sum_gain = 0.0, sum_ovh = 0.0;
-      std::size_t n = 0;
-      for (const auto& a : comparisons) {
-        if (a.workload != workload || a.policy != policy) continue;
-        ++n;
-        sum_gain += a.c.mttf_gain;
-        sum_ovh += a.c.energy_overhead_pct;
-      }
-      if (n > 0) {
-        ws.mean_mttf_gain = sum_gain / static_cast<double>(n);
-        ws.mean_energy_overhead_pct = sum_ovh / static_cast<double>(n);
-        agg.by_workload.push_back(ws);
-      }
+      ws.mean_mttf_gain = cell.sum_gain / static_cast<double>(cell.n);
+      ws.mean_energy_overhead_pct =
+          cell.sum_ovh / static_cast<double>(cell.n);
+      agg.by_workload.push_back(ws);
     }
   }
   return agg;

@@ -286,7 +286,9 @@ class JournalTailer {
   // are skipped, not fatal: a live file is allowed to be mid-anything.
   std::vector<std::string> poll();
 
-  // Distinct row keys observed so far (header line excluded).
+  // Distinct row keys observed so far (header line excluded), and their
+  // number.
+  const std::unordered_set<std::string>& keys() const { return seen_; }
   std::size_t rows_seen() const { return seen_.size(); }
 
   // Bytes consumed through the last complete line. The dispatcher's

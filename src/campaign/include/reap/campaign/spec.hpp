@@ -140,6 +140,10 @@ struct TracePlan {
   std::size_t largest_bytes = 0;
 };
 TracePlan trace_plan(const std::vector<CampaignPoint>& points);
+// The same plan for the whole grid of `spec`, in closed form: equal to
+// trace_plan(expand(spec)) without building a point. Throws what
+// validate() throws.
+TracePlan trace_plan(const CampaignSpec& spec);
 
 // Deterministic serialization of every field that affects expansion or
 // experiment outcomes (axes, base-config overrides, campaign seed). Two

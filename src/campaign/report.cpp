@@ -1,10 +1,12 @@
 #include "reap/campaign/report.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -124,55 +126,115 @@ std::optional<RowTable> load_rows(const std::string& path,
 
 namespace {
 
-using KvViews = std::vector<std::pair<std::string_view, std::string_view>>;
+// Whitespace as kv_parse's istringstream reads it.
+bool is_kv_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-// partner_key with caller-owned buffers: appends the key of `config` to
-// `out`, with `kv` as scratch, so a caller keying many rows stops
-// allocating once both buffers have grown.
-void append_partner_key(std::string_view config, KvViews& kv,
-                        std::string& out) {
-  // kv_parse's reading of the string -- whitespace-separated tokens, key
-  // before the first '=', a repeated key keeps its last value -- without
-  // its std::map and istringstream: views, sorted by key.
-  kv.clear();
-  const auto is_space = [](char c) {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  };
-  for (std::size_t i = 0; i < config.size();) {
-    while (i < config.size() && is_space(config[i])) ++i;
-    const std::size_t begin = i;
-    while (i < config.size() && !is_space(config[i])) ++i;
-    if (i == begin) break;
-    const auto token = config.substr(begin, i - begin);
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos)
-      kv.emplace_back(token, std::string_view{});
-    else
-      kv.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+// Partner keys of many rows. A key is kv_parse's reading of the config
+// -- whitespace-separated tokens, key before the first '=', a repeated key
+// keeps its last value -- with `policy` dropped and the rest in key order,
+// built without kv_parse's std::map and istringstream. The rows of a table
+// nearly always list the same keys in the same order, so the order a key
+// is assembled in is worked out once per key sequence and reused: a row
+// costs a tokenize, a compare of its keys with the last sequence's, and
+// the appends.
+class PartnerKeys {
+ public:
+  // Appends the partner key of `config` to `out`.
+  void append(std::string_view config, std::string& out) {
+    tokenize(config);
+    if (!same_keys()) plan();
+    bool first = true;
+    for (const std::size_t i : order_) {
+      if (!first) out += ' ';
+      first = false;
+      out += tokens_[i].first;
+      out += '=';
+      out += tokens_[i].second;
+    }
   }
-  std::stable_sort(kv.begin(), kv.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  bool first = true;
-  for (std::size_t i = 0; i < kv.size(); ++i) {
-    // Of a run of equal keys only the last counts, as a map assignment.
-    if (i + 1 < kv.size() && kv[i + 1].first == kv[i].first) continue;
-    if (kv[i].first == "policy") continue;
-    if (!first) out += ' ';
-    first = false;
-    out += kv[i].first;
-    out += '=';
-    out += kv[i].second;
+
+ private:
+  void tokenize(std::string_view config) {
+    tokens_.clear();
+    for (std::size_t i = 0; i < config.size();) {
+      while (i < config.size() && is_kv_space(config[i])) ++i;
+      const std::size_t begin = i;
+      while (i < config.size() && !is_kv_space(config[i])) ++i;
+      if (i == begin) break;
+      const auto token = config.substr(begin, i - begin);
+      const auto eq = token.find('=');
+      if (eq == std::string_view::npos)
+        tokens_.emplace_back(token, std::string_view{});
+      else
+        tokens_.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+    }
   }
+
+  bool same_keys() const {
+    if (tokens_.size() != keys_.size()) return false;
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+      if (tokens_[i].first != keys_[i]) return false;
+    return true;
+  }
+
+  // The token positions a key of this sequence is built from: stably
+  // sorted by key, the last of a run of equal keys (as a map assignment
+  // keeps it), `policy` left out.
+  void plan() {
+    keys_.assign(tokens_.size(), {});
+    for (std::size_t i = 0; i < tokens_.size(); ++i)
+      keys_[i] = tokens_[i].first;
+    std::vector<std::size_t> sorted(keys_.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) sorted[i] = i;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return keys_[a] < keys_[b];
+                     });
+    order_.clear();
+    for (std::size_t k = 0; k < sorted.size(); ++k) {
+      const auto& key = keys_[sorted[k]];
+      if (k + 1 < sorted.size() && keys_[sorted[k + 1]] == key) continue;
+      if (key != "policy") order_.push_back(sorted[k]);
+    }
+  }
+
+  std::vector<std::pair<std::string_view, std::string_view>> tokens_;
+  std::vector<std::string> keys_;   // the key sequence order_ is for
+  std::vector<std::size_t> order_;  // token positions, in key order
+};
+
+// Appends `config` without its `policy` tokens, whitespace kept. What is
+// left tokenizes to the config's other tokens in their order, so two
+// configs equal this way have equal partner keys -- found with a search
+// and two copies instead of a tokenize and a rebuild.
+void append_without_policy(std::string_view config, std::string& out) {
+  constexpr std::string_view kPolicy = "policy";
+  std::size_t copied = 0;
+  for (std::size_t at = config.find(kPolicy); at != std::string_view::npos;
+       at = config.find(kPolicy, at + 1)) {
+    std::size_t end = at + kPolicy.size();
+    // A token whose key, the text before its first '=', is `policy`.
+    if ((at > 0 && !is_kv_space(config[at - 1])) ||
+        (end < config.size() && config[end] != '=' &&
+         !is_kv_space(config[end])))
+      continue;
+    while (end < config.size() && !is_kv_space(config[end])) ++end;
+    out.append(config.substr(copied, at - copied));
+    copied = end;
+    at = end - 1;
+  }
+  out.append(config.substr(copied));
 }
 
 }  // namespace
 
 std::string partner_key(std::string_view config) {
-  KvViews kv;
+  // One builder per thread: successive calls reuse its order the way the
+  // rows of one aggregate do.
+  thread_local PartnerKeys keys;
   std::string out;
   out.reserve(config.size());
-  append_partner_key(config, kv, out);
+  keys.append(config, out);
   return out;
 }
 
@@ -261,6 +323,31 @@ bool covers_all_indices(const RowTable& table) {
   return !table.rows.empty();
 }
 
+namespace {
+
+// Rows one task of aggregate_rows' per-row stages takes; a table of at
+// most this many rows is aggregated on the calling thread alone.
+constexpr std::size_t kAggregateChunk = 512;
+
+// Calls fn(chunk, begin, end) for every kAggregateChunk-row chunk of
+// [0, n), on up to one thread per core. Chunks share nothing but `fn`.
+template <class Fn>
+void for_each_chunk(std::size_t n, const Fn& fn) {
+  const std::size_t chunks = (n + kAggregateChunk - 1) / kAggregateChunk;
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t k; (k = next.fetch_add(1)) < chunks;)
+      fn(k, k * kAggregateChunk, std::min(n, (k + 1) * kAggregateChunk));
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      chunks, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::jthread> helpers;
+  for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
+  work();
+}
+
+}  // namespace
+
 std::optional<CampaignAggregates> aggregate_rows(const RowTable& table,
                                                  core::PolicyKind baseline,
                                                  std::string* error) {
@@ -283,90 +370,145 @@ std::optional<CampaignAggregates> aggregate_rows(const RowTable& table,
       !need("energy_dynamic_j", c.energy) || !need("config", c.config))
     return std::nullopt;
 
+  // The per-row work -- a row's policy and numbers, the keys its baseline
+  // partner is found by, then that partner -- runs in chunks of rows on up
+  // to one thread per core. What depends on row order (the first baseline
+  // row of a key, errors, comparisons, first appearances) runs in order.
   struct Parsed {
+    std::optional<core::PolicyKind> policy;
+    bool numeric = false;
     std::uint64_t index = 0;
-    core::PolicyKind policy{};
     reliability::MttfResult mttf;
     double energy_j = 0.0;
     double ipc = 0.0;
+    bool same_workload = false;  // as the row before
+    std::string_view config;     // the config without policy
+    std::string_view key;        // partner key (baseline rows)
+    std::optional<std::size_t> partner;  // baseline row (other rows)
   };
-  // Each row's numbers, parsed once (after its policy, in pass 1).
   const auto parse = [&](const std::vector<std::string>& row, Parsed& p) {
-    if (!common::parse_u64(row[c.index], p.index) ||
-        !common::parse_double(row[c.ipc], p.ipc) ||
-        !common::parse_double(row[c.energy], p.energy_j) ||
-        !common::parse_double(row[c.sim_seconds], p.mttf.sim_seconds) ||
-        !common::parse_double(row[c.mttf_seconds], p.mttf.mttf_seconds) ||
-        !common::parse_double(row[c.failure_rate],
-                              p.mttf.failure_rate_per_s) ||
-        !common::parse_double(row[c.failure_prob], p.mttf.failure_prob_sum))
-      return fail(error, "non-numeric cell in row " + row[c.index]);
-    return true;
+    return common::parse_u64(row[c.index], p.index) &&
+           common::parse_double(row[c.ipc], p.ipc) &&
+           common::parse_double(row[c.energy], p.energy_j) &&
+           common::parse_double(row[c.sim_seconds], p.mttf.sim_seconds) &&
+           common::parse_double(row[c.mttf_seconds], p.mttf.mttf_seconds) &&
+           common::parse_double(row[c.failure_rate],
+                                p.mttf.failure_rate_per_s) &&
+           common::parse_double(row[c.failure_prob], p.mttf.failure_prob_sum);
   };
+  const std::size_t n_rows = table.rows.size();
+  std::vector<Parsed> parsed(n_rows);
+  // Each chunk's keys sit back to back in its arenas, viewed once complete.
+  const std::size_t n_chunks = (n_rows + kAggregateChunk - 1) / kAggregateChunk;
+  std::vector<std::string> config_arenas(n_chunks), key_arenas(n_chunks);
+  for_each_chunk(n_rows, [&](std::size_t k, std::size_t begin,
+                             std::size_t end) {
+    PartnerKeys keys;
+    std::string& configs = config_arenas[k];
+    std::string& partner_keys = key_arenas[k];
+    std::vector<std::pair<std::size_t, std::size_t>> ends;  // arena sizes
+    ends.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& row = table.rows[i];
+      Parsed& p = parsed[i];
+      p.same_workload =
+          i > 0 && row[c.workload] == table.rows[i - 1][c.workload];
+      p.policy = core::policy_from_string(row[c.policy]);
+      if (p.policy) {
+        p.numeric = parse(row, p);
+        append_without_policy(row[c.config], configs);
+        if (*p.policy == baseline) keys.append(row[c.config], partner_keys);
+      }
+      ends.emplace_back(configs.size(), partner_keys.size());
+    }
+    std::size_t config_at = 0, key_at = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto [config_end, key_end] = ends[i - begin];
+      parsed[i].config =
+          std::string_view(configs).substr(config_at, config_end - config_at);
+      parsed[i].key =
+          std::string_view(partner_keys).substr(key_at, key_end - key_at);
+      config_at = config_end;
+      key_at = key_end;
+    }
+  });
 
-  // Pass 1: every row's policy; baseline rows by partner key. The keys sit
-  // back to back in one arena, viewed by the map once it is complete.
-  std::vector<Parsed> parsed(table.rows.size());
-  KvViews kv;
-  std::string arena;
-  std::vector<std::pair<std::size_t, std::size_t>> key_ends;  // (end, row)
-  for (std::size_t i = 0; i < table.rows.size(); ++i) {
-    const auto kind = core::policy_from_string(table.rows[i][c.policy]);
-    if (!kind) {
+  // Errors as a row-by-row pass meets them: an unknown policy in any row
+  // first, then a missing baseline, then a non-numeric cell.
+  for (std::size_t i = 0; i < n_rows; ++i)
+    if (!parsed[i].policy) {
       fail(error, "unknown policy in rows: " + table.rows[i][c.policy]);
       return std::nullopt;
     }
-    parsed[i].policy = *kind;
-    if (*kind != baseline) continue;
-    append_partner_key(table.rows[i][c.config], kv, arena);
-    key_ends.emplace_back(arena.size(), i);
+  // A partner key names its first baseline row, and a config without
+  // policy names the row its partner key names.
+  std::unordered_map<std::string_view, std::size_t> baseline_by_key,
+      baseline_by_config;
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (*parsed[i].policy != baseline) continue;
+    const std::size_t row =
+        baseline_by_key.emplace(parsed[i].key, i).first->second;
+    baseline_by_config.emplace(parsed[i].config, row);
   }
-  if (key_ends.empty()) {
+  if (baseline_by_key.empty()) {
     fail(error, "baseline policy " + core::to_string(baseline) +
                     " has no rows; nothing to normalize against");
     return std::nullopt;
   }
-  std::unordered_map<std::string_view, std::size_t> baseline_by_key;
-  baseline_by_key.reserve(key_ends.size());
-  std::size_t key_begin = 0;
-  for (const auto& [end, row] : key_ends) {
-    baseline_by_key.emplace(
-        std::string_view(arena).substr(key_begin, end - key_begin), row);
-    key_begin = end;
-  }
-  for (std::size_t i = 0; i < table.rows.size(); ++i)
-    if (!parse(table.rows[i], parsed[i])) return std::nullopt;
+  for (std::size_t i = 0; i < n_rows; ++i)
+    if (!parsed[i].numeric) {
+      fail(error, "non-numeric cell in row " + table.rows[i][c.index]);
+      return std::nullopt;
+    }
 
-  // Pass 2: comparisons in row (= index) order, plus first-appearance
-  // orders. For a row-major expansion first appearance reproduces the
-  // spec's axis order, so summaries match the in-process report.
+  // Each other row's partner: by config without policy, else by partner
+  // key; none when the partner is in another shard.
+  for_each_chunk(n_rows, [&](std::size_t, std::size_t begin,
+                             std::size_t end) {
+    PartnerKeys keys;
+    std::string key;
+    for (std::size_t i = begin; i < end; ++i) {
+      Parsed& p = parsed[i];
+      if (*p.policy == baseline) continue;
+      auto it = baseline_by_config.find(p.config);
+      if (it == baseline_by_config.end()) {
+        key.clear();
+        keys.append(table.rows[i][c.config], key);
+        it = baseline_by_key.find(key);
+        if (it == baseline_by_key.end()) continue;
+      }
+      p.partner = it->second;
+    }
+  });
+
+  // Comparisons in row (= index) order, plus first-appearance orders. For
+  // a row-major expansion first appearance reproduces the spec's axis
+  // order, so summaries match the in-process report.
   std::vector<AnnotatedComparison> comparisons;
+  comparisons.reserve(n_rows);
   std::vector<core::PolicyKind> policy_order;
   std::vector<std::string> workload_order;
-  std::string key;
-  for (std::size_t i = 0; i < table.rows.size(); ++i) {
-    const auto& row = table.rows[i];
+  const std::string* workload = nullptr;  // the row's, read when it changes
+  for (std::size_t i = 0; i < n_rows; ++i) {
     const Parsed& p = parsed[i];
-    const auto& workload = row[c.workload];
-    if (std::find(workload_order.begin(), workload_order.end(), workload) ==
-        workload_order.end())
-      workload_order.push_back(workload);
-    if (p.policy == baseline) continue;
-    if (std::find(policy_order.begin(), policy_order.end(), p.policy) ==
+    if (!p.same_workload) {
+      workload = &table.rows[i][c.workload];
+      if (std::find(workload_order.begin(), workload_order.end(),
+                    *workload) == workload_order.end())
+        workload_order.push_back(*workload);
+    }
+    if (*p.policy == baseline) continue;
+    if (std::find(policy_order.begin(), policy_order.end(), *p.policy) ==
         policy_order.end())
-      policy_order.push_back(p.policy);
-
-    key.clear();
-    append_partner_key(row[c.config], kv, key);
-    const auto it = baseline_by_key.find(key);
-    if (it == baseline_by_key.end()) continue;  // partner in another shard
-    const Parsed& base = parsed[it->second];
+      policy_order.push_back(*p.policy);
+    if (!p.partner) continue;
+    const Parsed& base = parsed[*p.partner];
 
     AnnotatedComparison a;
     a.c = compare_metrics(p.index, base.index, p.mttf, p.energy_j, p.ipc,
                           base.mttf, base.energy_j, base.ipc);
-    a.policy = p.policy;
-    a.workload = workload;
+    a.policy = *p.policy;
+    a.workload = *workload;
     comparisons.push_back(std::move(a));
   }
 

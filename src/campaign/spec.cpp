@@ -216,6 +216,22 @@ TracePlan trace_plan(const std::vector<CampaignPoint>& points) {
   return plan;
 }
 
+TracePlan trace_plan(const CampaignSpec& spec) {
+  // A trace key is (workload, read ratio, seed replica), and every axis
+  // holds distinct values; an estimate reads the profile's op mix and the
+  // window only, so the seed a point derives does not change it.
+  TracePlan plan;
+  for (const auto& profile : checked_profiles(spec))
+    plan.largest_bytes = std::max(
+        plan.largest_bytes,
+        trace::estimate_trace_bytes(profile, spec.base.warmup_instructions +
+                                                 spec.base.instructions));
+  plan.groups = spec.workloads.size() *
+                std::max<std::size_t>(1, spec.read_ratios.size()) *
+                spec.seeds.size();
+  return plan;
+}
+
 std::string canonical_string(const CampaignSpec& spec) {
   std::ostringstream out;
   out << "reap-campaign-spec-v1\n";

@@ -1,6 +1,8 @@
 #include "reap/common/csv.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <string_view>
 
 #include "reap/common/assert.hpp"
 
@@ -13,17 +15,19 @@ CsvWriter::CsvWriter(const std::string& path,
   if (out_) add_row(header);
 }
 
+CsvWriter::~CsvWriter() { close(); }
+
 namespace {
 
 // One pass over the cell (find_first_of would run a memchr over the
 // three specials for every byte).
-bool needs_quoting(const std::string& cell) {
+bool needs_quoting(std::string_view cell) {
   return std::any_of(cell.begin(), cell.end(), [](char c) {
     return c == ',' || c == '"' || c == '\n';
   });
 }
 
-void append_quoted(std::string& out, const std::string& cell) {
+void append_quoted(std::string& out, std::string_view cell) {
   out += '"';
   for (char ch : cell) {
     if (ch == '"') out += '"';
@@ -32,27 +36,52 @@ void append_quoted(std::string& out, const std::string& cell) {
   out += '"';
 }
 
+// Rows gather in the writer's buffer and reach the stream in pieces of
+// about this size, each a single write.
+constexpr std::size_t kWriteChunk = std::size_t{1} << 18;
+
 }  // namespace
 
 void CsvWriter::add_row(const std::vector<std::string>& cells) {
   REAP_EXPECTS(cells.size() == ncols_);
   if (!out_) return;
-  // The line is assembled in a reused buffer and written once; a cell
-  // that needs no quoting (nearly all of them) is appended as is.
-  line_.clear();
+  // The cells are appended as they are, and the line is checked once
+  // where it landed: with no quote or newline and exactly one comma per
+  // separator, no cell needs quoting (nearly every row). Otherwise the
+  // line is rebuilt cell by cell.
+  const std::size_t at = buf_.size();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) line_ += ',';
-    if (needs_quoting(cells[i]))
-      append_quoted(line_, cells[i]);
-    else
-      line_ += cells[i];
+    if (i) buf_ += ',';
+    buf_ += cells[i];
   }
-  line_ += '\n';
-  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
+  const char* line = buf_.data() + at;
+  const std::size_t n = buf_.size() - at;
+  if (static_cast<std::size_t>(std::count(line, line + n, ',')) + 1 !=
+          ncols_ ||
+      std::memchr(line, '"', n) || std::memchr(line, '\n', n)) {
+    buf_.resize(at);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (i) buf_ += ',';
+      if (needs_quoting(cells[i]))
+        append_quoted(buf_, cells[i]);
+      else
+        buf_ += cells[i];
+    }
+  }
+  buf_ += '\n';
+  if (buf_.size() >= kWriteChunk) flush();
+}
+
+void CsvWriter::flush() {
+  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
 }
 
 bool CsvWriter::close() {
-  if (out_.is_open()) out_.close();
+  if (out_.is_open()) {
+    if (out_) flush();
+    out_.close();
+  }
   return !out_.fail();
 }
 

@@ -16,18 +16,23 @@ class CsvWriter {
   // failed (a full disk shows when a buffer flushes); writes on a failed
   // stream are no-ops.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
+  // Closes the file if close() was not called.
+  ~CsvWriter();
 
   bool ok() const { return static_cast<bool>(out_); }
 
+  // Rows are buffered and written in large pieces; close() writes the rest.
   void add_row(const std::vector<std::string>& cells);
 
   // Flushes and closes the file: true when every byte landed.
   bool close();
 
  private:
+  void flush();
+
   std::ofstream out_;
   std::size_t ncols_;
-  std::string line_;  // add_row's buffer, kept across rows
+  std::string buf_;  // rows not yet written
 };
 
 // Canonical cell quoting: bare unless the cell contains , " or a newline,

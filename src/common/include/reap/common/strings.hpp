@@ -27,6 +27,12 @@ inline bool fail(std::string* error, const std::string& msg) {
 // whitespace and silently wrap a leading '-' ("-1" -> 2^64-1).
 inline bool parse_u64(const std::string& s, std::uint64_t& out) {
   if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  // A whole-string from_chars parse decides the common case (digits in
+  // range); strtoull decides the rest, exactly as before.
+  const char* const last = s.data() + s.size();
+  if (const auto r = std::from_chars(s.data(), last, out);
+      r.ec == std::errc{} && r.ptr == last)
+    return true;
   char* end = nullptr;
   out = std::strtoull(s.c_str(), &end, 10);
   return end && *end == '\0';

@@ -1,7 +1,28 @@
 #include "reap/common/jsonl.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 namespace reap::common {
 namespace {
+
+// Where the next '"' or '\\' at or after `i` sits; npos when none does.
+// Most strings end within a few bytes, so those are looked at one by one
+// before memchr searches the rest.
+std::size_t next_quote_or_backslash(std::string_view line, std::size_t i) {
+  for (const std::size_t near = std::min(line.size(), i + 32); i < near; ++i)
+    if (line[i] == '"' || line[i] == '\\') return i;
+  if (i >= line.size()) return std::string_view::npos;
+  const char* const from = line.data() + i;
+  const std::size_t n = line.size() - i;
+  const auto* quote = static_cast<const char*>(std::memchr(from, '"', n));
+  const std::size_t before = quote ? static_cast<std::size_t>(quote - from) : n;
+  if (const auto* backslash =
+          static_cast<const char*>(std::memchr(from, '\\', before)))
+    return i + static_cast<std::size_t>(backslash - from);
+  return quote ? i + before : std::string_view::npos;
+}
 
 // Scans a double-quoted string starting at line[i] == '"'; advances i past
 // the closing quote and views the text between the quotes. Recognizes the
@@ -11,27 +32,33 @@ bool scan_string(std::string_view line, std::size_t& i, std::string_view& out,
                  bool& escaped) {
   const std::size_t begin = ++i;  // past the opening quote
   escaped = false;
-  while (i < line.size()) {
-    const char c = line[i];
-    if (c == '"') {
+  for (;;) {
+    i = next_quote_or_backslash(line, i);
+    if (i == std::string_view::npos) return false;  // unterminated
+    if (line[i] == '"') {
       out = line.substr(begin, i - begin);
       ++i;
       return true;
     }
-    if (c == '\\') {
-      if (i + 1 >= line.size()) return false;
-      switch (line[i + 1]) {
-        case '"': case '\\': case '/': case 'n': case 't': case 'r': break;
-        default: return false;
-      }
-      escaped = true;
-      i += 2;
-    } else {
-      ++i;
+    if (i + 1 >= line.size()) return false;
+    switch (line[i + 1]) {
+      case '"': case '\\': case '/': case 'n': case 't': case 'r': break;
+      default: return false;
     }
+    escaped = true;
+    i += 2;
   }
-  return false;  // unterminated
 }
+
+// What a byte does to a raw (unquoted) value: ends it, is refused by the
+// subset (a nested container, a stray quote), or belongs to it.
+enum RawByte : unsigned char { kRawPart, kRawEnd, kRawRefused };
+constexpr std::array<RawByte, 256> kRawBytes = [] {
+  std::array<RawByte, 256> kinds{};
+  kinds[','] = kinds['}'] = kRawEnd;
+  kinds['{'] = kinds['['] = kinds['"'] = kRawRefused;
+  return kinds;
+}();
 
 // Resolves the escapes of a string scan_string accepted.
 std::string unescape(std::string_view raw) {
@@ -121,11 +148,12 @@ bool scan_jsonl_line(std::string_view line, std::vector<JsonlField>& out) {
       // care -- the bytes ARE the cell. One pass finds the end and
       // rejects what the subset lacks (nested containers, a stray quote).
       std::size_t end = i;
-      for (; end < line.size() && line[end] != ',' && line[end] != '}';
-           ++end)
-        if (line[end] == '{' || line[end] == '[' || line[end] == '"')
-          return false;
-      if (end == line.size() || end == i) return false;
+      RawByte kind = kRawPart;
+      while (end < line.size() &&
+             (kind = kRawBytes[static_cast<unsigned char>(line[end])]) ==
+                 kRawPart)
+        ++end;
+      if (kind == kRawRefused || end == line.size() || end == i) return false;
       f.value = line.substr(i, end - i);
       i = end;
     }

@@ -411,11 +411,12 @@ TEST(DispatchEvents, KillOneWorkerRunReportsEveryStepInOrder) {
     EXPECT_EQ(e.ok, !(e.shard == 1 && e.attempt == 0));
 }
 
-// Rows that land after a tick's tailing are reported when their worker
-// is reaped. One worker runs the whole grid inside one long tick, and a
-// one-shot tailer.read fault blinds the tick that wakes on its exit
-// (polls: 1 right after the launch, 2 on that tick, 3 at the reap), so
-// only the reap's poll sees the rows.
+// Rows a blinded poll misses are reported by a later one. One worker runs
+// the whole grid inside one long tick, and a one-shot tailer.read fault
+// blinds poll 2 (polls: 1 right after the launch, then one every few ms
+// between ticks, one when the tick wakes on the worker's exit, and the
+// last at the reap), so the rows are seen by a later tail between ticks
+// or by the reap's poll; either way every row is reported.
 TEST(DispatchEvents, RowsSeenOnlyWhenTheWorkerIsReapedAreReported) {
   {
     auto probe = common::Child::spawn({"/bin/true"});

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <thread>
 
 #include "reap/campaign/journal.hpp"
@@ -1167,6 +1168,27 @@ TEST(PartnerKey, MatchesTheKvParseForm) {
         "k==v k=", "a=1\r\vb=2\fc=3", "workload=mcf policy=reap workload=lbm",
         "ü=1 a=2", "policy"})
     configs.emplace_back(crafted);
+  // Real configs with their tokens shuffled, with a key repeated (the last
+  // value counts), and with the policy token dropped or repeated. One
+  // variant follows another, so the key sequence changes from call to
+  // call and the order the builder reuses is checked with the one it
+  // works out afresh.
+  std::mt19937 rng(23);
+  for (const auto& p : expand(spec)) {
+    const auto config = core::to_kv_string(p.config);
+    auto tokens = common::split(config, ' ');
+    std::shuffle(tokens.begin(), tokens.end(), rng);
+    const auto shuffled = common::join(tokens, ' ');
+    std::vector<std::string> others;
+    for (const auto& t : tokens)
+      if (t.rfind("policy=", 0) != 0) others.push_back(t);
+    for (const auto& variant :
+         {config, shuffled, "seed=1 ecc_t=7 " + shuffled,
+          config + " ecc_t=7 mtj=x", common::join(others, ' '),
+          config + " policy=reap", "policy=x " + shuffled + " policy",
+          config})
+      configs.push_back(variant);
+  }
   for (const auto& config : configs)
     EXPECT_EQ(partner_key(config), reference(config)) << config;
 }

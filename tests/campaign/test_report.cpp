@@ -3,9 +3,11 @@
 // byte-for-byte, and the output step the campaign CLIs share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "campaign_test_util.hpp"
 #include "reap/campaign/aggregate.hpp"
@@ -13,6 +15,8 @@
 #include "reap/campaign/report.hpp"
 #include "reap/campaign/result_sink.hpp"
 #include "reap/campaign/runner.hpp"
+#include "reap/common/strings.hpp"
+#include "reap/core/read_path.hpp"
 
 namespace reap::campaign {
 namespace {
@@ -180,10 +184,18 @@ TEST(Report, MergeRejectsConflictingDuplicates) {
 // render the exact bytes the in-memory aggregation prints. (Shortest
 // round-trip cell formatting makes the parsed doubles exact, and both
 // paths share compare_metrics/summarize_comparisons.)
+// The third grid is fleet-shaped: every policy, two ECC strengths and
+// enough seeds that the rows span several of aggregate_rows' chunks.
 TEST(Report, AggregateRowsMatchesInMemoryAggregateByteForByte) {
-  for (const bool with_ratio_axis : {false, true}) {
-    auto spec = grid_24();
-    if (with_ratio_axis) spec.read_ratios = {0.55, 0.8};
+  auto ratio_axis = grid_24();
+  ratio_axis.read_ratios = {0.55, 0.8};
+  auto fleet = grid_24();
+  fleet.workloads = {"mcf", "h264ref", "lbm", "namd", "bwaves"};
+  fleet.policies = core::all_policies();
+  fleet.seeds.clear();
+  for (std::uint64_t s = 0; s < 12; ++s) fleet.seeds.push_back(s);
+  ASSERT_GT(fleet.size(), 512u);
+  for (const auto& spec : {grid_24(), ratio_axis, fleet}) {
     const auto c = run_fake(spec);
     const auto baseline = core::PolicyKind::conventional_parallel;
     const auto in_memory = aggregate(spec, c.points, c.results, baseline);
@@ -214,6 +226,69 @@ TEST(Report, AggregateRowsMatchesInMemoryAggregateByteForByte) {
     }
     std::remove(path.c_str());
   }
+}
+
+// A row's baseline partner is the row whose config equals its own but for
+// the policy, however the config is spelled: token order, a repeated key
+// (the last value counts), a repeated or missing policy token. Respelled
+// configs -- some found by the config without policy, the rest only by
+// the partner key -- give the aggregates of the rows as written.
+TEST(Report, AggregateRowsFindsPartnersHoweverTheConfigIsSpelled) {
+  auto spec = grid_24();
+  spec.policies = core::all_policies();
+  const auto c = run_fake(spec);
+  RowTable table;
+  table.header = result_header();
+  for (std::size_t i = 0; i < c.points.size(); ++i)
+    table.rows.push_back(result_cells(c.points[i], c.results[i]));
+  const auto baseline = core::PolicyKind::conventional_parallel;
+  std::string error;
+  const auto expected = aggregate_rows(table, baseline, &error);
+  ASSERT_TRUE(expected) << error;
+  ASSERT_FALSE(expected->comparisons.empty());
+
+  const std::size_t config = *table.col("config");
+  std::mt19937 rng(5);
+  auto respelled = table;
+  for (std::size_t i = 0; i < respelled.rows.size(); ++i) {
+    auto& cell = respelled.rows[i][config];
+    auto tokens = common::split(cell, ' ');
+    switch (i % 5) {
+      case 0:  // as written
+        break;
+      case 1:
+        std::shuffle(tokens.begin(), tokens.end(), rng);
+        break;
+      case 2:  // a key given twice: the later value counts
+        tokens.insert(tokens.begin(), "ecc_t=99");
+        break;
+      case 3:  // the policy token repeated, then dropped outright
+        tokens.push_back("policy=" + tokens[1].substr(7));
+        break;
+      case 4:
+        tokens.erase(tokens.begin() + 1);
+        break;
+    }
+    cell = common::join(tokens, ' ');
+  }
+  const auto got = aggregate_rows(respelled, baseline, &error);
+  ASSERT_TRUE(got) << error;
+  EXPECT_EQ(got->render(), expected->render());
+  ASSERT_EQ(got->comparisons.size(), expected->comparisons.size());
+  for (std::size_t i = 0; i < got->comparisons.size(); ++i) {
+    EXPECT_EQ(got->comparisons[i].index, expected->comparisons[i].index);
+    EXPECT_EQ(got->comparisons[i].baseline_index,
+              expected->comparisons[i].baseline_index);
+  }
+
+  // A key whose values differ is a different partner: no comparison.
+  auto unmatched = table;
+  for (auto& row : unmatched.rows)
+    if (row[*table.col("policy")] != "conventional")
+      row[config] += " l2_ways=3";
+  const auto none = aggregate_rows(unmatched, baseline, &error);
+  ASSERT_TRUE(none) << error;
+  EXPECT_TRUE(none->comparisons.empty());
 }
 
 TEST(Report, AggregateRowsNeedsBaselineRows) {

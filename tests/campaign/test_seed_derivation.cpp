@@ -6,12 +6,16 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reap/campaign/seed.hpp"
 #include "reap/campaign/spec.hpp"
+#include "reap/core/read_path.hpp"
 
 namespace reap::campaign {
 namespace {
@@ -60,20 +64,33 @@ TEST(SeedDerivation, CompanionSeedDecorrelates) {
 // was only implicitly impossible; pin it against every checked-in spec so
 // a seed-rule change that introduces a collision fails loudly here, and a
 // new spec is parsed, validated and expanded without editing this test.
-TEST(SeedDerivation, FigureSpecTraceKeysMapToDistinctTraceSeeds) {
+// Every checked-in specs/*.spec, in name order.
+std::vector<std::filesystem::path> checked_in_specs() {
   std::vector<std::filesystem::path> specs;
   for (const auto& entry :
        std::filesystem::directory_iterator(REAP_SOURCE_DIR "/specs"))
     if (entry.path().extension() == ".spec") specs.push_back(entry.path());
   std::sort(specs.begin(), specs.end());
+  return specs;
+}
+
+std::optional<CampaignSpec> load_spec(const std::filesystem::path& path) {
+  std::string error;
+  const auto kv = parse_spec_file(path.string(), &error);
+  EXPECT_TRUE(kv.has_value()) << error;
+  if (!kv) return std::nullopt;
+  auto spec = CampaignSpec::from_kv(*kv, &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  return spec;
+}
+
+TEST(SeedDerivation, FigureSpecTraceKeysMapToDistinctTraceSeeds) {
+  const auto specs = checked_in_specs();
   ASSERT_GE(specs.size(), 3u);
   for (const auto& path : specs) {
     SCOPED_TRACE(path.filename().string());
-    std::string error;
-    const auto kv = parse_spec_file(path.string(), &error);
-    ASSERT_TRUE(kv.has_value()) << error;
-    const auto spec = CampaignSpec::from_kv(*kv, &error);
-    ASSERT_TRUE(spec.has_value()) << error;
+    const auto spec = load_spec(path);
+    ASSERT_TRUE(spec.has_value());
     const auto points = expand(*spec);
     ASSERT_FALSE(points.empty());
 
@@ -104,6 +121,48 @@ TEST(SeedDerivation, FigureSpecTraceKeysMapToDistinctTraceSeeds) {
                   std::max<std::size_t>(1, spec->read_ratios.size()) *
                   spec->seeds.size());
   }
+}
+
+// reap_dispatch --dry-run states the trace-group plan in closed form,
+// without expanding the grid. It must be the plan of the expansion for
+// every checked-in spec, and for a fleet-shaped grid with every axis in
+// use: all policies, two ECC strengths, a scrub axis, read ratios and
+// several seeds.
+TEST(TracePlan, ClosedFormEqualsThePlanOfTheExpansion) {
+  std::vector<std::pair<std::string, CampaignSpec>> specs;
+  for (const auto& path : checked_in_specs()) {
+    auto spec = load_spec(path);
+    ASSERT_TRUE(spec.has_value()) << path;
+    specs.emplace_back(path.filename().string(), std::move(*spec));
+  }
+  CampaignSpec fleet;
+  fleet.workloads = {"mcf", "h264ref", "lbm", "namd", "bwaves"};
+  fleet.policies = core::all_policies();
+  fleet.ecc_ts = {1, 2};
+  fleet.scrub_everys = {4, 16};
+  fleet.read_ratios = {0.55, 0.693, 0.8};
+  fleet.seeds = {0, 1, 2, 7};
+  fleet.base.instructions = 1000;
+  fleet.base.warmup_instructions = 100;
+  specs.emplace_back("fleet", fleet);
+  fleet.read_ratios.clear();
+  fleet.base.instructions = 3'000'000;
+  specs.emplace_back("fleet without read ratios", fleet);
+
+  for (const auto& [name, spec] : specs) {
+    SCOPED_TRACE(name);
+    const auto closed = trace_plan(spec);
+    const auto expanded = trace_plan(expand(spec));
+    EXPECT_GT(closed.groups, 0u);
+    EXPECT_EQ(closed.groups, expanded.groups);
+    EXPECT_EQ(closed.largest_bytes, expanded.largest_bytes);
+  }
+
+  // It refuses what expand() refuses.
+  fleet.workloads.push_back("no-such-workload");
+  EXPECT_THROW(trace_plan(fleet), std::invalid_argument);
+  fleet.workloads = {"mcf", "mcf"};
+  EXPECT_THROW(trace_plan(fleet), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,8 +9,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "reap/common/cli.hpp"
 #include "reap/common/csv.hpp"
@@ -62,6 +65,40 @@ TEST(CsvWriter, WritesHeaderAndEscapes) {
   EXPECT_EQ(l1, "a,b");
   EXPECT_EQ(l2, "plain,\"has,comma\"");
   EXPECT_EQ(l3, "\"has\"\"quote\",x");
+  std::remove(path.c_str());
+}
+
+// Rows gather in a buffer that is written in large pieces, and a line is
+// checked for quoting once, as a whole. Every line must still be its cells
+// escaped one by one, whether a row has a special cell or not and on
+// either side of a buffer write; so must the rows a destructor flushes.
+TEST(CsvWriter, LinesAreTheEscapedCellsAcrossBufferWrites) {
+  const std::string path = ::testing::TempDir() + "/reap_test_rows.csv";
+  const std::vector<std::string> specials = {
+      "", "plain", "a,b", "say \"hi\"", "two\nlines", ",", "\"", "x,y,z"};
+  std::mt19937 rng(11);
+  std::string expected = "h0,h1,h2,h3\n";
+  {
+    CsvWriter w(path, {"h0", "h1", "h2", "h3"});
+    for (int r = 0; r < 8000; ++r) {
+      std::vector<std::string> cells;
+      for (int c = 0; c < 4; ++c)
+        cells.push_back(rng() % 4 == 0
+                            ? specials[rng() % specials.size()]
+                            : std::string(rng() % 40, 'a' + c) +
+                                  std::to_string(r));
+      w.add_row(cells);
+      for (int c = 0; c < 4; ++c)
+        expected += (c ? "," : "") + csv_escape(cells[c]);
+      expected += '\n';
+    }
+    EXPECT_TRUE(w.ok());
+  }
+  ASSERT_GT(expected.size(), std::size_t{1} << 19);
+  std::ifstream in(path, std::ios::binary);
+  const std::string got((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, expected);
   std::remove(path.c_str());
 }
 
@@ -251,6 +288,32 @@ TEST(Jsonl, ParseLineInvertsEmission) {
   EXPECT_FALSE(parse_jsonl_line("{\"a\":1"));        // truncated
   EXPECT_FALSE(parse_jsonl_line("{\"a\":[1]}"));     // nested
   EXPECT_FALSE(parse_jsonl_line("not json"));
+}
+
+// A string ends at the first quote no backslash escapes, and every escape
+// before it must be one the subset knows, names and values alike.
+TEST(Jsonl, StringsEndAtTheFirstUnescapedQuote) {
+  const auto one = [](const std::string& line) {
+    const auto fields = parse_jsonl_line(line);
+    return fields && fields->size() == 1 ? std::optional((*fields)[0])
+                                         : std::nullopt;
+  };
+  EXPECT_EQ(one(R"({"a":"x\\"})")->second, "x\\");
+  EXPECT_EQ(one(R"({"a":"\"\"\\\/\n\t\r"})")->second, "\"\"\\/\n\t\r");
+  EXPECT_EQ(one(R"({"a\"b":1})")->first, "a\"b");
+  EXPECT_EQ(one(R"({"a":"config a=1 b=2 c=\"3\" d=4"})")->second,
+            "config a=1 b=2 c=\"3\" d=4");
+  EXPECT_FALSE(parse_jsonl_line(R"({"a":"x\"})"));   // escaped close: open
+  EXPECT_FALSE(parse_jsonl_line(R"({"a":"x\q"})"));  // unknown escape
+  EXPECT_FALSE(parse_jsonl_line(R"({"a":"x\)"));     // backslash at the end
+  EXPECT_FALSE(parse_jsonl_line(R"({"a":"x)"));      // unterminated
+  EXPECT_FALSE(parse_jsonl_line(R"({"a\":1})"));     // unterminated name
+  const auto three =
+      parse_jsonl_line(R"({"a":"x","b":"y\\","c":"\\"})");
+  ASSERT_TRUE(three);
+  ASSERT_EQ(three->size(), 3u);
+  EXPECT_EQ((*three)[1].second, "y\\");
+  EXPECT_EQ((*three)[2].second, "\\");
 }
 
 }  // namespace
