@@ -71,33 +71,18 @@ struct Slot {
   std::optional<Clock::time_point> term_at;  // SIGTERM sent, grace running
 };
 
-// How often the journals of running shards are tailed between ticks. Rows
-// are parsed while they land, so little is left to parse when the last
-// worker exits. The tick (DispatchOptions::poll_interval) still paces
-// launches, backoff and the watchdog. Every wake takes a core from the
-// workers: tailing every 4 ms made a 2x2-thread dispatch on four cores
-// run about 4 ms longer than tailing every 8 ms, for no shorter tail.
-constexpr std::chrono::milliseconds kTailInterval{8};
-
 // Sleeps out one supervisor tick, but returns as soon as a worker exits
 // (its pidfd turns readable), so a finished run is reaped at once rather
-// than up to a tick later. Every kTailInterval it calls `tail_running`,
-// and remote workers' stream bytes are pumped as they arrive; neither
-// ends the wait. A worker without an exit descriptor (no pidfd_open) is
-// noticed at the end of the tick, as before.
-template <class TailRunning>
+// than up to a tick later. Remote workers' stream bytes are pumped as
+// they arrive without ending the wait. A worker without an exit
+// descriptor (no pidfd_open) is noticed at the end of the tick, as
+// before.
 void wait_for_workers(std::vector<std::optional<Slot>>& slots,
-                      std::chrono::milliseconds tick,
-                      const TailRunning& tail_running) {
+                      std::chrono::milliseconds tick) {
   const auto deadline = Clock::now() + tick;
-  auto next_tail = Clock::now() + kTailInterval;
   std::vector<pollfd> fds;
   std::vector<WorkerHandle*> streams;  // per fd; null for an exit fd
   for (;;) {
-    if (Clock::now() >= next_tail) {
-      tail_running();
-      next_tail = Clock::now() + kTailInterval;
-    }
     fds.clear();
     streams.clear();
     for (auto& slot : slots) {
@@ -113,12 +98,12 @@ void wait_for_workers(std::vector<std::optional<Slot>>& slots,
     }
     const auto now = Clock::now();
     if (now >= deadline) return;  // the tick is over
-    const auto wake = std::min(deadline, next_tail);
-    const auto left = std::chrono::ceil<std::chrono::milliseconds>(wake - now);
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
     const int n = ::poll(fds.data(), fds.size(), static_cast<int>(left.count()));
-    if (n == 0) continue;  // time to tail, or the tick is over
+    if (n == 0) continue;  // the tick is over
     if (n < 0) {
-      if (errno != EINTR) std::this_thread::sleep_until(wake);
+      if (errno != EINTR) std::this_thread::sleep_until(deadline);
       continue;
     }
     bool exited = false;
@@ -644,7 +629,7 @@ DispatchResult Dispatcher::run() {
       if (!slot) continue;
       const auto status = slot->worker->poll();
       if (!status) continue;
-      slot->worker->drain();  // stream remainder -> local journal
+      slot->worker->pump();  // stream remainder -> local journal
       auto& s = shards[slot->shard];
       s.attempts++;
       tail(slot->shard);  // rows that landed just before the exit
@@ -684,8 +669,7 @@ DispatchResult Dispatcher::run() {
       // budget and requeue the shard -- its no-progress streak, probe
       // state, and abandonment budget stay untouched, because nothing
       // was learned about the *work*.
-      if (!transports[slot->transport]->local() &&
-          slot->worker->host_failure(*status)) {
+      if (slot->worker->host_failure(*status)) {
         host_fail(slot->transport,
                   "worker " + status->describe() + " (connection lost)");
         report_exit(false, true);
@@ -776,11 +760,7 @@ DispatchResult Dispatcher::run() {
       slot.reset();
     }
 
-    if (remaining > 0)
-      wait_for_workers(slots, opts_.poll_interval, [&] {
-        for (const auto& slot : slots)
-          if (slot) tail(slot->shard);
-      });
+    if (remaining > 0) wait_for_workers(slots, opts_.poll_interval);
   }
 
   bool any_abandoned = false;

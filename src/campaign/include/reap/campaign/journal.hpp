@@ -24,7 +24,14 @@
 //           rows are reported, skipped, and healed by the next rewrite;
 //           they never abort a read.
 // Readers refuse any other format tag, the checksum-less
-// "reap-journal-v1" included.
+// "reap-journal-v1" included, and a header without a grid size
+// (`points`) or columns, or with a field value that does not parse.
+//
+// Every reader -- read_journal, read_journal_header, load_rows and
+// JournalTailer -- reads lines through the one JsonlRowReader, which
+// holds the one header parser and the one row classifier. A header one
+// of them refuses, all refuse, and a line one accepts as a row, the
+// others accept with the same cells.
 #pragma once
 
 #include <cstdint>
@@ -69,100 +76,76 @@ struct JournalRow {
   std::vector<std::string> cells;
 };
 
-// How one line fares as a journal row.
-enum class RowVerdict {
-  ok,         // parses, and its checksum (when it carries one) matches
-  malformed,  // does not parse: a torn tail when it is the last line,
-              // corruption anywhere else
-  bad_crc,    // carries a checksum suffix that does not match its body
-              // or, read as a journal row, carries none: corruption
-              // wherever it sits
-};
-
-// The one journal-row parser. read_journal, JournalTailer::poll and
-// load_rows (reap_report, merge_dispatch_journals) all classify lines with
-// it, so they cannot disagree on a line (the latter two through
-// JsonlRowReader). It works in place: fields are
-// views into the line, the checksum is computed over the line's bytes
-// (common::crc32c's two-piece form supplies the restored closing brace)
-// and column names are compared where they sit.
-class JournalRowParser {
- public:
-  // Classifies `line`. The checksum suffix is checked first: a complete
-  // line whose checksum fails is bad_crc even when its body would not
-  // parse. A line without a suffix (a journal header, a JSONL sink row)
-  // is ok when it parses. On ok, fields() views the line's fields without
-  // the checksum field; the views stay valid while `line` does.
-  RowVerdict scan(std::string_view line);
-  const std::vector<common::JsonlField>& fields() const { return fields_; }
-
-  // Whether the scanned line ends in a well-formed checksum suffix. Every
-  // journal row does; a torn write leaves a prefix, which never parses, so
-  // a journal row that parses without one is damage.
-  bool has_crc() const { return has_crc_; }
-
-  // Whether the scanned line leads with a "key" field -- a row rather
-  // than a header line.
-  bool has_key() const {
-    return !fields_.empty() && fields_[0].name_is("key");
-  }
-
-  // The shape check on a scanned line: "key", then exactly `columns` by
-  // name, with a numeric grid index in column 0 ("index"). Fills `row`.
-  bool to_row(const std::vector<std::string>& columns, JournalRow& row) const;
-
-  // scan + to_row: read_journal's verdict on a row line (a line without
-  // a checksum is bad_crc; one of the wrong shape is malformed).
-  RowVerdict parse(std::string_view line,
-                   const std::vector<std::string>& columns, JournalRow& row);
-
- private:
-  std::vector<common::JsonlField> fields_;
-  bool has_crc_ = false;
-};
-
-// The one line->row path of a JSONL row file -- an execution journal or
-// JSONL sink output -- fed a line at a time. load_rows reads a whole file
-// through it and JournalTailer the lines a live journal grows by, so the
-// rows the dispatcher keeps while tailing are the rows load_rows would
-// load from the same bytes.
+// The one reader of journal and JSONL row lines, fed a line at a time.
+// read_journal (resume), read_journal_header (the dispatcher's work-dir
+// scan), load_rows (reap_report, the dispatcher's merge) and
+// JournalTailer::poll all classify lines through it, so they cannot
+// disagree on a line; each only maps the verdict to its own words. It
+// works in place: fields are views into the line, the checksum is
+// computed over the line's bytes (common::crc32c's two-piece form
+// supplies the restored closing brace) and column names are compared
+// where they sit.
 //
-// A journal header line sets the table's columns and grid size; in a
-// journal every other line is a row and gets read_journal's verdict. In
-// sink output the first row names the columns (a leading "key" field is
-// not a column).
+// Line 1 is a journal header when it carries a "format" field, wherever
+// it sits. The header sets the table's columns and grid size, and every
+// later line is a row that must carry its checksum, "key" and exactly
+// the header's columns. Without a header the lines are JSONL sink
+// output: the first row names the columns (a leading "key" field is not
+// a column).
 class JsonlRowReader {
  public:
   enum class Line {
-    header,   // a journal header line
-    row,      // a row, appended to table()
-    torn,     // does not parse, or a journal row of the wrong shape: a torn
-              // tail when it is a file's last line, damage anywhere else
-    damaged,  // damage wherever it sits
+    header,      // line 1: a journal header, now in header()
+    bad_header,  // line 1 carries a "format" field but is no header
+                 // this build reads: what() says why
+    row,         // a row, appended to table()
+    torn,        // does not parse, or a journal row of the wrong shape: a
+                 // torn tail when it is a file's last line, damage
+                 // anywhere else
+    damaged,     // damage wherever it sits: a checksum that fails, or a
+                 // journal row without one, or a sink row of the wrong
+                 // columns
   };
 
-  // Reads one non-empty line.
+  // Reads one non-empty line. The checksum suffix is checked first: a
+  // complete line whose checksum fails is damaged even when its body
+  // would not parse.
   Line add(std::string_view line);
 
-  // Why the last torn or damaged line was refused, in load_rows' words.
-  const char* what() const { return what_; }
+  // Why the last refused line was refused: a header in the journal
+  // readers' words ("journal: bad points: 8x"), a row in load_rows'
+  // ("row CRC mismatch", "row without CRC", "malformed JSONL",
+  // "inconsistent columns").
+  const std::string& what() const { return what_; }
 
-  // Whether the last line parsed with its checksum (if any) intact: the
-  // parser's verdict before any row-shape check. parser() then views its
-  // fields.
-  bool sound() const { return sound_; }
-  const JournalRowParser& parser() const { return parser_; }
+  // The "key" field leading the last line when the line parsed with a
+  // checksum that matches -- a journal row's key, or that of a keyed line
+  // of the wrong shape -- and null otherwise. What the tailer counts.
+  const common::JsonlField* key() const {
+    return sound_ && has_crc_ && !fields_.empty() &&
+                   fields_[0].name_is("key")
+               ? &fields_[0]
+               : nullptr;
+  }
+
+  // The header of line 1, as far as it was read.
+  const JournalHeader& header() const { return header_; }
 
   // The rows so far. load_rows refuses a table without columns or rows.
   RowTable& table() { return table_; }
 
  private:
-  JournalRowParser parser_;
-  JournalRow row_;
+  Line read_header();
+  bool read_journal_row();
+
+  std::vector<common::JsonlField> fields_;
+  JournalHeader header_;
   RowTable table_;
-  bool journal_ = false;  // a journal header set the columns
-  bool sound_ = false;
-  const char* what_ = "";
+  bool first_ = true;     // the next line is line 1
+  bool journal_ = false;  // line 1 was a journal header
+  bool sound_ = false;    // the last line parsed, its checksum intact
+  bool has_crc_ = false;  // the last line ends in a checksum suffix
+  std::string what_;
 };
 
 // One line read_journal could not accept as a row: where and why. Corrupt
@@ -234,8 +217,8 @@ class JournalWriter {
 // kill) is dropped and flagged, and damaged lines before the tail are
 // collected in `corrupt` (the rows they carried re-run on resume);
 // neither aborts the read. Returns nullopt and sets `error` only when
-// the file itself is unusable: unopenable, empty, or a bad header line
-// (one without the kJournalFormat tag among them).
+// the file itself is unusable: unopenable, empty, or a header line the
+// reader refuses (one without the kJournalFormat tag among them).
 std::optional<Journal> read_journal(const std::string& path,
                                     std::string* error = nullptr);
 

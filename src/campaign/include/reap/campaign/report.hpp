@@ -41,11 +41,11 @@ struct RowTable {
 };
 
 // Loads a row file, sniffing the format: a '{' first byte means JSONL,
-// anything else CSV. JSONL is sink output or an execution journal; a
-// journal's lines go through JournalRowParser, so its rows load exactly
-// as read_journal reads them (the header names the columns, a row's key
-// is dropped), except that a damaged row is an error here rather than a
-// row to re-run. Rows must be rectangular; returns nullopt with a
+// anything else CSV. JSONL is sink output or an execution journal; both
+// go through JsonlRowReader, so a journal's rows load exactly as
+// read_journal reads them (the header names the columns, a row's key is
+// dropped), except that a damaged row or header is an error here rather
+// than a row to re-run. Rows must be rectangular; returns nullopt with a
 // description on malformed input. One torn final line is tolerated and
 // flagged in truncated_tail.
 std::optional<RowTable> load_rows(const std::string& path,

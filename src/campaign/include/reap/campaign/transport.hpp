@@ -84,7 +84,7 @@ struct WorkerPlan {
 };
 
 // One running worker, however it runs. poll()/kill() mirror
-// common::Child; pump()/drain() give stream-backed workers a place to
+// common::Child; pump() gives stream-backed workers a place to
 // move bytes from the wire into the local journal (no-ops for local
 // workers). Destroying a handle kills and reaps whatever is running.
 class WorkerHandle {
@@ -95,13 +95,11 @@ class WorkerHandle {
   virtual std::optional<common::ExitStatus> poll() = 0;
   virtual bool kill(int sig = 9) = 0;
 
-  // Called every supervisor tick while the worker runs: consume whatever
-  // the stream has buffered (never blocks).
+  // Called every supervisor tick while the worker runs, and once more
+  // after poll() reports its exit: consume whatever the stream has
+  // buffered (never blocks), so rows that landed just before death are
+  // not lost.
   virtual void pump() {}
-
-  // Called once after poll() reports an exit: consume the stream's
-  // remainder so rows that landed just before death are not lost.
-  virtual void drain() {}
 
   // Descriptors the supervisor blocks on in poll(2) between ticks, or -1
   // for none: exit_fd() turns readable when the worker exits (its

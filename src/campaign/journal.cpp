@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <unordered_set>
+#include <utility>
 
 #include "reap/common/crc32c.hpp"
 #include "reap/common/fault.hpp"
@@ -21,44 +22,6 @@ namespace reap::campaign {
 namespace {
 
 using common::fail;
-
-// Parses the header object of line 1. The journal is self-describing: all
-// fields are flat scalars so the shared JSONL-subset parser handles it.
-bool parse_header(const std::string& line, JournalHeader& h,
-                  std::string* error) {
-  const auto fields = common::parse_jsonl_line(line);
-  if (!fields) return fail(error, "journal: malformed header line");
-  bool saw_format = false;
-  for (const auto& [key, value] : *fields) {
-    if (key == "format") {
-      h.format = value;
-      saw_format = true;
-    } else if (key == "name") {
-      h.name = value;
-    } else if (key == "spec_hash") {
-      if (!common::parse_hex64(value, h.spec_hash))
-        return fail(error, "journal: bad spec_hash: " + value);
-    } else if (key == "points") {
-      if (!common::parse_u64(value, h.points))
-        return fail(error, "journal: bad points: " + value);
-    } else if (key == "shard_index") {
-      if (!common::parse_u64(value, h.shard_index))
-        return fail(error, "journal: bad shard_index: " + value);
-    } else if (key == "shard_count") {
-      if (!common::parse_u64(value, h.shard_count))
-        return fail(error, "journal: bad shard_count: " + value);
-    } else if (key == "columns") {
-      h.columns = common::split(value, ',');
-    }
-    // Unknown header fields are ignored: newer writers may add metadata.
-  }
-  if (!saw_format) return fail(error, "journal: not a reap-journal file");
-  if (h.format != kJournalFormat)
-    return fail(error, "journal: unsupported format " + h.format +
-                           " (this build reads " + kJournalFormat + ")");
-  if (h.columns.empty()) return fail(error, "journal: header lists no columns");
-  return true;
-}
 
 // Owns an open file descriptor.
 struct Fd {
@@ -76,10 +39,37 @@ struct Fd {
 // closing brace restored.
 constexpr std::string_view kCrcSuffix = ",\"crc\":\"";
 
+// Why the reader refuses a row, in load_rows' words.
+constexpr char kMalformed[] = "malformed JSONL";
+constexpr char kCrcMismatch[] = "row CRC mismatch";
+constexpr char kNoCrc[] = "row without CRC";
+constexpr char kBadColumns[] = "inconsistent columns";
+
+// Reads line 1 of a journal through `reader`: true on a journal header,
+// otherwise false with why it is none in the journal readers' words.
+bool read_header_line(JsonlRowReader& reader, std::string_view line,
+                      std::string* error) {
+  switch (reader.add(line)) {
+    case JsonlRowReader::Line::header:
+      return true;
+    case JsonlRowReader::Line::bad_header:
+      return fail(error, reader.what());
+    case JsonlRowReader::Line::torn:
+      return fail(error, "journal: malformed header line");
+    default:
+      return fail(error, "journal: not a reap-journal file");
+  }
+}
+
 }  // namespace
 
-RowVerdict JournalRowParser::scan(std::string_view line) {
-  fields_.clear();
+JsonlRowReader::Line JsonlRowReader::add(std::string_view line) {
+  const auto refuse = [this](Line verdict, const char* what) {
+    what_ = what;
+    return verdict;
+  };
+  const bool first = std::exchange(first_, false);
+  sound_ = false;
   // A line ending in the checksum suffix is a journal row; anything else
   // has no checksum to verify.
   has_crc_ = false;
@@ -88,98 +78,112 @@ RowVerdict JournalRowParser::scan(std::string_view line) {
     if (tail.size() == 10 && tail.substr(8) == "\"}") {
       std::uint32_t stored = 0;
       if (!common::parse_hex32(tail.substr(0, 8), stored))
-        return RowVerdict::malformed;
+        return refuse(Line::torn, kMalformed);
       has_crc_ = true;
       if (common::crc32c(line.substr(0, pos), "}") != stored)
-        return RowVerdict::bad_crc;
+        return refuse(Line::damaged, kCrcMismatch);
     }
   }
-  if (!common::scan_jsonl_line(line, fields_)) return RowVerdict::malformed;
+  if (!common::scan_jsonl_line(line, fields_))
+    return refuse(Line::torn, kMalformed);
   // The whole line parses exactly when its body does, and then its last
   // field is the checksum: the suffix's quote after a comma cannot sit
   // inside a string or a raw token of a line that parses.
   if (has_crc_) fields_.pop_back();
-  return RowVerdict::ok;
-}
-
-bool JournalRowParser::to_row(const std::vector<std::string>& columns,
-                              JournalRow& row) const {
-  // Column 0 is the grid index by construction of result_header().
-  if (columns.empty() || columns[0] != "index") return false;
-  if (fields_.size() != columns.size() + 1 || !has_key()) return false;
-  for (std::size_t i = 0; i < columns.size(); ++i)
-    if (!fields_[i + 1].name_is(columns[i])) return false;
-  fields_[0].value_to(row.key);
-  row.cells.resize(columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i)
-    fields_[i + 1].value_to(row.cells[i]);
-  return common::parse_u64(row.cells[0], row.index);
-}
-
-RowVerdict JournalRowParser::parse(std::string_view line,
-                                   const std::vector<std::string>& columns,
-                                   JournalRow& row) {
-  const RowVerdict v = scan(line);
-  if (v != RowVerdict::ok) return v;
-  if (!has_crc_) return RowVerdict::bad_crc;
-  return to_row(columns, row) ? RowVerdict::ok : RowVerdict::malformed;
-}
-
-JsonlRowReader::Line JsonlRowReader::add(std::string_view line) {
-  const auto refuse = [this](Line verdict, const char* what) {
-    what_ = what;
-    return verdict;
-  };
-  const RowVerdict verdict = parser_.scan(line);
-  sound_ = verdict == RowVerdict::ok;
-  if (verdict == RowVerdict::malformed)
-    return refuse(Line::torn, "malformed JSONL");
-  if (verdict == RowVerdict::bad_crc)
-    return refuse(Line::damaged, "row CRC mismatch");
-  const auto& fields = parser_.fields();
-  // A journal header line carries the column schema and the grid size;
-  // keep the size so the completeness check can catch a dense prefix.
-  if (!fields.empty() && fields[0].name_is("format")) {
-    if (fields[0].value_text() != kJournalFormat)
-      return refuse(Line::damaged, "unsupported journal format");
-    for (const auto& f : fields) {
-      std::uint64_t n = 0;
-      if (f.name_is("points") && common::parse_u64(f.value_text(), n)) {
-        table_.expected_points = n;
-      } else if (f.name_is("columns") && table_.header.empty()) {
-        table_.header = common::split(f.value_text(), ',');
-        journal_ = true;
-      }
-    }
-    return Line::header;
-  }
-  // In a journal every other line is a row and gets read_journal's
-  // verdict: a row without its checksum is damage; the wrong shape is a
-  // malformed row, which on the last line is a torn tail.
+  sound_ = true;
+  if (first)
+    for (const auto& f : fields_)
+      if (f.name_is("format")) return read_header();
+  // In a journal every other line is a row: a row without its checksum
+  // is damage; the wrong shape is a malformed row, which on the last
+  // line is a torn tail.
   if (journal_) {
-    if (!parser_.has_crc()) return refuse(Line::damaged, "row without CRC");
-    if (!parser_.to_row(table_.header, row_))
-      return refuse(Line::torn, "inconsistent columns");
-    table_.rows.push_back(std::move(row_.cells));
+    if (!has_crc_) return refuse(Line::damaged, kNoCrc);
+    if (!read_journal_row()) return refuse(Line::torn, kBadColumns);
     return Line::row;
   }
   // Sink rows: the first one names the columns. Journal rows lead with
   // their key, which is not a column.
-  const std::size_t begin = parser_.has_key() ? 1 : 0;
+  const std::size_t begin = !fields_.empty() && fields_[0].name_is("key");
   if (table_.header.empty())
-    for (std::size_t i = begin; i < fields.size(); ++i)
-      table_.header.push_back(fields[i].name_text());
-  if (fields.size() - begin != table_.header.size())
-    return refuse(Line::damaged, "inconsistent columns");
+    for (std::size_t i = begin; i < fields_.size(); ++i)
+      table_.header.push_back(fields_[i].name_text());
+  if (fields_.size() - begin != table_.header.size())
+    return refuse(Line::damaged, kBadColumns);
   std::vector<std::string> cells;
   cells.reserve(table_.header.size());
-  for (std::size_t i = begin; i < fields.size(); ++i) {
-    if (!fields[i].name_is(table_.header[i - begin]))
-      return refuse(Line::damaged, "inconsistent columns");
-    cells.push_back(fields[i].value_text());
+  for (std::size_t i = begin; i < fields_.size(); ++i) {
+    if (!fields_[i].name_is(table_.header[i - begin]))
+      return refuse(Line::damaged, kBadColumns);
+    cells.push_back(fields_[i].value_text());
   }
   table_.rows.push_back(std::move(cells));
   return Line::row;
+}
+
+// The one journal header parser. All fields are flat scalars, in any
+// order; unknown ones are ignored, since newer writers may add metadata.
+JsonlRowReader::Line JsonlRowReader::read_header() {
+  const auto refuse = [this](std::string why) {
+    what_ = std::move(why);
+    return Line::bad_header;
+  };
+  JournalHeader& h = header_;
+  bool saw_points = false;
+  for (const auto& f : fields_) {
+    const auto value = f.value_text();
+    if (f.name_is("format")) {
+      h.format = value;
+    } else if (f.name_is("name")) {
+      h.name = value;
+    } else if (f.name_is("spec_hash")) {
+      if (!common::parse_hex64(value, h.spec_hash))
+        return refuse("journal: bad spec_hash: " + value);
+    } else if (f.name_is("points")) {
+      if (!common::parse_u64(value, h.points))
+        return refuse("journal: bad points: " + value);
+      saw_points = true;
+    } else if (f.name_is("shard_index")) {
+      if (!common::parse_u64(value, h.shard_index))
+        return refuse("journal: bad shard_index: " + value);
+    } else if (f.name_is("shard_count")) {
+      if (!common::parse_u64(value, h.shard_count))
+        return refuse("journal: bad shard_count: " + value);
+    } else if (f.name_is("columns")) {
+      h.columns = common::split(value, ',');
+    }
+  }
+  if (h.format != kJournalFormat)
+    return refuse("journal: unsupported format " + h.format +
+                  " (this build reads " + kJournalFormat + ")");
+  // The grid size is what lets a report tell a dense prefix of the grid
+  // from the whole of it.
+  if (!saw_points) return refuse("journal: header has no points");
+  if (h.columns.empty()) return refuse("journal: header lists no columns");
+  journal_ = true;
+  table_.header = h.columns;
+  table_.expected_points = h.points;
+  return Line::header;
+}
+
+// The shape check on a journal row: "key", then exactly the header's
+// columns by name, with a numeric grid index in column 0 ("index").
+// Appends the row's cells to the table.
+bool JsonlRowReader::read_journal_row() {
+  const auto& columns = table_.header;
+  // Column 0 is the grid index by construction of result_header().
+  if (columns[0] != "index") return false;
+  if (fields_.size() != columns.size() + 1 || !fields_[0].name_is("key"))
+    return false;
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    if (!fields_[i + 1].name_is(columns[i])) return false;
+  std::vector<std::string> cells(columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    fields_[i + 1].value_to(cells[i]);
+  std::uint64_t index = 0;
+  if (!common::parse_u64(cells[0], index)) return false;
+  table_.rows.push_back(std::move(cells));
+  return true;
 }
 
 JournalHeader JournalHeader::for_run(const CampaignSpec& spec,
@@ -291,18 +295,22 @@ std::optional<Journal> read_journal(const std::string& path,
     return std::nullopt;
   }
 
+  JsonlRowReader reader;
+  if (!read_header_line(reader, lines[0], error)) return std::nullopt;
   Journal j;
-  if (!parse_header(std::string(lines[0]), j.header, error))
-    return std::nullopt;
+  j.header = reader.header();
   j.rows.reserve(lines.size() - 1);
-  JournalRowParser parser;
+  auto& cells = reader.table().rows;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    JournalRow row;
-    switch (parser.parse(lines[i], j.header.columns, row)) {
-      case RowVerdict::ok:
+    switch (reader.add(lines[i])) {
+      case JsonlRowReader::Line::row: {
+        JournalRow row{reader.key()->value_text(), 0, std::move(cells.back())};
+        cells.pop_back();
+        common::parse_u64(row.cells[0], row.index);
         j.rows.push_back(std::move(row));
         break;
-      case RowVerdict::malformed:
+      }
+      case JsonlRowReader::Line::torn:
         if (i + 1 == lines.size()) {
           // A torn final line is the expected signature of a mid-write
           // kill; the row it carried simply re-runs on resume.
@@ -311,11 +319,11 @@ std::optional<Journal> read_journal(const std::string& path,
           j.corrupt.push_back({i + 1, "malformed row"});
         }
         break;
-      case RowVerdict::bad_crc:
+      default:
         // A complete line whose checksum fails (or is missing) is
         // damage, not a tear -- even on the last line.
         j.corrupt.push_back(
-            {i + 1, parser.has_crc() ? "CRC mismatch" : "missing CRC"});
+            {i + 1, reader.what() == kNoCrc ? "missing CRC" : "CRC mismatch"});
         break;
     }
   }
@@ -334,9 +342,9 @@ std::optional<JournalHeader> read_journal_header(const std::string& path,
     fail(error, "journal is empty: " + path);
     return std::nullopt;
   }
-  JournalHeader h;
-  if (!parse_header(line, h, error)) return std::nullopt;
-  return h;
+  JsonlRowReader reader;
+  if (!read_header_line(reader, line, error)) return std::nullopt;
+  return reader.header();
 }
 
 bool rewrite_journal(const std::string& path, const Journal& j,
@@ -440,10 +448,10 @@ std::vector<std::string> JournalTailer::poll() {
     // mid-flight content) does not and is skipped. A row whose checksum
     // fails or is missing is damage, not progress: skip it unseen so the
     // supervisor still counts that point as outstanding.
-    const auto& parser = reader_.parser();
-    if (!reader_.sound() || !parser.has_crc() || !parser.has_key()) continue;
-    auto key = parser.fields()[0].value_text();
-    if (seen_.insert(key).second) fresh.push_back(std::move(key));
+    const auto* key = reader_.key();
+    if (!key) continue;
+    auto text = key->value_text();
+    if (seen_.insert(text).second) fresh.push_back(std::move(text));
   }
   offset_ += last_nl + 1;
   return fresh;

@@ -66,10 +66,10 @@ std::optional<RowTable> rows_from_csv(std::string_view text,
   return table;
 }
 
-// JSONL sink output or an execution journal, through the one line->row
-// path, so a journal loads here exactly as read_journal reads it -- except
-// that any damage is an error: reports run on settled files, where bad
-// bytes mean real damage, not a run still in flight.
+// JSONL sink output or an execution journal, through the one reader, so
+// a journal loads here exactly as read_journal reads it -- except that
+// any damage is an error: reports run on settled files, where bad bytes
+// mean real damage, not a run still in flight.
 std::optional<RowTable> rows_from_jsonl(std::string_view text,
                                         const std::string& path,
                                         std::string* error) {
@@ -89,6 +89,11 @@ std::optional<RowTable> rows_from_jsonl(std::string_view text,
           table.truncated_tail = true;
           return true;
         }
+        break;
+      case JsonlRowReader::Line::bad_header:
+        // Another format keeps load_rows' own word for it.
+        if (reader.header().format != kJournalFormat)
+          return fail(error, path + ":1: unsupported journal format");
         break;
       case JsonlRowReader::Line::damaged:
         break;

@@ -86,7 +86,6 @@ class SshWorker final : public WorkerHandle {
   bool kill(int sig) override { return child_.kill(sig); }
 
   void pump() override { pump_stream(); }
-  void drain() override { pump_stream(); }
   int exit_fd() const override { return child_.exit_fd(); }
   // A stalled stream is not read, so it must not wake the supervisor.
   int stream_fd() const override { return stalled_ ? -1 : fd_; }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,43 @@ TEST(CliOutputs, ARefusedOrFailedRunLeavesExistingOutputsByteIdentical) {
       EXPECT_TRUE(snapshot() == before);
     }
   }
+}
+
+
+// A journal whose header carries a damaged grid size is refused by both
+// CLIs that read journals: reap_report names the header's line, and a
+// resume names the field, instead of one of them loading the rows and
+// dropping the completeness check the grid size is for.
+TEST(CliOutputs, ADamagedJournalHeaderFailsTheReportAndTheResume) {
+  const auto dir = fresh_dir("cli_outputs_bad_header");
+  const auto rows = dir + "/rows.journal";
+  auto status = run({REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+                     "--journal=" + rows},
+                    dir, "rows");
+  ASSERT_TRUE(status.success()) << status.describe();
+  auto bytes = file_bytes(rows);
+  const auto at = bytes.find("\"points\":");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LT(at, bytes.find('\n'));
+  bytes.insert(bytes.find(',', at), "x");
+  std::ofstream(rows, std::ios::trunc) << bytes;
+
+  status = run({REAP_REPORT_BIN, rows}, dir, "report");
+  ASSERT_TRUE(status.exited);
+  EXPECT_EQ(status.code, 1);
+  auto err = file_bytes(dir + "/report.err");
+  EXPECT_NE(err.find(rows + ":1: journal: bad points: "), std::string::npos)
+      << err;
+
+  status = run({REAP_CAMPAIGN_BIN, "--spec=" + kTinySpec, "--quiet",
+                "--journal=" + rows, "--resume"},
+               dir, "resume");
+  ASSERT_TRUE(status.exited);
+  EXPECT_EQ(status.code, 1);
+  err = file_bytes(dir + "/resume.err");
+  EXPECT_NE(err.find("cannot resume: journal: bad points: "),
+            std::string::npos)
+      << err;
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // classification (torn vs corrupt, missing CRC), v1 refusal, append/rewrite,
 // compatibility checks, row merging, rendering rows apart from appending
 // them (also across threads and through the CLI), live tailing, the one
-// row parser against the readers it replaced, and the progress line.
+// reader against the readers it replaced, every reader's verdict on a
+// mutated header, and the progress line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -783,7 +784,7 @@ TEST(JournalTailer, KeepsNoRowsForATornDamagedReplacedOrUnreadJournal) {
 }
 
 // ---------------------------------------------------------------------
-// The one row parser, checked against the readers it replaced.
+// The one reader, checked against the readers it replaced.
 
 // Today's reading of a journal line, kept verbatim as the reference: the
 // copying JSONL parser and the split-then-parse CRC check.
@@ -864,8 +865,17 @@ std::optional<common::JsonlFields> reference_jsonl(const std::string& line) {
   }
 }
 
+// How one line fares as a journal row.
+enum class Verdict {
+  ok,         // parses, and its checksum matches
+  malformed,  // does not parse, or has the wrong shape: a torn tail when
+              // it is the last line, corruption anywhere else
+  bad_crc,    // carries a checksum suffix that does not match its body,
+              // or carries none: corruption wherever it sits
+};
+
 struct RefRow {
-  RowVerdict verdict = RowVerdict::malformed;
+  Verdict verdict = Verdict::malformed;
   bool parses = false;  // the body is well-formed flat JSONL
   bool has_crc = false;  // the line ends in a well-formed checksum suffix
   std::optional<std::string> key;  // first field's value, if named "key"
@@ -885,7 +895,7 @@ RefRow reference_row(const std::string& line,
       ref.has_crc = true;
       body = line.substr(0, pos) + "}";
       if (common::crc32c(body) != stored) {
-        ref.verdict = RowVerdict::bad_crc;
+        ref.verdict = Verdict::bad_crc;
         return ref;
       }
     }
@@ -897,7 +907,7 @@ RefRow reference_row(const std::string& line,
     ref.key = (*fields)[0].second;
   // A journal row must carry its checksum.
   if (!ref.has_crc) {
-    ref.verdict = RowVerdict::bad_crc;
+    ref.verdict = Verdict::bad_crc;
     return ref;
   }
   if (fields->size() != columns.size() + 1 || !ref.key) return ref;
@@ -909,7 +919,7 @@ RefRow reference_row(const std::string& line,
   if (columns.empty() || columns[0] != "index" ||
       !common::parse_u64(ref.row.cells[0], ref.row.index))
     return ref;
-  ref.verdict = RowVerdict::ok;
+  ref.verdict = Verdict::ok;
   return ref;
 }
 
@@ -1051,34 +1061,67 @@ std::vector<std::string> mutated_lines() {
   return out;
 }
 
-TEST(JournalRowParser, MatchesTheReadersItReplacedOnEveryMutation) {
+// The reader's verdict on a journal row line, as the reference states it.
+Verdict verdict_of(JsonlRowReader::Line line) {
+  switch (line) {
+    case JsonlRowReader::Line::row:
+      return Verdict::ok;
+    case JsonlRowReader::Line::damaged:
+      return Verdict::bad_crc;
+    default:
+      return Verdict::malformed;
+  }
+}
+
+// A journal header line for result_header()'s columns.
+std::string journal_header_line() {
+  const auto path = temp_path(
+      (std::string(
+           ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       ".header")
+          .c_str());
+  JournalWriter(path, JournalHeader::for_run(small_spec(), 8, 0, 1));
+  const auto lines = file_lines(path);
+  std::remove(path.c_str());
+  return lines.at(0);
+}
+
+TEST(JsonlRowReader, MatchesTheReadersItReplacedOnEveryMutation) {
   const auto columns = result_header();
   const auto lines = mutated_lines();
   ASSERT_GT(lines.size(), 1000u);
   std::size_t ok = 0, bad_crc = 0, malformed = 0;
-  JournalRowParser parser;
+  JsonlRowReader reader;
+  ASSERT_EQ(reader.add(journal_header_line()), JsonlRowReader::Line::header);
   for (const auto& line : lines) {
     SCOPED_TRACE(line);
     const auto ref = reference_row(line, columns);
-    JournalRow row;
-    const auto verdict = parser.parse(line, columns, row);
+    const auto rows = reader.table().rows.size();
+    const auto verdict = verdict_of(reader.add(line));
     ASSERT_EQ(verdict, ref.verdict);
-    if (verdict == RowVerdict::ok) {
-      EXPECT_EQ(row.key, ref.row.key);
-      EXPECT_EQ(row.index, ref.row.index);
-      EXPECT_EQ(row.cells, ref.row.cells);
+    ASSERT_EQ(reader.table().rows.size(), rows + (verdict == Verdict::ok));
+    if (verdict == Verdict::ok) {
+      EXPECT_EQ(reader.key()->value_text(), ref.row.key);
+      const auto& cells = reader.table().rows.back();
+      std::uint64_t index = 0;
+      EXPECT_TRUE(common::parse_u64(cells[0], index));
+      EXPECT_EQ(index, ref.row.index);
+      EXPECT_EQ(cells, ref.row.cells);
+    }
+    if (verdict == Verdict::bad_crc) {
+      EXPECT_EQ(reader.what(),
+                ref.has_crc ? "row CRC mismatch" : "row without CRC");
     }
     // The tailer's weaker question, "a sound checksummed line leading
     // with a key?", gets the reference's answer too.
-    const bool sound = parser.scan(line) == RowVerdict::ok;
-    EXPECT_EQ(sound && parser.has_crc() && parser.has_key(),
+    EXPECT_EQ(reader.key() != nullptr,
               ref.parses && ref.has_crc && ref.key.has_value());
-    if (sound && parser.has_key()) {
-      EXPECT_EQ(parser.fields()[0].value_text(), *ref.key);
+    if (reader.key()) {
+      EXPECT_EQ(reader.key()->value_text(), *ref.key);
     }
-    ok += verdict == RowVerdict::ok;
-    bad_crc += verdict == RowVerdict::bad_crc;
-    malformed += verdict == RowVerdict::malformed;
+    ok += verdict == Verdict::ok;
+    bad_crc += verdict == Verdict::bad_crc;
+    malformed += verdict == Verdict::malformed;
   }
   // The corpus exercises every verdict, not just the rejections.
   EXPECT_GT(ok, 20u);
@@ -1087,11 +1130,11 @@ TEST(JournalRowParser, MatchesTheReadersItReplacedOnEveryMutation) {
 }
 
 // read_journal, JournalTailer::poll and load_rows (what reap_report and
-// the dispatcher's merge read) share the parser, so they agree on every
+// the dispatcher's merge read) share the reader, so they agree on every
 // line: a row one accepts, the others accept with the same cells; a line
 // one rejects for its checksum or syntax, all reject. The tailer only
 // counts keys, so it alone accepts a sound keyed line of the wrong shape.
-TEST(JournalRowParser, EveryReaderAgreesOnEveryLine) {
+TEST(JsonlRowReader, EveryReaderAgreesOnEveryLine) {
   const auto spec = small_spec();
   const auto columns = result_header();
   const auto path = temp_path("journal_agree.jsonl");
@@ -1112,14 +1155,14 @@ TEST(JournalRowParser, EveryReaderAgreesOnEveryLine) {
       const auto journal = read_journal(path);
       ASSERT_TRUE(journal);
       const bool accepted = journal->rows.size() == 2;
-      EXPECT_EQ(accepted, ref.verdict == RowVerdict::ok);
+      EXPECT_EQ(accepted, ref.verdict == Verdict::ok);
       EXPECT_EQ(journal->truncated_tail,
-                last && ref.verdict == RowVerdict::malformed);
+                last && ref.verdict == Verdict::malformed);
 
       std::string error;
       const auto table = load_rows(path, &error);
       // A report refuses damage; only a torn last line is tolerated.
-      const bool torn_tail = last && ref.verdict == RowVerdict::malformed;
+      const bool torn_tail = last && ref.verdict == Verdict::malformed;
       EXPECT_EQ(table.has_value(), accepted || torn_tail) << error;
       if (table && accepted) {
         ASSERT_EQ(table->rows.size(), 2u);
@@ -1138,6 +1181,149 @@ TEST(JournalRowParser, EveryReaderAgreesOnEveryLine) {
         EXPECT_EQ(keys.size(), 2u);
       }
     }
+  }
+  std::remove(path.c_str());
+}
+
+// Every reader parses a journal's header through the one reader, so a
+// mutated header gets one verdict: read_journal (resume),
+// read_journal_header (the dispatcher's work-dir scan), load_rows
+// (reap_report, the dispatcher's merge) and a tailer's kept rows all
+// accept it or all refuse it. An accepted header means the same campaign
+// to each of them.
+TEST(JournalHeader, EveryReaderGivesEachMutationOneVerdict) {
+  const auto spec = small_spec();
+  const auto path = temp_path("journal_header_mutations.jsonl");
+  {
+    JournalWriter writer(path, JournalHeader::for_run(spec, 8, 1, 2));
+    for (std::size_t i = 0; i < 5; ++i)
+      writer.add("k" + std::to_string(i), fake_cells(i));
+  }
+  const auto base = file_lines(path);
+  ASSERT_EQ(base.size(), 6u);
+  const auto& header = base[0];
+  // The header's `"name":value` pieces, in the writer's order.
+  std::vector<std::string> fields;
+  {
+    const auto inner = header.substr(1, header.size() - 2);
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= inner.size(); ++i) {
+      if (i == inner.size() || (inner[i] == ',' && inner[i + 1] == '"')) {
+        fields.push_back(inner.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+  }
+  ASSERT_EQ(fields.size(), 7u);
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string s = "{";
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      s += (i ? "," : "") + parts[i];
+    return s + "}";
+  };
+  const auto field = [&](const std::string& name) -> std::size_t {
+    for (std::size_t i = 0; i < fields.size(); ++i)
+      if (fields[i].rfind("\"" + name + "\":", 0) == 0) return i;
+    ADD_FAILURE() << "no header field " << name;
+    return 0;
+  };
+  const auto without = [&](const std::string& name) {
+    auto parts = fields;
+    parts.erase(parts.begin() + static_cast<long>(field(name)));
+    return join(parts);
+  };
+  const auto with_value = [&](const std::string& name,
+                              const std::string& value) {
+    auto parts = fields;
+    parts[field(name)] = "\"" + name + "\":" + value;
+    return join(parts);
+  };
+  const auto reordered = [&](std::vector<std::string> parts) {
+    std::reverse(parts.begin(), parts.end());
+    return join(parts);
+  };
+  auto format_last = fields;
+  std::rotate(format_last.begin(), format_last.begin() + 1, format_last.end());
+  auto extra_first = fields;
+  extra_first.insert(extra_first.begin(), "\"host\":\"node7\"");
+  auto extra_last = fields;
+  extra_last.push_back("\"writer_version\":3");
+
+  struct Mutation {
+    const char* what;
+    std::string line;
+    bool accepted;
+  };
+  const std::vector<Mutation> mutations = {
+      {"intact", header, true},
+      {"reversed field order", reordered(fields), true},
+      {"format last", join(format_last), true},
+      {"unknown field first", join(extra_first), true},
+      {"unknown field last", join(extra_last), true},
+      {"spaced", replace_all(replace_all(header, "\":", "\" : "), ",\"",
+                             ", \""),
+       true},
+      {"points quoted", with_value("points", "\"8\""), true},
+      {"points 8x", with_value("points", "8x"), false},
+      {"points with a space", with_value("points", "8 "), false},
+      {"points negative", with_value("points", "-8"), false},
+      {"points fractional", with_value("points", "8.5"), false},
+      {"points missing", without("points"), false},
+      {"columns missing", without("columns"), false},
+      {"format missing", without("format"), false},
+      {"format v1", with_value("format", "\"reap-journal-v1\""), false},
+      {"format v3", with_value("format", "\"reap-journal-v3\""), false},
+      {"format empty", with_value("format", "\"\""), false},
+      {"spec_hash damaged", with_value("spec_hash", "\"zz\""), false},
+      {"shard_index damaged", with_value("shard_index", "1x"), false},
+      {"shard_count damaged", with_value("shard_count", "x"), false},
+      {"header cut short", header.substr(0, header.size() / 2), false},
+  };
+  for (const auto& m : mutations) {
+    SCOPED_TRACE(m.what);
+    auto lines = base;
+    lines[0] = m.line;
+    write_lines(path, lines);
+
+    std::string error;
+    const auto journal = read_journal(path, &error);
+    EXPECT_EQ(journal.has_value(), m.accepted) << "read_journal: " << error;
+    error.clear();
+    const auto header_only = read_journal_header(path, &error);
+    EXPECT_EQ(header_only.has_value(), m.accepted)
+        << "read_journal_header: " << error;
+    error.clear();
+    const auto table = load_rows(path, &error);
+    EXPECT_EQ(table.has_value(), m.accepted) << "load_rows: " << error;
+    // A refused header is named by its line. (Without a format field
+    // line 1 is a sink row, and the file fails on the row after it.)
+    if (!m.accepted && m.line.find("\"format\"") != std::string::npos) {
+      EXPECT_EQ(error.rfind(path + ":1: ", 0), 0u) << error;
+    }
+    JournalTailer tailer(path);
+    tailer.poll();
+    const auto kept = tailer.take_rows();
+    EXPECT_EQ(kept.has_value(), m.accepted) << "JournalTailer::take_rows";
+
+    if (!journal || !header_only || !table || !kept) continue;
+    EXPECT_EQ(journal->header.spec_hash, spec_hash(spec));
+    EXPECT_EQ(journal->header.points, 8u);
+    EXPECT_EQ(journal->header.shard_index, 1u);
+    EXPECT_EQ(journal->header.shard_count, 2u);
+    EXPECT_EQ(journal->header.columns, result_header());
+    EXPECT_EQ(header_only->spec_hash, journal->header.spec_hash);
+    EXPECT_EQ(header_only->points, journal->header.points);
+    EXPECT_EQ(header_only->shard_index, journal->header.shard_index);
+    EXPECT_EQ(header_only->shard_count, journal->header.shard_count);
+    EXPECT_EQ(header_only->columns, journal->header.columns);
+    EXPECT_EQ(journal->rows.size(), 5u);
+    EXPECT_TRUE(journal->corrupt.empty());
+    EXPECT_EQ(table->header, result_header());
+    EXPECT_EQ(table->expected_points, std::optional<std::uint64_t>(8));
+    EXPECT_EQ(table->rows.size(), 5u);
+    EXPECT_EQ(kept->header, table->header);
+    EXPECT_EQ(kept->rows, table->rows);
+    EXPECT_EQ(kept->expected_points, table->expected_points);
   }
   std::remove(path.c_str());
 }
